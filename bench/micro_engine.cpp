@@ -42,8 +42,10 @@ BENCHMARK(BM_PlainGossipRun)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
 // (tools/check_bench.sh): simulated rounds per second of the full message
 // hot path (gossip dispatch + delivery + confidentiality audit) at n=1024.
 // `rounds_per_sec` is the figure of merit; it must not regress across PRs.
-// The engine thread count comes from CONGOS_ENGINE_THREADS (check_bench.sh
-// defaults it to 4 and stamps it into every record).
+// It is a wall-clock rate (UseRealTime): with engine shards on worker
+// threads, main-thread CPU time would overstate it. The engine thread count
+// comes from CONGOS_ENGINE_THREADS (check_bench.sh defaults it to 4 and
+// stamps it into every record).
 void BM_HotPathRounds(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   harness::ScenarioConfig cfg;
@@ -79,6 +81,7 @@ BENCHMARK(BM_HotPathRounds)
     ->Arg(1024)
     ->Arg(4096)
     ->Arg(65536)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_CongosRun(benchmark::State& state) {
@@ -94,7 +97,12 @@ void BM_CongosRun(benchmark::State& state) {
     benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK(BM_CongosRun)->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CongosRun)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

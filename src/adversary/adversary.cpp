@@ -27,30 +27,4 @@ void Composite::at_round_end(sim::Engine& engine) {
   for (auto& p : parts_) p->at_round_end(engine);
 }
 
-namespace {
-struct CompositeSnapshot final : sim::AdversarySnapshot {
-  std::vector<std::unique_ptr<sim::AdversarySnapshot>> parts;
-};
-}  // namespace
-
-std::unique_ptr<sim::AdversarySnapshot> Composite::snapshot() const {
-  auto s = std::make_unique<CompositeSnapshot>();
-  s->parts.reserve(parts_.size());
-  for (const auto* p : parts_) {
-    auto part = p->snapshot();
-    if (part == nullptr) return nullptr;
-    s->parts.push_back(std::move(part));
-  }
-  return s;
-}
-
-bool Composite::restore(const sim::AdversarySnapshot& snap) {
-  const auto* s = dynamic_cast<const CompositeSnapshot*>(&snap);
-  if (s == nullptr || s->parts.size() != parts_.size()) return false;
-  for (std::size_t i = 0; i < parts_.size(); ++i) {
-    if (!parts_[i]->restore(*s->parts[i])) return false;
-  }
-  return true;
-}
-
 }  // namespace congos::adversary

@@ -31,12 +31,6 @@ class Composite final : public sim::Adversary {
   void after_sends(sim::Engine& engine) override;
   void at_round_end(sim::Engine& engine) override;
 
-  /// Aggregates child snapshots in registration order; nullptr as soon as
-  /// any component is snapshot-unaware (a partial composite snapshot would
-  /// silently desynchronize the others on restore).
-  std::unique_ptr<sim::AdversarySnapshot> snapshot() const override;
-  bool restore(const sim::AdversarySnapshot& snap) override;
-
   std::size_t size() const { return parts_.size(); }
 
  private:

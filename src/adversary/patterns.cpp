@@ -10,23 +10,6 @@ namespace {
 bool is_protected(const std::vector<ProcessId>& ids, ProcessId p) {
   return std::find(ids.begin(), ids.end(), p) != ids.end();
 }
-
-struct CrashOnServiceSnapshot final : sim::AdversarySnapshot {
-  std::size_t crashes = 0;
-  std::vector<std::pair<Round, ProcessId>> to_restart;
-};
-
-struct CrashSendersSnapshot final : sim::AdversarySnapshot {
-  std::size_t crashes = 0;
-};
-
-struct ScriptedSnapshot final : sim::AdversarySnapshot {
-  std::size_t next = 0;
-};
-
-struct MassCrashSnapshot final : sim::AdversarySnapshot {
-  bool done = false;
-};
 }  // namespace
 
 // ---------------------------------------------------------------- RandomChurn
@@ -90,21 +73,6 @@ void CrashOnService::after_sends(sim::Engine& engine) {
   }
 }
 
-std::unique_ptr<sim::AdversarySnapshot> CrashOnService::snapshot() const {
-  auto s = std::make_unique<CrashOnServiceSnapshot>();
-  s->crashes = crashes_;
-  s->to_restart = to_restart_;
-  return s;
-}
-
-bool CrashOnService::restore(const sim::AdversarySnapshot& snap) {
-  const auto* s = dynamic_cast<const CrashOnServiceSnapshot*>(&snap);
-  if (s == nullptr) return false;
-  crashes_ = s->crashes;
-  to_restart_ = s->to_restart;
-  return true;
-}
-
 // ---------------------------------------------------------------- CrashSenders
 
 void CrashSenders::after_sends(sim::Engine& engine) {
@@ -123,19 +91,6 @@ void CrashSenders::after_sends(sim::Engine& engine) {
     ++crashes_;
     ++this_round;
   }
-}
-
-std::unique_ptr<sim::AdversarySnapshot> CrashSenders::snapshot() const {
-  auto s = std::make_unique<CrashSendersSnapshot>();
-  s->crashes = crashes_;
-  return s;
-}
-
-bool CrashSenders::restore(const sim::AdversarySnapshot& snap) {
-  const auto* s = dynamic_cast<const CrashSendersSnapshot*>(&snap);
-  if (s == nullptr) return false;
-  crashes_ = s->crashes;
-  return true;
 }
 
 // -------------------------------------------------------------------- Scripted
@@ -161,19 +116,6 @@ void Scripted::at_round_start(sim::Engine& engine) {
   }
 }
 
-std::unique_ptr<sim::AdversarySnapshot> Scripted::snapshot() const {
-  auto s = std::make_unique<ScriptedSnapshot>();
-  s->next = next_;
-  return s;
-}
-
-bool Scripted::restore(const sim::AdversarySnapshot& snap) {
-  const auto* s = dynamic_cast<const ScriptedSnapshot*>(&snap);
-  if (s == nullptr) return false;
-  next_ = s->next;
-  return true;
-}
-
 // ------------------------------------------------------------------- MassCrash
 
 void MassCrash::at_round_start(sim::Engine& engine) {
@@ -185,19 +127,6 @@ void MassCrash::at_round_start(sim::Engine& engine) {
       engine.crash(p, sim::PartialDelivery::kDropAll);
     }
   }
-}
-
-std::unique_ptr<sim::AdversarySnapshot> MassCrash::snapshot() const {
-  auto s = std::make_unique<MassCrashSnapshot>();
-  s->done = done_;
-  return s;
-}
-
-bool MassCrash::restore(const sim::AdversarySnapshot& snap) {
-  const auto* s = dynamic_cast<const MassCrashSnapshot*>(&snap);
-  if (s == nullptr) return false;
-  done_ = s->done;
-  return true;
 }
 
 }  // namespace congos::adversary

@@ -38,13 +38,6 @@ class RandomChurn final : public sim::Adversary {
 
   void at_round_start(sim::Engine& engine) override;
 
-  // Memoryless: draws only from the engine RNG, which the engine checkpoint
-  // already captures.
-  std::unique_ptr<sim::AdversarySnapshot> snapshot() const override {
-    return std::make_unique<sim::AdversarySnapshot>();
-  }
-  bool restore(const sim::AdversarySnapshot& /*snap*/) override { return true; }
-
  private:
   Options opt_;
 };
@@ -67,9 +60,6 @@ class CrashOnService final : public sim::Adversary {
   void at_round_start(sim::Engine& engine) override;
 
   std::size_t crashes_caused() const { return crashes_; }
-
-  std::unique_ptr<sim::AdversarySnapshot> snapshot() const override;
-  bool restore(const sim::AdversarySnapshot& snap) override;
 
  private:
   Options opt_;
@@ -94,9 +84,6 @@ class CrashSenders final : public sim::Adversary {
 
   std::size_t crashes_caused() const { return crashes_; }
 
-  std::unique_ptr<sim::AdversarySnapshot> snapshot() const override;
-  bool restore(const sim::AdversarySnapshot& snap) override;
-
  private:
   Options opt_;
   std::size_t crashes_ = 0;
@@ -115,9 +102,6 @@ class Scripted final : public sim::Adversary {
 
   void at_round_start(sim::Engine& engine) override;
 
-  std::unique_ptr<sim::AdversarySnapshot> snapshot() const override;
-  bool restore(const sim::AdversarySnapshot& snap) override;
-
  private:
   std::vector<Event> events_;  // sorted by round
   std::size_t next_ = 0;
@@ -130,9 +114,6 @@ class MassCrash final : public sim::Adversary {
       : when_(when), survivors_(std::move(survivors)) {}
 
   void at_round_start(sim::Engine& engine) override;
-
-  std::unique_ptr<sim::AdversarySnapshot> snapshot() const override;
-  bool restore(const sim::AdversarySnapshot& snap) override;
 
  private:
   Round when_;

@@ -7,23 +7,6 @@
 
 namespace congos::adversary {
 
-namespace {
-struct OneShotSnapshot final : sim::AdversarySnapshot {
-  std::size_t next = 0;
-};
-
-struct ContinuousSnapshot final : sim::AdversarySnapshot {
-  std::vector<std::uint64_t> seq;
-  std::uint64_t injected = 0;
-};
-
-struct Theorem1Snapshot final : sim::AdversarySnapshot {
-  bool done = false;
-  std::uint64_t injected = 0;
-  std::uint64_t dest_pairs = 0;
-};
-}  // namespace
-
 std::vector<std::uint8_t> canonical_payload(RumorUid uid, std::size_t len) {
   // Payload bytes derived from the uid by a splitmix64 stream: reproducible
   // anywhere, distinct across rumors.
@@ -55,19 +38,6 @@ void OneShot::at_round_start(sim::Engine& engine) {
     }
     ++next_;
   }
-}
-
-std::unique_ptr<sim::AdversarySnapshot> OneShot::snapshot() const {
-  auto s = std::make_unique<OneShotSnapshot>();
-  s->next = next_;
-  return s;
-}
-
-bool OneShot::restore(const sim::AdversarySnapshot& snap) {
-  const auto* s = dynamic_cast<const OneShotSnapshot*>(&snap);
-  if (s == nullptr) return false;
-  next_ = s->next;
-  return true;
 }
 
 // ------------------------------------------------------------------ Continuous
@@ -110,21 +80,6 @@ void Continuous::at_round_start(sim::Engine& engine) {
   }
 }
 
-std::unique_ptr<sim::AdversarySnapshot> Continuous::snapshot() const {
-  auto s = std::make_unique<ContinuousSnapshot>();
-  s->seq = seq_;
-  s->injected = injected_;
-  return s;
-}
-
-bool Continuous::restore(const sim::AdversarySnapshot& snap) {
-  const auto* s = dynamic_cast<const ContinuousSnapshot*>(&snap);
-  if (s == nullptr) return false;
-  seq_ = s->seq;
-  injected_ = s->injected;
-  return true;
-}
-
 // ------------------------------------------------------------------- Theorem1
 
 void Theorem1::at_round_start(sim::Engine& engine) {
@@ -149,23 +104,6 @@ void Theorem1::at_round_start(sim::Engine& engine) {
     engine.inject(p, std::move(r));
     ++injected_;
   }
-}
-
-std::unique_ptr<sim::AdversarySnapshot> Theorem1::snapshot() const {
-  auto s = std::make_unique<Theorem1Snapshot>();
-  s->done = done_;
-  s->injected = injected_;
-  s->dest_pairs = dest_pairs_;
-  return s;
-}
-
-bool Theorem1::restore(const sim::AdversarySnapshot& snap) {
-  const auto* s = dynamic_cast<const Theorem1Snapshot*>(&snap);
-  if (s == nullptr) return false;
-  done_ = s->done;
-  injected_ = s->injected;
-  dest_pairs_ = s->dest_pairs;
-  return true;
 }
 
 }  // namespace congos::adversary

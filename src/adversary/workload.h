@@ -36,9 +36,6 @@ class OneShot final : public sim::Adversary {
 
   void at_round_start(sim::Engine& engine) override;
 
-  std::unique_ptr<sim::AdversarySnapshot> snapshot() const override;
-  bool restore(const sim::AdversarySnapshot& snap) override;
-
  private:
   std::vector<Item> items_;  // sorted by round
   std::size_t next_ = 0;
@@ -73,9 +70,6 @@ class Continuous final : public sim::Adversary {
 
   std::uint64_t injected_count() const { return injected_; }
 
-  std::unique_ptr<sim::AdversarySnapshot> snapshot() const override;
-  bool restore(const sim::AdversarySnapshot& snap) override;
-
  private:
   Options opt_;
   std::vector<std::uint64_t> seq_;  // per-source sequence counters
@@ -99,9 +93,6 @@ class Theorem1 final : public sim::Adversary {
   /// Total number of (source, destination) pairs created, for the Omega(nx)
   /// accounting in the Theorem 1 experiment.
   std::uint64_t dest_pairs() const { return dest_pairs_; }
-
-  std::unique_ptr<sim::AdversarySnapshot> snapshot() const override;
-  bool restore(const sim::AdversarySnapshot& snap) override;
 
  private:
   Options opt_;

@@ -58,23 +58,4 @@ void DirectSendProcess::receive_phase(Round now, std::span<const sim::Envelope> 
   }
 }
 
-namespace {
-struct DirectSendSnapshot final : sim::ProcessSnapshot {
-  std::deque<DirectSendProcess::PendingRumor> queue;
-};
-}  // namespace
-
-std::unique_ptr<sim::ProcessSnapshot> DirectSendProcess::snapshot() const {
-  auto s = std::make_unique<DirectSendSnapshot>();
-  s->queue = queue_;
-  return s;
-}
-
-bool DirectSendProcess::restore(const sim::ProcessSnapshot& snap, Round /*now*/) {
-  const auto* s = dynamic_cast<const DirectSendSnapshot*>(&snap);
-  if (s == nullptr) return false;
-  queue_ = s->queue;
-  return true;
-}
-
 }  // namespace congos::baseline

@@ -31,17 +31,13 @@ class DirectSendProcess final : public sim::Process {
   void receive_phase(Round now, std::span<const sim::Envelope> inbox) override;
   void inject(const sim::Rumor& rumor) override;
 
-  std::unique_ptr<sim::ProcessSnapshot> snapshot() const override;
-  bool restore(const sim::ProcessSnapshot& snap, Round now) override;
-
-  /// Public for the snapshot type in direct_send.cpp.
+ private:
   struct PendingRumor {
     sim::Rumor rumor;
     std::vector<ProcessId> targets;  // destinations not yet sent
     std::size_t per_round = 0;       // paced sends per round
   };
 
- private:
   Options opt_;
   sim::DeliveryListener* listener_;
   std::deque<PendingRumor> queue_;

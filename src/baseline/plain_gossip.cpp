@@ -47,26 +47,4 @@ void PlainGossipProcess::receive_phase(Round now,
   for (const auto& e : inbox) service_->on_envelope(now, e);
 }
 
-namespace {
-struct PlainGossipSnapshot final : sim::ProcessSnapshot {
-  Rng rng{0};
-  std::unique_ptr<gossip::ContinuousGossipService> service;
-};
-}  // namespace
-
-std::unique_ptr<sim::ProcessSnapshot> PlainGossipProcess::snapshot() const {
-  auto s = std::make_unique<PlainGossipSnapshot>();
-  s->rng = rng_;
-  s->service = std::make_unique<gossip::ContinuousGossipService>(*service_);
-  return s;
-}
-
-bool PlainGossipProcess::restore(const sim::ProcessSnapshot& snap, Round /*now*/) {
-  const auto* s = dynamic_cast<const PlainGossipSnapshot*>(&snap);
-  if (s == nullptr) return false;
-  rng_ = s->rng;
-  service_ = std::make_unique<gossip::ContinuousGossipService>(*s->service);
-  return true;
-}
-
 }  // namespace congos::baseline

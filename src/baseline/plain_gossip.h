@@ -34,9 +34,6 @@ class PlainGossipProcess final : public sim::Process {
   void receive_phase(Round now, std::span<const sim::Envelope> inbox) override;
   void inject(const sim::Rumor& rumor) override;
 
-  std::unique_ptr<sim::ProcessSnapshot> snapshot() const override;
-  bool restore(const sim::ProcessSnapshot& snap, Round now) override;
-
  private:
   Options opt_;
   Rng rng_;

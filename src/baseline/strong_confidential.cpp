@@ -136,33 +136,4 @@ void StrongConfidentialProcess::receive_phase(Round now,
   }
 }
 
-namespace {
-struct StrongConfidentialSnapshot final : sim::ProcessSnapshot {
-  Rng rng{0};
-  std::unordered_map<RumorUid, StrongConfidentialProcess::Tracked> known;
-  std::unordered_map<ProcessId, std::vector<RumorUid>> pending_acks;
-  std::size_t max_merged = 0;
-};
-}  // namespace
-
-std::unique_ptr<sim::ProcessSnapshot> StrongConfidentialProcess::snapshot() const {
-  auto s = std::make_unique<StrongConfidentialSnapshot>();
-  s->rng = rng_;
-  s->known = known_;
-  s->pending_acks = pending_acks_;
-  s->max_merged = max_merged_;
-  return s;
-}
-
-bool StrongConfidentialProcess::restore(const sim::ProcessSnapshot& snap,
-                                        Round /*now*/) {
-  const auto* s = dynamic_cast<const StrongConfidentialSnapshot*>(&snap);
-  if (s == nullptr) return false;
-  rng_ = s->rng;
-  known_ = s->known;
-  pending_acks_ = s->pending_acks;
-  max_merged_ = s->max_merged;
-  return true;
-}
-
 }  // namespace congos::baseline

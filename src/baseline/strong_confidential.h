@@ -39,14 +39,11 @@ class StrongConfidentialProcess final : public sim::Process {
   void receive_phase(Round now, std::span<const sim::Envelope> inbox) override;
   void inject(const sim::Rumor& rumor) override;
 
-  std::unique_ptr<sim::ProcessSnapshot> snapshot() const override;
-  bool restore(const sim::ProcessSnapshot& snap, Round now) override;
-
   /// Largest number of rumors merged into one outgoing message so far - the
   /// quantity Theorem 1 bounds by a constant c w.h.p.
   std::size_t max_merged() const { return max_merged_; }
 
-  /// Public for the snapshot type in strong_confidential.cpp.
+ private:
   struct Tracked {
     sim::Rumor rumor;
     bool i_am_source = false;
@@ -54,7 +51,6 @@ class StrongConfidentialProcess final : public sim::Process {
     bool fallback_sent = false;
   };
 
- private:
   Options opt_;
   Rng rng_;
   sim::DeliveryListener* listener_;

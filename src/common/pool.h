@@ -13,8 +13,9 @@
 // the network are untouched - a pooled payload is indistinguishable from a
 // make_shared one. Lifetime rules (DESIGN.md section 9):
 //   * the pool core is itself shared_ptr-owned and captured by every
-//     handle's deleter, so handles may outlive the PayloadPool object (and
-//     service snapshot copies share one core with the live service);
+//     handle's deleter, so handles may outlive the PayloadPool object;
+//   * a pool is move-only: copying one would let two owners recycle into
+//     one core, so the services that embed a pool cannot be cloned either;
 //   * a recycled object is reset via T::reuse() before being handed out
 //     (contents cleared, buffer capacity retained);
 //   * pooling never affects behaviour - allocation identity is invisible to
@@ -42,6 +43,10 @@ template <typename T>
 class PayloadPool {
  public:
   PayloadPool() : core_(std::make_shared<Core>()) {}
+  PayloadPool(const PayloadPool&) = delete;
+  PayloadPool& operator=(const PayloadPool&) = delete;
+  PayloadPool(PayloadPool&&) = default;
+  PayloadPool& operator=(PayloadPool&&) = default;
 
   /// A cleared T, recycled when possible. The returned handle behaves like
   /// make_shared<T>(); when the last reference (anywhere) drops, object and

@@ -278,79 +278,6 @@ void CongosProcess::on_all_gossip_deliver(Round now, const gossip::GossipRumor& 
   cg_->on_report(now, static_cast<const DistributionReportBody&>(*rumor.body));
 }
 
-namespace {
-/// Value copies of every mutable piece of a CongosProcess. Service copies
-/// keep their hooks (std::functions bound to the host process) and their
-/// Rng*/config pointers, all of which stay valid because restore() only
-/// happens on the process that produced the snapshot.
-struct CongosProcessSnapshot final : sim::ProcessSnapshot {
-  Rng rng{0};
-  Round wakeup = 0;
-  Round now = 0;
-  std::vector<gossip::ContinuousGossipService> group_gossip;
-  std::unique_ptr<gossip::ContinuousGossipService> all_gossip;
-  struct Inst {
-    std::vector<ProxyService> proxies;
-    std::vector<GroupDistributionService> gds;
-  };
-  std::map<Round, Inst> instances;
-  std::unique_ptr<ConfidentialGossipService> cg;
-  std::vector<sim::Envelope> pending_acks;
-};
-}  // namespace
-
-std::unique_ptr<sim::ProcessSnapshot> CongosProcess::snapshot() const {
-  auto s = std::make_unique<CongosProcessSnapshot>();
-  s->rng = rng_;
-  s->wakeup = wakeup_;
-  s->now = now_;
-  s->group_gossip.reserve(group_gossip_.size());
-  for (const auto& gg : group_gossip_) s->group_gossip.push_back(*gg);
-  s->all_gossip = std::make_unique<gossip::ContinuousGossipService>(*all_gossip_);
-  for (const auto& [dline, inst] : instances_) {
-    auto& copy = s->instances[dline];
-    copy.proxies.reserve(inst.proxies.size());
-    for (const auto& p : inst.proxies) copy.proxies.push_back(*p);
-    copy.gds.reserve(inst.gds.size());
-    for (const auto& g : inst.gds) copy.gds.push_back(*g);
-  }
-  s->cg = std::make_unique<ConfidentialGossipService>(*cg_);
-  s->pending_acks = pending_acks_;  // shallow payload sharing is fine: sent
-                                    // payloads are immutable once queued
-  return s;
-}
-
-bool CongosProcess::restore(const sim::ProcessSnapshot& snap, Round /*now*/) {
-  const auto* s = dynamic_cast<const CongosProcessSnapshot*>(&snap);
-  if (s == nullptr || s->group_gossip.size() != group_gossip_.size()) return false;
-  rng_ = s->rng;
-  wakeup_ = s->wakeup;
-  now_ = s->now;
-  for (std::size_t l = 0; l < group_gossip_.size(); ++l) {
-    group_gossip_[l] =
-        std::make_unique<gossip::ContinuousGossipService>(s->group_gossip[l]);
-  }
-  all_gossip_ = std::make_unique<gossip::ContinuousGossipService>(*s->all_gossip);
-  // Instances created after the snapshot (later deadline classes) are
-  // discarded wholesale; the snapshot's set is rebuilt exactly.
-  instances_.clear();
-  for (const auto& [dline, inst] : s->instances) {
-    Instance live;
-    live.proxies.reserve(inst.proxies.size());
-    for (const auto& p : inst.proxies) {
-      live.proxies.push_back(std::make_unique<ProxyService>(p));
-    }
-    live.gds.reserve(inst.gds.size());
-    for (const auto& g : inst.gds) {
-      live.gds.push_back(std::make_unique<GroupDistributionService>(g));
-    }
-    instances_.emplace(dline, std::move(live));
-  }
-  cg_ = std::make_unique<ConfidentialGossipService>(*s->cg);
-  pending_acks_ = s->pending_acks;
-  return true;
-}
-
 std::uint64_t CongosProcess::filter_drops() const {
   std::uint64_t total = all_gossip_->filter_drops();
   for (const auto& gg : group_gossip_) total += gg->filter_drops();

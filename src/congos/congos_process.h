@@ -38,12 +38,6 @@ class CongosProcess final : public sim::Process {
   void receive_phase(Round now, std::span<const sim::Envelope> inbox) override;
   void inject(const sim::Rumor& rumor) override;
 
-  /// Deep-copies the whole service stack (services hold only values plus
-  /// pointers to this process's stable members, so copies taken here are
-  /// valid to restore onto the same process later).
-  std::unique_ptr<sim::ProcessSnapshot> snapshot() const override;
-  bool restore(const sim::ProcessSnapshot& snap, Round now) override;
-
   // -- introspection ---------------------------------------------------------
 
   const CgCounters& counters() const { return cg_->counters(); }

@@ -164,7 +164,7 @@ void ContinuousGossipService::purge_expired(Round now) {
 const std::shared_ptr<GossipMsg>& ContinuousGossipService::active_batch() {
   if (batch_dirty_ || !batch_) {
     if (!batch_ || batch_.use_count() > 1) {
-      // Someone (an inbox mid-round, a snapshot, a recorder) still reads the
+      // Someone (an inbox mid-round, a recorder) still reads the
       // old object: leave it alone and draw a fresh one; the old batch
       // returns to the pool when its last reader drops it.
       batch_ = msg_pool_.acquire();

@@ -798,14 +798,10 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
     sleep_until(std::max(next, now_ms + 1));
   }
 
-  // Round budget exhausted: daemons exit on their own at --rounds; `stop`
-  // just hurries along any straggler, then the hardened reap collects the
-  // real exit status of every final incarnation.
-  for (const Daemon& d : daemons) {
-    if (d.pid <= 0) continue;
-    (void)control.request(d.control_port, "stop", "ok stop", nullptr,
-                          /*tries=*/3, /*wait_ms=*/100, /*overall_ms=*/1000);
-  }
+  // Round budget exhausted: daemons exit on their own at --rounds. The
+  // hardened reap collects the real exit status of every final incarnation;
+  // a straggler gets SIGTERM, which takes the same checkpoint-and-STATS exit
+  // path as the `stop` command.
   for (Daemon& d : daemons) reap(&d, 5000);
 
   for (Daemon& d : daemons) {

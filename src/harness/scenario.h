@@ -160,9 +160,9 @@ struct ScenarioResult {
 ScenarioResult run_scenario(const ScenarioConfig& cfg);
 
 /// A constructed but not-yet-finished scenario: the decomposed form of
-/// run_scenario() for callers that need to stop at a round boundary —
-/// checkpoint/rewind experiments (sim::EngineCheckpoint) and the replay
-/// tooling (tools/congos_replay --until-round). Construction performs
+/// run_scenario() for callers that need to stop at a round boundary — the
+/// replay tooling (tools/congos_replay --until-round) and rewind, which is
+/// re-execution of the same config to the target round. Construction performs
 /// exactly the same RNG draws in the same order as run_scenario(), so a
 /// ScenarioRun stepped to completion is byte-identical to run_scenario()
 /// on the same config.

@@ -14,10 +14,9 @@
 //
 // The binary layout is versioned ("CGRP" magic + format version) and ends in
 // a whole-file FNV-1a checksum; decode() rejects truncation, corruption and
-// unknown versions. Snapshots (sim::EngineCheckpoint) are intentionally NOT
-// serialized: process state reaches gigabytes and re-execution from the
-// config is exact, so the file only needs the inputs plus the expected
-// observations. See DESIGN.md section 7.
+// unknown versions. Process state is never serialized: it reaches gigabytes
+// and re-execution from the config is exact, so the file only needs the
+// inputs plus the expected observations. See DESIGN.md section 7.
 #pragma once
 
 #include <cstdint>

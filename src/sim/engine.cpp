@@ -185,60 +185,6 @@ void Engine::notify_restart(ProcessId p, PartialDelivery policy) {
   for (auto* obs : observers_) obs->on_restart(p, now_, policy);
 }
 
-EngineCheckpoint Engine::save_checkpoint() const {
-  CONGOS_ASSERT_MSG(phase_ == Phase::kIdle, "checkpoint only at round boundaries");
-  EngineCheckpoint cp;
-  cp.now = now_;
-  cp.started = started_;
-  cp.rng = rng_;
-  cp.stats = stats_;
-  cp.network = network_.checkpoint();
-  cp.alive = alive_;
-  cp.alive_count = alive_count_;
-  cp.alive_since = alive_since_;
-  cp.processes.reserve(processes_.size());
-  for (const auto& p : processes_) {
-    cp.processes.push_back(p->snapshot());
-    if (cp.processes.back() == nullptr) cp.complete = false;
-  }
-  cp.had_adversary = adversary_ != nullptr;
-  if (adversary_ != nullptr) {
-    cp.adversary = adversary_->snapshot();
-    if (cp.adversary == nullptr) cp.complete = false;
-  }
-  return cp;
-}
-
-bool Engine::restore_checkpoint(const EngineCheckpoint& cp) {
-  CONGOS_ASSERT_MSG(phase_ == Phase::kIdle, "restore only at round boundaries");
-  if (!cp.complete || cp.processes.size() != processes_.size()) return false;
-  if (cp.had_adversary != (adversary_ != nullptr)) return false;
-  // Restore process state first: a type mismatch aborts before the engine's
-  // own bookkeeping is touched.
-  for (std::size_t p = 0; p < processes_.size(); ++p) {
-    if (!processes_[p]->restore(*cp.processes[p], cp.now)) return false;
-  }
-  if (adversary_ != nullptr && !adversary_->restore(*cp.adversary)) return false;
-  now_ = cp.now;
-  started_ = cp.started;
-  rng_ = cp.rng;
-  stats_ = cp.stats;
-  network_.restore(cp.network);
-  alive_ = cp.alive;
-  alive_count_ = cp.alive_count;
-  alive_since_ = cp.alive_since;
-  alive_ids_.clear();
-  alive_.for_each([this](std::uint32_t p) { alive_ids_.push_back(p); });
-  // Re-establish the dead-process policy invariant begin_round() relies on:
-  // the per-round filter arrays are not part of a boundary snapshot, and the
-  // pre-restore timeline may have left a stale restart policy behind.
-  alive_.for_each_zero(
-      [this](std::uint32_t p) { in_policy_[p] = PartialDelivery::kDropAll; });
-  // Flag bitsets may hold arbitrary pre-restore state: force full clears.
-  lifecycle_touched_ = injected_touched_ = out_touched_ = in_touched_ = true;
-  return true;
-}
-
 void Engine::begin_round() {
   // Word-granular clears, each skipped when the previous round never set the
   // flag: the faults-off steady state takes none of these branches.
@@ -259,8 +205,8 @@ void Engine::begin_round() {
     in_touched_ = false;
   }
   // Dead processes never receive. Their in_policy_ slots already hold
-  // kDropAll (crash() set them; restore_checkpoint() re-derives them), so
-  // only the filter bits need marking — one word-wise or_complement.
+  // kDropAll (crash() set them), so only the filter bits need marking — one
+  // word-wise or_complement.
   if (alive_count_ != n()) {
     in_filtered_.or_complement(alive_);
     in_touched_ = true;

@@ -37,15 +37,6 @@ namespace congos::sim {
 class Engine;
 class DeliveryMux;
 
-/// Opaque snapshot of an adversary component's mutable state (sequence
-/// counters, budgets, script cursors). Produced by Adversary::snapshot() and
-/// consumed by Adversary::restore(); concrete types are private to each
-/// component. Part of the engine checkpoint machinery (see
-/// Engine::save_checkpoint and DESIGN.md section 7).
-struct AdversarySnapshot {
-  virtual ~AdversarySnapshot() = default;
-};
-
 /// The CRRI adversary hook points. Implementations live in src/adversary.
 class Adversary {
  public:
@@ -63,14 +54,6 @@ class Adversary {
 
   /// After the receive phase.
   virtual void at_round_end(Engine& /*engine*/) {}
-
-  /// Checkpoint support: capture the component's mutable state so a run can
-  /// be rewound. nullptr = unsupported (the engine checkpoint is then marked
-  /// incomplete). Stateless components return the base AdversarySnapshot.
-  virtual std::unique_ptr<AdversarySnapshot> snapshot() const { return nullptr; }
-  /// Restore a state captured by snapshot() *on the same object*. Returns
-  /// false when unsupported or the snapshot type does not match.
-  virtual bool restore(const AdversarySnapshot& /*snap*/) { return false; }
 };
 
 /// Passive observers of the execution (auditors, tracing).
@@ -97,33 +80,6 @@ class ExecutionObserver {
   virtual void on_round_end(Round /*now*/) {}
 };
 
-/// A point-in-time snapshot of the simulation core, taken at a round
-/// boundary: engine bookkeeping, RNG position, message statistics, network
-/// counters, per-process protocol state and (when present) adversary state.
-/// Execution observers and auditors are *not* captured - see DESIGN.md
-/// section 7 for the determinism contract.
-///
-/// Restore is only valid on the engine that produced the snapshot (process
-/// snapshots hold callbacks bound to their host objects); a checkpoint can
-/// be restored any number of times.
-struct EngineCheckpoint {
-  Round now = 0;
-  bool started = false;
-  Rng rng{0};
-  MessageStats stats;
-  NetworkCheckpoint network;
-  DynamicBitset alive;
-  std::size_t alive_count = 0;
-  std::vector<Round> alive_since;
-  std::vector<std::unique_ptr<ProcessSnapshot>> processes;
-  std::unique_ptr<AdversarySnapshot> adversary;
-  bool had_adversary = false;
-
-  /// True iff every process (and the adversary, when one is attached)
-  /// produced a snapshot; restore_checkpoint() requires this.
-  bool complete = true;
-};
-
 class Engine {
  public:
   /// `seed` determines every random choice in the execution (network tie
@@ -145,8 +101,8 @@ class Engine {
   /// round, so it must not rescan alive_.
   std::size_t alive_count() const { return alive_count_; }
   /// The alive process ids in ascending order, likewise maintained
-  /// incrementally (ordered insert/erase on lifecycle events, rebuilt only by
-  /// restore_checkpoint). The shard partition walks this list directly.
+  /// incrementally (ordered insert/erase on lifecycle events). The shard
+  /// partition walks this list directly.
   const std::vector<ProcessId>& alive_ids() const { return alive_ids_; }
 
   /// Rounds the process has been continuously alive, as of the current round
@@ -206,21 +162,6 @@ class Engine {
   /// Run a single round.
   void step();
 
-  // -- snapshots -----------------------------------------------------------
-
-  /// Capture the simulation core at the current round boundary (must not be
-  /// called from inside a step). Check `complete` before relying on restore:
-  /// a process or adversary without snapshot support leaves a partial
-  /// checkpoint that cannot be restored.
-  EngineCheckpoint save_checkpoint() const;
-
-  /// Rewind to a checkpoint taken on *this* engine. Returns false (leaving
-  /// the engine untouched as far as possible) when the checkpoint is
-  /// incomplete or shaped for a different system. Observers are not rewound:
-  /// re-running after a restore replays the same event stream, but
-  /// cumulative auditor state will include the pre-rewind events.
-  bool restore_checkpoint(const EngineCheckpoint& cp);
-
  private:
   enum class Phase { kIdle, kRoundStart, kSending, kAfterSends, kDelivering, kReceiving, kRoundEnd };
 
@@ -254,8 +195,8 @@ class Engine {
 
   // crash/restart bookkeeping for the delivery filters of the current round.
   // Invariant between rounds: every dead process has in_policy_ == kDropAll
-  // (established by crash(), re-derived on restore_checkpoint()), so
-  // begin_round() only marks filter *bits* for the dead set.
+  // (established by crash()), so begin_round() only marks filter *bits* for
+  // the dead set.
   std::vector<PartialDelivery> out_policy_;
   DynamicBitset out_filtered_;
   std::vector<PartialDelivery> in_policy_;

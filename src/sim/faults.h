@@ -6,7 +6,7 @@
 // distribution - independent drop / duplication / bounded delay - plus a
 // deterministic schedule of transient bidirectional partitions. The plan is
 // a first-class adversary dimension: it is part of the scenario
-// configuration, recorded into .repro files, and rewound by checkpoints.
+// configuration and recorded into .repro files.
 //
 // Determinism contract: all fault randomness comes from a dedicated Rng
 // seeded by FaultConfig::seed, never from the engine RNG, so (a) a faults-off

@@ -141,22 +141,4 @@ void Network::end_round() {
   ++round_;
 }
 
-NetworkCheckpoint Network::checkpoint() const {
-  NetworkCheckpoint cp;
-  cp.sent_total = sent_total_;
-  cp.inbox_high_water = inbox_high_water_;
-  cp.round = round_;
-  cp.delayed = delayed_;
-  cp.fault_rng = fault_rng_;
-  return cp;
-}
-
-void Network::restore(const NetworkCheckpoint& cp) {
-  sent_total_ = cp.sent_total;
-  inbox_high_water_ = cp.inbox_high_water;
-  round_ = cp.round;
-  delayed_ = cp.delayed;
-  fault_rng_ = cp.fault_rng;
-}
-
 }  // namespace congos::sim

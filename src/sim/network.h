@@ -44,33 +44,12 @@ enum class PartialDelivery : std::uint8_t {
   kRandom,      // each in-flight message delivered with probability 1/2
 };
 
-/// An envelope the fault layer held back, due for delivery in round `due`.
-struct DelayedEnvelope {
-  Envelope env;
-  Round due = 0;
-};
-
-/// All round-boundary network state a checkpoint must capture. sent_total_
-/// alone is not enough: rewinding past a record-setting round must also
-/// rewind the inbox high-water mark (or replayed runs reserve differently
-/// and the allocation trace diverges), and under faults the in-flight
-/// delayed queue, the fault counters' source clock and the fault Rng all
-/// shape future deliveries.
-struct NetworkCheckpoint {
-  std::uint64_t sent_total = 0;
-  std::size_t inbox_high_water = 0;
-  Round round = 0;
-  std::vector<DelayedEnvelope> delayed;
-  Rng fault_rng{0};
-};
-
 class Network {
  public:
   explicit Network(std::size_t n, MessageStats* stats) : n_(n), stats_(stats) {}
 
   /// Arm the link-fault layer. Resets the dedicated fault Rng from
-  /// cfg.seed; call before the first round (or right after restoring a
-  /// checkpoint taken before the first round).
+  /// cfg.seed; call before the first round.
   void set_faults(const FaultConfig& cfg) {
     faults_ = cfg;
     faults_enabled_ = cfg.enabled();
@@ -113,14 +92,13 @@ class Network {
 
   std::uint64_t messages_sent_total() const { return sent_total_; }
 
-  /// Checkpoint support. At a round boundary the pending queue and inboxes
-  /// are empty, but the counters, the high-water mark, the round clock and
-  /// (under faults) the delayed queue and fault Rng all carry state forward;
-  /// restore() rewinds every one of them.
-  NetworkCheckpoint checkpoint() const;
-  void restore(const NetworkCheckpoint& cp);
-
  private:
+  /// An envelope the fault layer held back, due for delivery in round `due`.
+  struct DelayedEnvelope {
+    Envelope env;
+    Round due = 0;
+  };
+
   /// Applies the fault plan to a kept envelope. Returns true when the
   /// envelope should be delivered this round; may schedule delayed copies.
   bool apply_faults(const Envelope& e);

@@ -7,7 +7,6 @@
 // [n], and the global clock.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -16,16 +15,6 @@
 #include "sim/rumor.h"
 
 namespace congos::sim {
-
-/// Opaque snapshot of a process's protocol state, produced by
-/// Process::snapshot() and consumed by Process::restore(). Concrete types
-/// are private to each process implementation; payload pointers inside are
-/// shared (payloads are immutable once sent), so snapshots are cheap
-/// relative to the state they capture. Part of the engine checkpoint
-/// machinery (see sim::EngineCheckpoint and DESIGN.md section 7).
-struct ProcessSnapshot {
-  virtual ~ProcessSnapshot() = default;
-};
 
 /// Interface through which a process hands messages to the network during its
 /// send phase.
@@ -72,19 +61,6 @@ class Process {
   /// Rumor injection (adversary-driven). Protocols that do not accept
   /// injections may keep the default no-op.
   virtual void inject(const Rumor& /*rumor*/) {}
-
-  /// Checkpoint support: capture all mutable protocol state at a round
-  /// boundary. nullptr = unsupported (the engine checkpoint is then marked
-  /// incomplete and cannot be restored).
-  virtual std::unique_ptr<ProcessSnapshot> snapshot() const { return nullptr; }
-
-  /// Restore a state captured by snapshot() *on the same object* (snapshots
-  /// may hold callbacks bound to their host). `now` is the round the
-  /// snapshot was taken at. Returns false when unsupported or the snapshot
-  /// type does not match.
-  virtual bool restore(const ProcessSnapshot& /*snap*/, Round /*now*/) {
-    return false;
-  }
 
  private:
   ProcessId id_;

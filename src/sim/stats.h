@@ -19,7 +19,7 @@ namespace congos::sim {
 constexpr std::size_t kNumServiceKinds = 7;
 
 /// What the link-fault layer did to an envelope (src/sim/faults.h). Counted
-/// here so the tallies ride the existing stats checkpoint/rewind machinery.
+/// here so the tallies are reported next to the per-service message counts.
 enum class FaultKind : std::uint8_t {
   kDropped,      // lost to random per-envelope loss
   kDuplicated,   // an extra delayed copy was scheduled
@@ -171,8 +171,7 @@ class MessageStats {
   static_assert(std::is_same_v<decltype(total_modeled_bytes_), std::uint64_t>);
   static_assert(
       std::is_same_v<decltype(bytes_by_kind_)::value_type, std::uint64_t>);
-  /// fault kind x service kind tallies (src/sim/faults.h). Value state like
-  /// everything else here: copied into checkpoints and rewound with them.
+  /// fault kind x service kind tallies (src/sim/faults.h).
   std::array<std::array<std::uint64_t, kNumServiceKinds>, kNumFaultKinds> faults_{};
 };
 

@@ -2,7 +2,7 @@
 // engine is a wall-clock knob, never a behaviour knob. Every test here runs
 // the same scenario at engine_threads 1/2/4/8 and requires byte-identical
 // observations — golden trace hashes, per-round delivery counts, adversary
-// decision traces, .repro replay verification and checkpoint rewind — under
+// decision traces, .repro replay verification and stop-and-resume — under
 // clean runs, churn, and the PR 5 link-fault mixes (drop/dup/delay/
 // partition x retransmission).
 //
@@ -228,56 +228,43 @@ TEST(ShardEquivalence, ShardedRecordingReplaysVerified) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint rewind under sharding + faults: the rewound tail must equal the
-// first tail even though both tails execute on shard workers, and it must
-// also equal the tail a serial engine produces from the same checkpoint
-// round (cross-checked via the serial recording above the fault Rng state).
+// Rewind under sharding + faults: rewinding is re-execution to round R
+// (DESIGN.md section 7), so a run stopped at R and then finished must equal
+// the uninterrupted serial recording at every thread count, under a
+// dup+delay mix whose delayed queue and fault Rng carry across the stop.
 
-TEST(ShardEquivalence, CheckpointRewindShardedUnderFaults) {
-  ScenarioConfig cfg = faulted_config(fault_mixes()[1], /*threads=*/4);
-  harness::ScenarioRun run(cfg);
-  const Round mid = run.total_rounds() / 2;
-  run.run_until(mid);
-
-  sim::Engine& eng = run.engine();
-  ASSERT_TRUE(eng.network().faults_enabled());
-  const sim::EngineCheckpoint cp = eng.save_checkpoint();
-  ASSERT_TRUE(cp.complete);
-  EXPECT_EQ(cp.now, mid);
-
-  replay::DecisionRecorder first;
-  eng.add_observer(&first);
-  run.run_all();
-  ASSERT_TRUE(run.finished());
-  const std::vector<std::uint64_t> tail = first.round_deliveries();
-  const auto decisions = first.decisions();
-
-  ASSERT_TRUE(eng.restore_checkpoint(cp));
-  EXPECT_EQ(eng.now(), mid);
-
-  replay::DecisionRecorder second;
-  eng.add_observer(&second);
-  run.run_all();
-  EXPECT_EQ(second.round_deliveries(), tail);
-  EXPECT_EQ(second.decisions(), decisions);
+TEST(ShardEquivalence, PrefixReplayShardedUnderFaults) {
+  const auto serial = harness::run_recorded(faulted_config(fault_mixes()[1], 1),
+                                            "shards", "serial reference");
+  for (std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("engine_threads=" + std::to_string(threads));
+    replay::DecisionRecorder rec;
+    ScenarioConfig cfg = faulted_config(fault_mixes()[1], threads);
+    cfg.extra_observers.push_back(&rec);
+    harness::ScenarioRun run(cfg);
+    const Round mid = run.total_rounds() / 2;
+    run.run_until(mid);
+    ASSERT_EQ(run.engine().now(), mid);
+    ASSERT_TRUE(run.engine().network().faults_enabled());
+    run.run_all();
+    ASSERT_TRUE(run.finished());
+    EXPECT_EQ(rec.round_deliveries(), serial.repro.round_deliveries);
+    EXPECT_EQ(rec.decisions(), serial.repro.decisions);
+    EXPECT_EQ(rec.trace_hash(), serial.repro.trace_hash);
+  }
 }
 
-// Dead-process bookkeeping after a rewind: restore_checkpoint re-derives the
-// alive id list and the drop-all inbound policy from the bitset. A crash
-// right after the rewind exercises the incremental alive_ids_ erase against
-// the rebuilt list at every thread count.
+// Dead-process bookkeeping across an out-of-band crash at a round boundary:
+// crash() between steps must keep the incremental alive id list and the
+// drop-all inbound policy consistent at every thread count.
 
-TEST(ShardEquivalence, CrashAfterRewindStaysConsistent) {
+TEST(ShardEquivalence, CrashBetweenRoundsStaysConsistent) {
   for (std::size_t threads : kThreadCounts) {
     SCOPED_TRACE("engine_threads=" + std::to_string(threads));
     ScenarioConfig cfg = faulted_config(fault_mixes()[0], threads);
     harness::ScenarioRun run(cfg);
     run.run_until(16);
     sim::Engine& eng = run.engine();
-    const sim::EngineCheckpoint cp = eng.save_checkpoint();
-    ASSERT_TRUE(cp.complete);
-    run.run_until(24);
-    ASSERT_TRUE(eng.restore_checkpoint(cp));
 
     // Crash the first alive process, step, restart it, and finish: nothing
     // to pin here beyond "the invariants hold" — the CONGOS_ASSERTs inside

@@ -1,7 +1,7 @@
 // Link-fault injection layer (DESIGN.md section 10): spec parsing, the
 // partition hash schedule, the deadline-aware retransmission schedule, and
-// the Network-level fault semantics (drop/dup/delay/partition, counters,
-// delayed-queue release and checkpoint rewind).
+// the Network-level fault semantics (drop/dup/delay/partition, counters and
+// delayed-queue release).
 #include "sim/faults.h"
 
 #include <gtest/gtest.h>
@@ -394,46 +394,6 @@ TEST_F(FaultNetFixture, SameSeedSameFaultPattern) {
   EXPECT_EQ(first, second);
   EXPECT_LT(first.size(), 60u) << "some envelope should have been dropped";
   EXPECT_FALSE(first.empty());
-}
-
-TEST_F(FaultNetFixture, CheckpointRewindsDelayedQueueAndFaultRng) {
-  FaultConfig cfg;
-  cfg.drop_rate = 0.3;
-  cfg.delay_rate = 0.3;
-  cfg.max_delay = 2;
-  cfg.seed = 77;
-  net.set_faults(cfg);
-
-  auto play_round = [&](Round round, std::vector<int>* sink) {
-    for (int i = 0; i < 8; ++i) {
-      net.submit(make_msg(0, 1, static_cast<int>(round) * 100 + i));
-    }
-    net.deliver(out_policy, out_filtered, in_policy, in_filtered, rng, nullptr);
-    if (sink != nullptr) {
-      for (const auto& e : net.inbox(1)) {
-        const auto* p = dynamic_cast<const IntPayload*>(e.body.get());
-        sink->push_back(p->value);
-      }
-    }
-    net.end_round();
-  };
-
-  for (Round r = 0; r < 3; ++r) play_round(r, nullptr);
-  const NetworkCheckpoint cp = net.checkpoint();
-  const Rng rng_cp = rng;  // the engine RNG is checkpointed by the engine
-  EXPECT_EQ(cp.round, 3);
-
-  std::vector<int> first;
-  for (Round r = 3; r < 6; ++r) play_round(r, &first);
-
-  net.restore(cp);
-  rng = rng_cp;
-  std::vector<int> second;
-  for (Round r = 3; r < 6; ++r) play_round(r, &second);
-
-  EXPECT_EQ(first, second)
-      << "restore() must rewind the delayed queue and the fault Rng";
-  EXPECT_EQ(net.messages_sent_total(), cp.sent_total + 24);
 }
 
 TEST_F(FaultNetFixture, FaultsOffConsumesNoEngineRandomness) {

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -229,14 +230,10 @@ TEST(PayloadPool, HandlesOutliveThePool) {
   survivor.reset();
 }
 
-TEST(PayloadPool, CopiedPoolsShareOneCore) {
-  PayloadPool<PooledThing> pool;
-  PayloadPool<PooledThing> snapshot = pool;  // service snapshot copies do this
-  pool.acquire().reset();
-  EXPECT_EQ(snapshot.idle(), 1u);  // released object visible through the copy
-  snapshot.acquire().reset();
-  EXPECT_EQ(pool.idle(), 1u);
-}
+// Move-only: a copy would make two owners recycle into one core, and the
+// services that embed a pool must not be clonable by accident.
+static_assert(!std::is_copy_constructible_v<PayloadPool<PooledThing>>);
+static_assert(std::is_nothrow_move_constructible_v<PayloadPool<PooledThing>>);
 
 TEST(PayloadPool, ConvertsToConstPointer) {
   PayloadPool<PooledThing> pool;

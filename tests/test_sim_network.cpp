@@ -118,37 +118,6 @@ TEST_F(NetworkFixture, RandomPolicyIsSeedDeterministic) {
   EXPECT_LT(first.size(), 64u);
 }
 
-TEST_F(NetworkFixture, RandomPolicySurvivesCheckpointRewind) {
-  // Rewinding the network *and* the engine RNG to a round boundary must
-  // reproduce the identical kRandom delivered subset - the checkpoint carries
-  // every input the filter depends on.
-  out_filtered.set(2);
-  out_policy[2] = PartialDelivery::kRandom;
-
-  auto play_round = [&]() {
-    for (int i = 0; i < 32; ++i) net.submit(make_msg(2, 3, i));
-    net.deliver(out_policy, out_filtered, in_policy, in_filtered, rng, nullptr);
-    std::vector<int> got;
-    for (const auto& e : net.inbox(3)) {
-      got.push_back(dynamic_cast<const IntPayload*>(e.body.get())->value);
-    }
-    net.end_round();
-    return got;
-  };
-
-  play_round();  // warm-up round before the checkpoint
-  const NetworkCheckpoint cp = net.checkpoint();
-  const Rng rng_cp = rng;
-  const auto first = play_round();
-  const auto more = play_round();
-
-  net.restore(cp);
-  rng = rng_cp;
-  EXPECT_EQ(play_round(), first);
-  EXPECT_EQ(play_round(), more);
-  EXPECT_FALSE(first.empty());
-}
-
 TEST_F(NetworkFixture, SentCountIncludesDropped) {
   // Definition 3 counts messages *sent*, even if a crash loses them.
   out_filtered.set(0);

@@ -10,7 +10,6 @@
 //   congos_replay sweep-17.repro --until-round=96 # prefix replay
 //   congos_replay sweep-17.repro --diff-golden    # also diff result summary
 //   congos_replay sweep-17.repro --dump-state --until-round=96
-//   congos_replay sweep-17.repro --verify-rewind  # checkpoint/rewind check
 //   congos_replay sweep-17.repro --schedule       # inspect, don't run
 //
 // Exit codes: 0 verified, 1 divergence detected, 2 usage or load error.
@@ -38,9 +37,6 @@ const char kUsage[] = R"(congos_replay - deterministic .repro re-execution
   --diff-golden    diff the replayed ScenarioResult against the recorded
                    summary field by field
   --dump-state     print an engine state summary at the stop round
-  --verify-rewind  save an engine checkpoint mid-run, finish, rewind, re-run
-                   the tail and require identical per-round counts
-  --rewind-round=R checkpoint round for --verify-rewind (default: halfway)
   --schedule       print the recorded adversary decision trace and exit
   --show-faults    print the recorded link-fault plan and fault counters, exit
   --show-trace     print the recorded TraceLog tail and exit
@@ -125,50 +121,6 @@ void dump_state(const replay::ReproFile& file, Round stop) {
               static_cast<unsigned long long>(stats.total_bytes()));
 }
 
-/// Checkpoint/rewind self-check: fast-forward to `at`, checkpoint, run the
-/// tail recording per-round counts, rewind, run the tail again and compare.
-/// Auditors are not rewound (DESIGN.md section 7), so this path never calls
-/// finalize() after the rewind.
-int verify_rewind(const replay::ReproFile& file, Round at) {
-  harness::ScenarioConfig cfg = file.config;
-  cfg.extra_observers.clear();
-  cfg.extra_adversaries.clear();
-  harness::ScenarioRun run(cfg);
-  if (at <= 0 || at >= run.total_rounds()) at = run.total_rounds() / 2;
-  run.run_until(at);
-
-  sim::Engine& eng = run.engine();
-  const sim::EngineCheckpoint cp = eng.save_checkpoint();
-  if (!cp.complete) {
-    std::printf("rewind           : SKIPPED (checkpoint incomplete: a process "
-                "or adversary lacks snapshot support)\n");
-    return 0;
-  }
-
-  replay::DecisionRecorder first;
-  eng.add_observer(&first);
-  run.run_all();
-  const std::vector<std::uint64_t> want = first.round_deliveries();
-
-  if (!eng.restore_checkpoint(cp) || eng.now() != at) {
-    std::printf("rewind           : FAILED (restore_checkpoint rejected a "
-                "complete checkpoint)\n");
-    return 1;
-  }
-  replay::DecisionRecorder second;
-  eng.add_observer(&second);
-  run.run_all();
-  const auto& got = second.round_deliveries();
-
-  bool ok = got.size() == want.size();
-  for (std::size_t i = 0; ok && i < got.size(); ++i) ok = got[i] == want[i];
-  std::printf("rewind           : %s (checkpoint at round %lld, tail of %zu "
-              "rounds re-run %s)\n",
-              ok ? "OK" : "DIVERGED", static_cast<long long>(at), want.size(),
-              ok ? "identically" : "differently");
-  return ok ? 0 : 1;
-}
-
 int diff_golden(const replay::ReproFile& file, const harness::ScenarioResult& r) {
   struct Field {
     const char* name;
@@ -211,8 +163,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto unknown = flags.unknown_keys(
-      {"until-round", "diff-golden", "dump-state", "verify-rewind",
-       "rewind-round", "schedule", "show-faults", "show-trace", "help"});
+      {"until-round", "diff-golden", "dump-state", "schedule", "show-faults",
+       "show-trace", "help"});
   if (!unknown.empty()) return fail_usage("unknown flag --" + unknown.front());
   if (flags.positional().size() != 1) {
     return fail_usage("expected exactly one FILE.repro argument");
@@ -294,9 +246,6 @@ int main(int argc, char** argv) {
   }
   if (flags.get_bool("dump-state", false)) {
     dump_state(file, opt.until_round);
-  }
-  if (flags.get_bool("verify-rewind", false)) {
-    rc |= verify_rewind(file, flags.get_int("rewind-round", -1));
   }
   std::printf("verdict          : %s\n", rc == 0 ? "REPLAY VERIFIED"
                                                  : "REPLAY DIVERGED");
