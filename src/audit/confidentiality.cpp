@@ -8,14 +8,12 @@ namespace congos::audit {
 
 ConfidentialityAuditor::ConfidentialityAuditor(std::size_t n,
                                                const partition::PartitionSet* partitions)
-    : n_(n), partitions_(partitions), knowledge_(n) {}
+    : n_(n), partitions_(partitions), knowledge_(n), sightings_(n) {}
 
-std::uint64_t ConfidentialityAuditor::count(ViolationKind kind) const {
-  std::uint64_t c = 0;
-  for (const auto& v : violations_) {
-    if (v.kind == kind) ++c;
-  }
-  return c;
+void ConfidentialityAuditor::flag(ViolationKind kind, ProcessId p, const RumorUid& uid,
+                                  Round now) {
+  violations_.push_back(Violation{kind, p, uid, now});
+  ++counts_[static_cast<std::size_t>(kind)];
 }
 
 void ConfidentialityAuditor::on_inject(const sim::Rumor& rumor, Round /*now*/) {
@@ -31,25 +29,35 @@ bool ConfidentialityAuditor::curious(ProcessId p, const RumorUid& uid) const {
 void ConfidentialityAuditor::saw_full(ProcessId p, const RumorUid& uid, Round now) {
   const bool already = knowledge_.knows_full(p, uid);
   knowledge_.note_full(p, uid);
-  if (!already && curious(p, uid)) {
-    violations_.push_back(Violation{ViolationKind::kFullLeak, p, uid, now});
-  }
+  if (!already && curious(p, uid)) flag(ViolationKind::kFullLeak, p, uid, now);
 }
 
 void ConfidentialityAuditor::saw_fragment(ProcessId p, const core::Fragment& frag,
                                           Round now) {
-  const RumorUid uid = frag.meta.key.rumor;
-  const bool could_before = knowledge_.can_reconstruct(p, uid);
-  knowledge_.note_fragment(p, frag.meta.key, frag.meta.num_groups);
-  if (!curious(p, uid)) return;
-  if (partitions_ != nullptr) {
-    const auto& part = (*partitions_)[frag.meta.key.partition];
-    if (part.group_of(p) != frag.meta.key.group) {
-      violations_.push_back(Violation{ViolationKind::kForeignFragment, p, uid, now});
+  const core::FragmentKey& key = frag.meta.key;
+  const GroupIndex num_groups = frag.meta.num_groups;
+  auto& sightings = sightings_[p];
+  if (!group_counts_vary_) {
+    // Repeat: knowledge is unchanged (the group bit is set and the rumor's
+    // group count is this one), and curious() is fixed once injected.
+    auto it = sightings.find(key);
+    if (it != sightings.end() && it->second.num_groups == num_groups) {
+      if (it->second.foreign) flag(ViolationKind::kForeignFragment, p, key.rumor, now);
+      return;
     }
   }
-  if (!could_before && knowledge_.can_reconstruct(p, uid)) {
-    violations_.push_back(Violation{ViolationKind::kFragmentSetLeak, p, uid, now});
+
+  const RumorUid uid = key.rumor;
+  const bool could_before = knowledge_.can_reconstruct(p, uid);
+  if (knowledge_.note_fragment(p, key, num_groups)) group_counts_vary_ = true;
+  if (!rumors_.contains(uid)) return;  // not injected yet: judged again later
+  const bool is_curious = curious(p, uid);
+  const bool foreign = is_curious && partitions_ != nullptr &&
+                       (*partitions_)[key.partition].group_of(p) != key.group;
+  sightings[key] = Sighting{num_groups, foreign};
+  if (foreign) flag(ViolationKind::kForeignFragment, p, uid, now);
+  if (is_curious && !could_before && knowledge_.can_reconstruct(p, uid)) {
+    flag(ViolationKind::kFragmentSetLeak, p, uid, now);
   }
 }
 

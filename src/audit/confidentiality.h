@@ -17,8 +17,21 @@
 // The auditor is protocol-independent: it knows the wire payload types, not
 // the protocol state. Plain (non-confidential) gossip runs produce nonzero
 // kFullLeak counts by design - that is experiment E2's contrast column.
+//
+// Gossip re-delivers each fragment to each process many times, so almost
+// every sighting is a repeat: the same fragment key (uid, partition, group),
+// at the same process, with the same group count. Once the rumor is injected
+// a repeat cannot change what the process knows, so it cannot complete a
+// fragment set; its only effect is the kForeignFragment its first judged
+// sighting produced, pushed again (every sighting counts). The auditor keeps
+// that verdict per (process, fragment key) and settles a repeat with one
+// hash probe. Keys are values taken off the wire, never payload addresses or
+// protocol state. If some process ever sees two group counts for one rumor,
+// a repeat can move the tracker's count back, so every later sighting takes
+// the full path.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "audit/knowledge.h"
@@ -54,7 +67,9 @@ class ConfidentialityAuditor final : public sim::ExecutionObserver {
   // -- results ---------------------------------------------------------------
 
   const std::vector<Violation>& violations() const { return violations_; }
-  std::uint64_t count(ViolationKind kind) const;
+  std::uint64_t count(ViolationKind kind) const {
+    return counts_[static_cast<std::size_t>(kind)];
+  }
   /// Confidentiality violations in the paper's sense (Definition 2): a
   /// non-destination learned (or could reconstruct) a rumor.
   std::uint64_t leaks() const {
@@ -89,14 +104,25 @@ class ConfidentialityAuditor final : public sim::ExecutionObserver {
     ProcessId source = kNoProcess;
   };
 
+  /// Verdict of a judged sighting of an injected rumor's fragment.
+  struct Sighting {
+    GroupIndex num_groups = 0;
+    bool foreign = false;  // pushed kForeignFragment
+  };
+
   std::size_t n_;
   const partition::PartitionSet* partitions_;
   KnowledgeTracker knowledge_;
   FlatMap<RumorUid, RumorInfo> rumors_;
+  std::vector<FlatMap<core::FragmentKey, Sighting, core::FragmentKeyHash>>
+      sightings_;  // per process
+  bool group_counts_vary_ = false;  // disables the repeat path for good
   std::vector<Violation> violations_;
+  std::array<std::uint64_t, 3> counts_{};  // per ViolationKind
   std::uint64_t unknown_payloads_ = 0;
 
   bool curious(ProcessId p, const RumorUid& uid) const;
+  void flag(ViolationKind kind, ProcessId p, const RumorUid& uid, Round now);
   void saw_fragment(ProcessId p, const core::Fragment& frag, Round now);
   void saw_full(ProcessId p, const RumorUid& uid, Round now);
 };

@@ -10,13 +10,15 @@ constexpr std::uint64_t full_mask(GroupIndex groups) {
 }
 }  // namespace
 
-void KnowledgeTracker::note_fragment(ProcessId p, const core::FragmentKey& key,
+bool KnowledgeTracker::note_fragment(ProcessId p, const core::FragmentKey& key,
                                      GroupIndex num_groups) {
   CONGOS_ASSERT(p < n_);
   CONGOS_ASSERT_MSG(key.group < 64, "group bitmask limited to 64 groups");
   PerRumor& pr = frags_[p][key.rumor];
+  const bool moved = !pr.masks.empty() && pr.num_groups != num_groups;
   pr.num_groups = num_groups;
   pr.masks[key.partition] |= (1ull << key.group);
+  return moved;
 }
 
 void KnowledgeTracker::note_full(ProcessId p, const RumorUid& uid) {

@@ -24,8 +24,10 @@ class KnowledgeTracker {
   std::size_t n() const { return n_; }
 
   /// Process p saw the payload bytes of fragment `key` (num_groups of the
-  /// fragment's partition supplied for reconstruction accounting).
-  void note_fragment(ProcessId p, const core::FragmentKey& key, GroupIndex num_groups);
+  /// fragment's partition supplied for reconstruction accounting). Returns
+  /// true iff this replaced a different group count p had recorded for the
+  /// rumor.
+  bool note_fragment(ProcessId p, const core::FragmentKey& key, GroupIndex num_groups);
 
   /// Process p saw the whole rumor datum.
   void note_full(ProcessId p, const RumorUid& uid);

@@ -225,6 +225,11 @@ struct DirectAckPayload final : sim::Payload {
 
 // ---------------------------------------------------------------------------
 // Gossip rumor bodies (carried inside gossip::GossipMsg)
+//
+// Each body is make_shared once, filled, handed to a gossip service and never
+// mutated again, while every batch that re-carries it asks for its size. So
+// each memoizes its encoded size, and ProxyShareBody its looping modeled size
+// (wire::SizeMemo).
 // ---------------------------------------------------------------------------
 
 /// A fragment disseminated inside its own group via GroupGossip[l]
@@ -236,6 +241,9 @@ struct FragmentBody final : sim::Payload {
 
   std::uint64_t encoded_size() const override;
   std::uint64_t modeled_size() const override { return core::modeled_size(fragment); }
+
+ private:
+  wire::SizeMemo encoded_;
 };
 
 /// Proxy[l] intra-group share (Fig. 9 round 2): fragments received as a
@@ -252,6 +260,10 @@ struct ProxyShareBody final : sim::Payload {
 
   std::uint64_t encoded_size() const override;
   std::uint64_t modeled_size() const override;
+
+ private:
+  wire::SizeMemo encoded_;
+  wire::SizeMemo modeled_;
 };
 
 /// One hitSet entry: fragment of rumor `rumor` was sent to process `target`.
@@ -275,6 +287,9 @@ struct HitSetShareBody final : sim::Payload {
 
   std::uint64_t encoded_size() const override;
   std::uint64_t modeled_size() const override;
+
+ private:
+  wire::SizeMemo encoded_;
 };
 
 /// AllGossip distribution report (Fig. 10 line 36): sanitized hitSet - which
@@ -291,6 +306,9 @@ struct DistributionReportBody final : sim::Payload {
 
   std::uint64_t encoded_size() const override;
   std::uint64_t modeled_size() const override;
+
+ private:
+  wire::SizeMemo encoded_;
 };
 
 /// Splits rumor data into `num_groups` fragments for partition `l`.
@@ -435,21 +453,23 @@ inline std::uint64_t DirectAckPayload::encoded_size() const {
 }
 
 inline std::uint64_t FragmentBody::encoded_size() const {
-  return sized_by_walk(*this);
+  return encoded_.get([this] { return sized_by_walk(*this); });
 }
 
 inline std::uint64_t ProxyShareBody::encoded_size() const {
-  return sized_by_walk(*this);
+  return encoded_.get([this] { return sized_by_walk(*this); });
 }
 inline std::uint64_t ProxyShareBody::modeled_size() const {
-  // dline (8) + block (8) + from (4) + two counts (4 + 4) + entries.
-  std::uint64_t total = 28 + 4 * failed_proxies.size();
-  for (const auto& f : proxied) total += core::modeled_size(f);
-  return total;
+  return modeled_.get([this] {
+    // dline (8) + block (8) + from (4) + two counts (4 + 4) + entries.
+    std::uint64_t total = 28 + 4 * failed_proxies.size();
+    for (const auto& f : proxied) total += core::modeled_size(f);
+    return total;
+  });
 }
 
 inline std::uint64_t HitSetShareBody::encoded_size() const {
-  return sized_by_walk(*this);
+  return encoded_.get([this] { return sized_by_walk(*this); });
 }
 inline std::uint64_t HitSetShareBody::modeled_size() const {
   // dline (8) + block (8) + from (4) + count (4) + hits.
@@ -457,7 +477,7 @@ inline std::uint64_t HitSetShareBody::modeled_size() const {
 }
 
 inline std::uint64_t DistributionReportBody::encoded_size() const {
-  return sized_by_walk(*this);
+  return encoded_.get([this] { return sized_by_walk(*this); });
 }
 inline std::uint64_t DistributionReportBody::modeled_size() const {
   // reporter (4) + partition (4) + group (4) + dline (8) + count (4) + hits.

@@ -29,6 +29,7 @@
 // without a dependency cycle (sim::Payload is the codec's subject).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -200,6 +201,35 @@ class SizeSink {
  private:
   std::uint64_t size_ = 0;
   bool ok_ = true;
+};
+
+/// Memoized size of a payload that is filled once and never mutated after
+/// its first size query (the nested gossip bodies, which one batch after
+/// another re-carries). The size is a pure function of immutable fields, so
+/// a relaxed atomic is enough: threads racing on the first query compute and
+/// store the same value. A copy is a new payload and measures itself afresh.
+class SizeMemo {
+ public:
+  SizeMemo() = default;
+  SizeMemo(const SizeMemo&) noexcept {}
+  SizeMemo& operator=(const SizeMemo&) noexcept {
+    value_.store(kUnset, std::memory_order_relaxed);
+    return *this;
+  }
+
+  template <class Measure>
+  std::uint64_t get(Measure&& measure) const {
+    std::uint64_t v = value_.load(std::memory_order_relaxed);
+    if (v == kUnset) {
+      v = measure();
+      value_.store(v, std::memory_order_relaxed);
+    }
+    return v;
+  }
+
+ private:
+  static constexpr std::uint64_t kUnset = ~std::uint64_t{0};
+  mutable std::atomic<std::uint64_t> value_{kUnset};
 };
 
 class ReadSink {

@@ -151,6 +151,134 @@ TEST_F(ConfAuditorTest, BaselineWholePayloadsTracked) {
   EXPECT_EQ(auditor.count(ViolationKind::kFullLeak), 1u);
 }
 
+// -- repeat sightings --------------------------------------------------------
+// Gossip re-delivers the same fragment to the same process many times; the
+// auditor must judge each sighting exactly as if it were the first one it
+// saw under the same knowledge.
+
+struct Seen {
+  ViolationKind kind;
+  ProcessId process;
+  Round when;
+  friend bool operator==(const Seen&, const Seen&) = default;
+};
+
+std::vector<Seen> seen(const ConfidentialityAuditor& a) {
+  std::vector<Seen> out;
+  for (const auto& v : a.violations()) out.push_back({v.kind, v.process, v.when});
+  return out;
+}
+
+TEST_F(ConfAuditorTest, RepeatedForeignFragmentCountsEverySighting) {
+  // 6 is in group 0 of partition 0, 7 in group 1: each is handed the other
+  // group's fragment, interleaved, and twice within one envelope.
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_inject(r, 0);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 1);
+  auditor.on_envelope_delivered(partials_env(0, 7, {frag_for(r, 0, 0, 2)}), 2);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 3);
+  auditor.on_envelope_delivered(
+      partials_env(0, 6, {frag_for(r, 0, 1, 2), frag_for(r, 0, 1, 2)}), 4);
+  constexpr auto kF = ViolationKind::kForeignFragment;
+  EXPECT_EQ(seen(auditor),
+            (std::vector<Seen>{{kF, 6, 1}, {kF, 7, 2}, {kF, 6, 3}, {kF, 6, 4}, {kF, 6, 4}}));
+  EXPECT_EQ(auditor.count(kF), 5u);
+  EXPECT_EQ(auditor.leaks(), 0u);
+}
+
+TEST_F(ConfAuditorTest, RepeatedOwnGroupFragmentStaysSilent) {
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_inject(r, 0);
+  for (Round t = 1; t <= 3; ++t) {
+    auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 0, 2)}), t);
+    auditor.on_envelope_delivered(partials_env(0, 2, {frag_for(r, 0, 1, 2)}), t);
+  }
+  EXPECT_TRUE(auditor.violations().empty());
+  EXPECT_EQ(auditor.knowledge().fragment_mask(6, r.uid, 0), 0b01u);
+  EXPECT_EQ(auditor.knowledge().fragment_mask(2, r.uid, 0), 0b10u);
+}
+
+TEST_F(ConfAuditorTest, CompletedSetLeaksOnlyOnce) {
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_inject(r, 0);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 0, 2)}), 1);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 2);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 0, 2)}), 3);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 4);
+  constexpr auto kF = ViolationKind::kForeignFragment;
+  constexpr auto kS = ViolationKind::kFragmentSetLeak;
+  EXPECT_EQ(seen(auditor), (std::vector<Seen>{{kF, 6, 2}, {kS, 6, 2}, {kF, 6, 4}}));
+  EXPECT_EQ(auditor.count(kS), 1u);
+  EXPECT_EQ(auditor.leaks(), 1u);
+  EXPECT_TRUE(auditor.knowledge().can_reconstruct(6, r.uid));
+}
+
+TEST_F(ConfAuditorTest, SightingsBeforeInjectionAreJudgedAgainAfter) {
+  // A fragment of a rumor the auditor has not been told about is recorded as
+  // knowledge but judged harmless; once the rumor is injected, the same
+  // fragment counts again, and the knowledge recorded earlier stands.
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 1);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 2);
+  EXPECT_TRUE(auditor.violations().empty());
+  EXPECT_EQ(auditor.knowledge().fragment_mask(6, r.uid, 0), 0b10u);
+
+  auditor.on_inject(r, 3);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 4);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 0, 2)}), 5);
+  constexpr auto kF = ViolationKind::kForeignFragment;
+  constexpr auto kS = ViolationKind::kFragmentSetLeak;
+  EXPECT_EQ(seen(auditor), (std::vector<Seen>{{kF, 6, 4}, {kS, 6, 5}}));
+}
+
+TEST_F(ConfAuditorTest, RepeatWithOtherGroupCountIsJudgedAfresh) {
+  // The tracker keeps the group count of the latest fragment per (process,
+  // rumor), so a fragment re-seen under another count can complete a set.
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_inject(r, 0);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 0, 3)}), 1);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 3)}), 2);
+  EXPECT_EQ(auditor.leaks(), 0u);  // groups {0,1} of 3
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 3);
+  constexpr auto kF = ViolationKind::kForeignFragment;
+  constexpr auto kS = ViolationKind::kFragmentSetLeak;
+  EXPECT_EQ(seen(auditor), (std::vector<Seen>{{kF, 6, 2}, {kF, 6, 3}, {kS, 6, 3}}));
+
+}
+
+TEST_F(ConfAuditorTest, RepeatAfterAnotherFragmentMovedTheGroupCount) {
+  // A repeat whose count matches its own first sighting, but not the count a
+  // later fragment of the same rumor left behind, restores that count and
+  // can complete the set a second time.
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_inject(r, 0);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 0, 2)}), 1);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 2);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 1, 1, 3)}), 3);
+  EXPECT_FALSE(auditor.knowledge().can_reconstruct(6, r.uid));
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 0, 2)}), 4);
+  EXPECT_TRUE(auditor.knowledge().can_reconstruct(6, r.uid));
+  constexpr auto kF = ViolationKind::kForeignFragment;
+  constexpr auto kS = ViolationKind::kFragmentSetLeak;
+  EXPECT_EQ(seen(auditor), (std::vector<Seen>{{kF, 6, 2}, {kS, 6, 2}, {kS, 6, 4}}));
+}
+
+TEST_F(ConfAuditorTest, CountsMatchTheViolationList) {
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_inject(r, 0);
+  auditor.on_envelope_delivered(direct_env(0, 5, r), 1);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 0, 2)}), 1);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 2);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 3);
+  for (auto kind : {ViolationKind::kFullLeak, ViolationKind::kFragmentSetLeak,
+                    ViolationKind::kForeignFragment}) {
+    std::uint64_t scanned = 0;
+    for (const auto& v : auditor.violations()) scanned += (v.kind == kind) ? 1 : 0;
+    EXPECT_EQ(auditor.count(kind), scanned);
+  }
+  EXPECT_EQ(auditor.leaks(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 
 class QodAuditorTest : public ::testing::Test {

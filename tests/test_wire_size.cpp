@@ -13,6 +13,8 @@
 // every ack billed 8 bytes no matter how many uids it carried.)
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "baseline/baseline_payload.h"
 #include "congos/fragment.h"
 #include "gossip/continuous_gossip.h"
@@ -149,6 +151,137 @@ TEST(WireSizeAudit, EncodedSizeMatchesEncoderForEveryKind) {
         << "encoded_size() disagrees with the encoder for kind "
         << static_cast<int>(p->kind());
   }
+}
+
+// Nested gossip bodies memoize their sizes (they are immutable once filled).
+// A memo must equal a fresh SizeSink walk and the bytes the encoder emits,
+// on every query, on the original and on a decoded copy.
+TEST(WireSizeAudit, NestedBodySizeMemosMatchAFreshWalk) {
+  auto frag_body = std::make_shared<core::FragmentBody>();
+  frag_body->fragment = small_fragment(48, 40);
+
+  auto proxy_share = std::make_shared<core::ProxyShareBody>();
+  proxy_share->dline = 32;
+  proxy_share->block = 2;
+  proxy_share->from = 11;
+  proxy_share->proxied = {small_fragment(48, 12), small_fragment(48, 7)};
+  proxy_share->failed_proxies = {3, 4, 300};
+
+  auto hit_share = std::make_shared<core::HitSetShareBody>();
+  hit_share->dline = 32;
+  hit_share->block = 1;
+  hit_share->from = 9;
+  hit_share->hits = {{4, {1, 2}}, {5, {1, 3}}, {900, {70, 1u << 20}}};
+
+  auto report = std::make_shared<core::DistributionReportBody>();
+  report->reporter = 6;
+  report->partition = 1;
+  report->group = 2;
+  report->dline = 64;
+  report->hits = {{8, {2, 5}}, {200, {3, 1000}}};
+
+  auto msg = std::make_shared<gossip::GossipMsg>();
+  std::uint64_t gid = 40;
+  for (sim::PayloadPtr body : std::initializer_list<sim::PayloadPtr>{
+           frag_body, proxy_share, hit_share, report}) {
+    gossip::GossipRumor r;
+    r.gid = gid++;
+    r.origin = 2;
+    r.deadline_at = 64;
+    r.dest = DynamicBitset(48);
+    r.body = std::move(body);
+    msg->rumors.push_back(std::move(r));
+  }
+
+  const auto walked = [](const sim::Payload& p) -> std::uint64_t {
+    wire::SizeSink s;
+    switch (p.kind()) {
+      case sim::PayloadKind::kFragment:
+        wire_fields(s, static_cast<const core::FragmentBody&>(p));
+        break;
+      case sim::PayloadKind::kProxyShare:
+        wire_fields(s, static_cast<const core::ProxyShareBody&>(p));
+        break;
+      case sim::PayloadKind::kHitSetShare:
+        wire_fields(s, static_cast<const core::HitSetShareBody&>(p));
+        break;
+      case sim::PayloadKind::kDistributionReport:
+        wire_fields(s, static_cast<const core::DistributionReportBody&>(p));
+        break;
+      case sim::PayloadKind::kGossipMsg:
+        wire_fields(s, static_cast<const gossip::GossipMsg&>(p));
+        break;
+      default:
+        ADD_FAILURE() << "unexpected kind " << static_cast<int>(p.kind());
+    }
+    return s.size();
+  };
+  const auto check = [&](const sim::Payload& p, const char* what) {
+    SCOPED_TRACE(what);
+    wire::WriteSink w;
+    ASSERT_TRUE(wire::encode_payload(w, p));
+    const std::uint64_t emitted = w.data().size();
+    EXPECT_EQ(walked(p), emitted);
+    EXPECT_EQ(p.encoded_size(), emitted);
+    EXPECT_EQ(p.encoded_size(), emitted);  // memoized second query
+    const std::uint64_t modeled = p.modeled_size();
+    EXPECT_EQ(p.modeled_size(), modeled);
+
+    wire::ReadSink r(w.data());
+    const sim::PayloadPtr back = wire::decode_payload(r, p.kind());
+    ASSERT_TRUE(r.ok());
+    ASSERT_NE(back, nullptr);
+    EXPECT_EQ(back->encoded_size(), emitted);
+    EXPECT_EQ(back->encoded_size(), emitted);
+    EXPECT_EQ(walked(*back), emitted);
+    EXPECT_EQ(back->modeled_size(), modeled);
+  };
+  check(*frag_body, "FragmentBody");
+  check(*proxy_share, "ProxyShareBody");
+  check(*hit_share, "HitSetShareBody");
+  check(*report, "DistributionReportBody");
+  check(*msg, "GossipMsg carrying all four");
+
+  // ProxyShareBody's modeled size is memoized too; pin it to its formula.
+  std::uint64_t formula = 28 + 4 * proxy_share->failed_proxies.size();
+  for (const auto& f : proxy_share->proxied) formula += core::modeled_size(f);
+  EXPECT_EQ(proxy_share->modeled_size(), formula);
+}
+
+// One body can be carried by batches that several threads measure; the
+// first queries race on the memo. Run under TSan to check the memo itself.
+TEST(WireSizeAudit, SizeMemoFirstQueriesMayRace) {
+  auto share = std::make_shared<core::ProxyShareBody>();
+  share->proxied = {small_fragment(48, 12), small_fragment(48, 12)};
+  share->failed_proxies = {1, 2};
+  wire::WriteSink w;
+  ASSERT_TRUE(wire::encode_payload(w, *share));
+  const std::uint64_t modeled = 28 + 4 * 2 + 2 * core::modeled_size(share->proxied[0]);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen(4);
+  std::vector<std::thread> threads;
+  for (auto& out : seen) {
+    threads.emplace_back([&share, &out] {
+      out = {share->encoded_size(), share->modeled_size()};
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& [encoded, model] : seen) {
+    EXPECT_EQ(encoded, w.data().size());
+    EXPECT_EQ(model, modeled);
+  }
+}
+
+TEST(WireSizeAudit, CopiedBodyMeasuresItselfAfresh) {
+  core::HitSetShareBody share;
+  share.hits = {{4, {1, 2}}};
+  const std::uint64_t one = share.encoded_size();
+  core::HitSetShareBody copy = share;
+  copy.hits.push_back({5, {1, 3}});
+  EXPECT_EQ(share.encoded_size(), one);
+  wire::SizeSink s;
+  wire_fields(s, copy);
+  EXPECT_EQ(copy.encoded_size(), s.size());
+  EXPECT_GT(copy.encoded_size(), one);
 }
 
 TEST(WireSizeAudit, OpaquePayloadsAreNotSerializable) {
