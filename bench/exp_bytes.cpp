@@ -10,9 +10,7 @@
 //
 // Byte columns are ACTUAL encoded sizes under the versioned wire codec
 // (src/wire): exactly what encode_envelope() emits, frame header and
-// checksum included. The "model delta" column is the modeled-vs-actual
-// ratio against the legacy fixed-width size model - what varint/delta-gid/
-// batched-fragment encoding buys on real traffic.
+// checksum included.
 #include "bench_util.h"
 #include "harness/scenario.h"
 #include "harness/table.h"
@@ -26,8 +24,7 @@ int main() {
 
   const std::size_t n = 48;
   harness::Table table({"payload B", "congos msgs/rumor", "congos KB/rumor",
-                        "direct KB/rumor", "byte ratio", "congos peak KB/rnd",
-                        "model delta"});
+                        "direct KB/rumor", "byte ratio", "congos peak KB/rnd"});
 
   const std::vector<std::size_t> payloads = {16, 256, 4096};
   std::vector<harness::ScenarioConfig> grid;
@@ -70,12 +67,7 @@ int main() {
                harness::cell(c_kb, 1), harness::cell(d_kb, 1),
                harness::cell(c_kb / d_kb, 0),
                harness::cell(static_cast<double>(congos.max_bytes_per_round) / 1024.0,
-                             0),
-               // actual / modeled: < 1 means the codec beats the old
-               // fixed-width accounting on this traffic mix
-               harness::cell(static_cast<double>(congos.total_bytes) /
-                                 static_cast<double>(congos.total_bytes_modeled),
-                             2)});
+                             0)});
   }
   table.print(std::cout);
 
@@ -94,8 +86,7 @@ int main() {
                     static_cast<double>(breakdown.total_bytes));
   }
   std::printf(
-      "\nByte columns are actual wire-codec frame sizes; 'model delta' is\n"
-      "actual/modeled vs the legacy fixed-width model (EXPERIMENTS.md).\n"
+      "\nByte columns are actual wire-codec frame sizes (EXPERIMENTS.md).\n"
       "\nReading: message counts are payload-independent, but bytes scale with\n"
       "payload x replication x epidemic re-pushing (our gossip realization\n"
       "re-sends active rumors every round, so the byte premium over direct send\n"

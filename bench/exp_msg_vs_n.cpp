@@ -26,10 +26,9 @@ int main() {
   if (bench::full_scale()) ns.push_back(256);
   const Round deadline = 64;
 
-  // Byte columns report ACTUAL wire-codec frame sizes (src/wire); "model
-  // delta" is actual/modeled vs the legacy fixed-width size model.
+  // Byte columns report ACTUAL wire-codec frame sizes (src/wire).
   harness::Table table({"n", "congos max/rnd", "congos mean/rnd", "congos p95/rnd",
-                        "normalized", "congos MB (wire)", "model delta",
+                        "normalized", "congos MB (wire)",
                         "direct max/rnd", "paced max/rnd", "plain max/rnd"});
 
   // (n x protocol) grid, executed through the sweep runner: every point is an
@@ -82,9 +81,6 @@ int main() {
                harness::cell(static_cast<double>(congos.total_bytes) /
                                  (1024.0 * 1024.0),
                              1),
-               harness::cell(static_cast<double>(congos.total_bytes) /
-                                 static_cast<double>(congos.total_bytes_modeled),
-                             2),
                harness::cell(direct.max_per_round), harness::cell(paced.max_per_round),
                harness::cell(plain.max_per_round)});
 
@@ -98,7 +94,6 @@ int main() {
       "\nReading: the 'normalized' column (peak / n^{1+6/sqrt(64)} log^2 n) stays\n"
       "roughly flat, matching Theorem 11's shape; plain gossip is cheaper but\n"
       "leaks; direct send is cheap here because destination sets are small -\n"
-      "E1 shows where it loses. 'congos MB (wire)' is actual encoded bytes;\n"
-      "'model delta' (actual/modeled) shows what the compact codec saves.\n");
+      "E1 shows where it loses. 'congos MB (wire)' is actual encoded bytes.\n");
   return 0;
 }

@@ -15,7 +15,6 @@ struct BaselineRumorPayload final : sim::Payload {
   sim::Rumor rumor;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override { return sim::modeled_size(rumor); }
 };
 
 /// Batch of whole rumors (used by the strongly-confidential protocol, where
@@ -26,11 +25,6 @@ struct BaselineBatchPayload final : sim::Payload {
   std::vector<sim::Rumor> rumors;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override {
-    std::uint64_t total = 4;
-    for (const auto& r : rumors) total += sim::modeled_size(r);
-    return total;
-  }
 };
 
 /// Receipt acknowledgement of the strongly-confidential baseline: rumor uids
@@ -44,7 +38,6 @@ struct StrongAckPayload final : sim::Payload {
   std::vector<RumorUid> uids;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override { return 4 + 12 * uids.size(); }
 };
 
 // -- codec field walks (src/wire/wire.h) ------------------------------------

@@ -74,23 +74,6 @@ void wire_fields(S& s, F& f) {
   s.bytes(f.data);
 }
 
-/// THE fragment layout, documented once (previously a comment and a formula
-/// drifted independently: the comment said "key 12 + 2 + 2 ... group count
-/// 2" while partition/group/num_groups are 32-bit GroupIndex/PartitionIndex
-/// values, and the formula counted the group-count field at the wrong
-/// width). Modeled fixed-width layout, matching the codec's field walk above
-/// field for field:
-///
-///   uid 12 + partition 4 + group 4 + expires_at 8 + dline 8 + num_groups 4
-///   (= kFragmentMetaModeledBytes) + destination bitset + share bytes.
-///
-/// The group-count field is counted exactly once, here.
-inline constexpr std::uint64_t kFragmentMetaModeledBytes = 12 + 4 + 4 + 8 + 8 + 4;
-
-inline std::uint64_t modeled_size(const Fragment& f) {
-  return kFragmentMetaModeledBytes + f.meta.dest.byte_size() + f.data.size();
-}
-
 /// Batched fragment framing (DESIGN.md section 11): consecutive fragments of
 /// the same rumor share all rumor-level metadata, so after the first one a
 /// flag byte 1 means "inherit the previous fragment's uid / destination set
@@ -147,7 +130,6 @@ struct ProxyRequestPayload final : sim::Payload {
   std::vector<Fragment> fragments;
 
   std::uint64_t encoded_size() const override;  // defined after the walks
-  std::uint64_t modeled_size() const override;
 
   void reuse() { fragments.clear(); }  // PayloadPool recycle hook
 };
@@ -159,7 +141,6 @@ struct ProxyAckPayload final : sim::Payload {
   Round dline = 0;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override { return 8; }
 
   void reuse() {}  // PayloadPool recycle hook
 };
@@ -175,7 +156,6 @@ struct PartialsPayload final : sim::Payload {
   std::vector<Fragment> fragments;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override;
 
   void reuse() { fragments.clear(); }  // PayloadPool recycle hook
 };
@@ -189,7 +169,6 @@ struct DirectRumorPayload final : sim::Payload {
   sim::Rumor rumor;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override { return sim::modeled_size(rumor); }
 
   void reuse() {}  // PayloadPool recycle hook; `rumor` is reassigned on reuse
 };
@@ -204,7 +183,6 @@ struct PartialsAckPayload final : sim::Payload {
   Round dline = 0;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override { return 8; }
 
   void reuse() {}  // PayloadPool recycle hook
 };
@@ -218,7 +196,6 @@ struct DirectAckPayload final : sim::Payload {
   RumorUid rumor;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override { return 12; }
 
   void reuse() {}  // PayloadPool recycle hook
 };
@@ -228,8 +205,7 @@ struct DirectAckPayload final : sim::Payload {
 //
 // Each body is make_shared once, filled, handed to a gossip service and never
 // mutated again, while every batch that re-carries it asks for its size. So
-// each memoizes its encoded size, and ProxyShareBody its looping modeled size
-// (wire::SizeMemo).
+// each memoizes its encoded size (wire::SizeMemo).
 // ---------------------------------------------------------------------------
 
 /// A fragment disseminated inside its own group via GroupGossip[l]
@@ -240,7 +216,6 @@ struct FragmentBody final : sim::Payload {
   Fragment fragment;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override { return core::modeled_size(fragment); }
 
  private:
   wire::SizeMemo encoded_;
@@ -259,11 +234,9 @@ struct ProxyShareBody final : sim::Payload {
   std::vector<ProcessId> failed_proxies;  // per other-group flattened
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override;
 
  private:
   wire::SizeMemo encoded_;
-  wire::SizeMemo modeled_;
 };
 
 /// One hitSet entry: fragment of rumor `rumor` was sent to process `target`.
@@ -286,7 +259,6 @@ struct HitSetShareBody final : sim::Payload {
   std::vector<Hit> hits;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override;
 
  private:
   wire::SizeMemo encoded_;
@@ -305,7 +277,6 @@ struct DistributionReportBody final : sim::Payload {
   std::vector<Hit> hits;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override;
 
  private:
   wire::SizeMemo encoded_;
@@ -406,9 +377,6 @@ void wire_fields(S& s, P& p) {
   }
 }
 
-/// Modeled fixed-width size of one hitSet entry: target (4) + uid (12).
-inline constexpr std::uint64_t kHitModeledBytes = 16;
-
 template <class P>
 std::uint64_t sized_by_walk(const P& p) {
   wire::SizeSink s;
@@ -419,11 +387,6 @@ std::uint64_t sized_by_walk(const P& p) {
 inline std::uint64_t ProxyRequestPayload::encoded_size() const {
   return sized_by_walk(*this);
 }
-inline std::uint64_t ProxyRequestPayload::modeled_size() const {
-  std::uint64_t total = 12;  // dline (8) + fragment count (4)
-  for (const auto& f : fragments) total += core::modeled_size(f);
-  return total;
-}
 
 inline std::uint64_t ProxyAckPayload::encoded_size() const {
   return sized_by_walk(*this);
@@ -431,13 +394,6 @@ inline std::uint64_t ProxyAckPayload::encoded_size() const {
 
 inline std::uint64_t PartialsPayload::encoded_size() const {
   return sized_by_walk(*this);
-}
-inline std::uint64_t PartialsPayload::modeled_size() const {
-  // Identical accounting to ProxyRequestPayload: same layout, and the old
-  // estimates drifting apart is exactly what the codec cross-check flags.
-  std::uint64_t total = 12;
-  for (const auto& f : fragments) total += core::modeled_size(f);
-  return total;
 }
 
 inline std::uint64_t DirectRumorPayload::encoded_size() const {
@@ -459,29 +415,13 @@ inline std::uint64_t FragmentBody::encoded_size() const {
 inline std::uint64_t ProxyShareBody::encoded_size() const {
   return encoded_.get([this] { return sized_by_walk(*this); });
 }
-inline std::uint64_t ProxyShareBody::modeled_size() const {
-  return modeled_.get([this] {
-    // dline (8) + block (8) + from (4) + two counts (4 + 4) + entries.
-    std::uint64_t total = 28 + 4 * failed_proxies.size();
-    for (const auto& f : proxied) total += core::modeled_size(f);
-    return total;
-  });
-}
 
 inline std::uint64_t HitSetShareBody::encoded_size() const {
   return encoded_.get([this] { return sized_by_walk(*this); });
 }
-inline std::uint64_t HitSetShareBody::modeled_size() const {
-  // dline (8) + block (8) + from (4) + count (4) + hits.
-  return 24 + kHitModeledBytes * hits.size();
-}
 
 inline std::uint64_t DistributionReportBody::encoded_size() const {
   return encoded_.get([this] { return sized_by_walk(*this); });
-}
-inline std::uint64_t DistributionReportBody::modeled_size() const {
-  // reporter (4) + partition (4) + group (4) + dline (8) + count (4) + hits.
-  return 24 + kHitModeledBytes * hits.size();
 }
 
 }  // namespace congos::core

@@ -51,24 +51,17 @@ struct GossipRumor {
   sim::PayloadPtr body;
 };
 
-/// Modeled (fixed-width) size of one gossip rumor record: gid (8) + origin
-/// (4) + deadline (8) + destination bitset + opaque body.
-inline std::uint64_t modeled_size(const GossipRumor& r) {
-  return 8 + 4 + 8 + r.dest.byte_size() + (r.body ? r.body->modeled_size() : 0);
-}
-
 /// Wire payload: a batch of rumors pushed to one peer. One batch is shared
 /// between every same-round recipient (push targets, pull repliers, expander
-/// neighbors), so both serialized sizes are memoized: the payload is
-/// immutable once handed to a Sender, and encoded_size()/modeled_size() are
-/// re-queried per recipient by the byte accounting.
+/// neighbors), so its serialized size is memoized: the payload is immutable
+/// once handed to a Sender, and encoded_size() is re-queried per recipient by
+/// the byte accounting.
 struct GossipMsg final : sim::Payload {
   GossipMsg() : sim::Payload(sim::PayloadKind::kGossipMsg) {}
 
   std::vector<GossipRumor> rumors;
 
   std::uint64_t encoded_size() const override;  // defined after the walk
-  std::uint64_t modeled_size() const override;
 
   /// PayloadPool recycle hook: a recycled message starts empty.
   void reuse() {
@@ -82,10 +75,7 @@ struct GossipMsg final : sim::Payload {
   void reset_wire_memo() const { cached_for_count_ = SIZE_MAX; }
 
  private:
-  void refresh_size_memo() const;  // defined after the walk
-
   mutable std::uint64_t cached_encoded_size_ = 0;
-  mutable std::uint64_t cached_modeled_size_ = 0;
   // Memo is invalidated when the rumor count changes; mutating a rumor
   // in place after a size query is still forbidden (see the class
   // comment: payloads are immutable once handed to a Sender).
@@ -99,7 +89,6 @@ struct GossipAck final : sim::Payload {
   std::vector<std::uint64_t> gids;
 
   std::uint64_t encoded_size() const override;
-  std::uint64_t modeled_size() const override { return 4 + 8 * gids.size(); }
 
   void reuse() { gids.clear(); }
 };
@@ -127,7 +116,6 @@ struct GossipPull final : sim::Payload {
   GossipPull() : sim::Payload(sim::PayloadKind::kGossipPull) {}
 
   std::uint64_t encoded_size() const override { return 0; }  // stateless body
-  std::uint64_t modeled_size() const override { return 4; }
 
   void reuse() {}  // stateless; PayloadPool recycle hook
 };
@@ -135,7 +123,7 @@ struct GossipPull final : sim::Payload {
 // ---------------------------------------------------------------------------
 // Codec field walks (src/wire/wire.h). Batches delta-encode their gids: the
 // sorted_gids_ invariant keeps batch rumors in ascending gid order, so the
-// per-rumor gid shrinks from 8 modeled bytes to (usually) 1 actual byte.
+// per-rumor gid shrinks from a fixed 8 bytes to (usually) 1 byte.
 // ---------------------------------------------------------------------------
 
 /// Fields of one rumor record, gid excluded (the containing batch encodes
@@ -187,25 +175,14 @@ void wire_fields(S& s, A& a) {
 template <class S, wire::SameBase<GossipPull> P>
 void wire_fields(S&, P&) {}  // stateless
 
-inline void GossipMsg::refresh_size_memo() const {
-  if (cached_for_count_ == rumors.size()) return;
-  wire::SizeSink actual;
-  wire_fields(actual, *this);
-  cached_encoded_size_ = actual.size();
-  std::uint64_t modeled = 4;  // count
-  for (const auto& r : rumors) modeled += gossip::modeled_size(r);
-  cached_modeled_size_ = modeled;
-  cached_for_count_ = rumors.size();
-}
-
 inline std::uint64_t GossipMsg::encoded_size() const {
-  refresh_size_memo();
+  if (cached_for_count_ != rumors.size()) {
+    wire::SizeSink s;
+    wire_fields(s, *this);
+    cached_encoded_size_ = s.size();
+    cached_for_count_ = rumors.size();
+  }
   return cached_encoded_size_;
-}
-
-inline std::uint64_t GossipMsg::modeled_size() const {
-  refresh_size_memo();
-  return cached_modeled_size_;
 }
 
 inline std::uint64_t GossipAck::encoded_size() const {

@@ -221,7 +221,6 @@ ScenarioResult ScenarioRun::finalize() const {
 
   result.max_bytes_per_round = stats.max_bytes_from(cfg_.measure_from);
   result.total_bytes = stats.total_bytes();
-  result.total_bytes_modeled = stats.total_modeled_bytes();
   // Satellite of the wire-codec PR: assert the aggregation path never
   // narrows (stats accumulates in u64; the result fields must match).
   static_assert(std::is_same_v<decltype(result.total_bytes), std::uint64_t>);

@@ -115,10 +115,6 @@ struct ScenarioResult {
   std::uint64_t total_bytes = 0;          // whole run
   /// By-service split of total_bytes (E15 reports the breakdown).
   std::uint64_t total_bytes_by_kind[sim::kNumServiceKinds] = {};  // whole run
-  /// Whole-run bytes under the legacy fixed-width size model (what
-  /// total_bytes reported before the codec); exp_bytes/exp_msg_vs_n print
-  /// the modeled-vs-actual delta, i.e. what varint/delta encoding buys.
-  std::uint64_t total_bytes_modeled = 0;
 
   // delivery
   audit::QodReport qod;

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/fnv.h"
 #include "replay/codec.h"
 
 namespace congos::net {
@@ -91,7 +92,7 @@ std::vector<std::uint8_t> encode_checkpoint(const NodeCheckpoint& ck) {
 
   // Whole-file integrity trailer over everything written so far.
   const std::vector<std::uint8_t>& body = w.bytes();
-  w.u64(replay::fnv1a(body.data(), body.size()));
+  w.u64(fnv1a(body.data(), body.size()));
   return w.take();
 }
 
@@ -106,7 +107,7 @@ bool decode_checkpoint(const std::uint8_t* data, std::size_t len,
   for (int b = 0; b < 8; ++b) {
     stored |= static_cast<std::uint64_t>(data[body_len + b]) << (8 * b);
   }
-  if (replay::fnv1a(data, body_len) != stored) {
+  if (fnv1a(data, body_len) != stored) {
     return set_error(error, "state file checksum mismatch (corrupted)");
   }
 

@@ -32,7 +32,6 @@ struct DatagramPayload final : sim::Payload {
   explicit DatagramPayload(std::vector<std::uint8_t> b)
       : sim::Payload(sim::PayloadKind::kOpaque), bytes(std::move(b)) {}
   std::uint64_t encoded_size() const override { return bytes.size(); }
-  std::uint64_t modeled_size() const override { return bytes.size(); }
 
   std::vector<std::uint8_t> bytes;
 };

@@ -3,7 +3,6 @@
 #include <arpa/inet.h>
 #include <array>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -28,11 +27,6 @@ sockaddr_in loopback(std::uint16_t port) {
 /// One receive slot: room for a max datagram plus one byte so oversize
 /// input is detectable as truncation by the frame layer.
 constexpr std::size_t kRecvSlot = kMaxDatagramBytes + 1;
-
-bool env_forbids_batching() {
-  const char* v = std::getenv("CONGOS_UDP_NO_BATCH");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
 
 }  // namespace
 
@@ -88,7 +82,7 @@ bool UdpTransport::open(std::uint16_t port, std::string* error) {
   }
   local_port_ = ntohs(sa.sin_port);
   recv_buf_.resize(kRecvSlot);
-  set_batching(!env_forbids_batching());
+  set_batching(true);
   return true;
 }
 

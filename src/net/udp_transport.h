@@ -15,8 +15,8 @@
 // drain() likewise pulls up to kMaxBatch datagrams per recvmmsg(2). The
 // batched and single-syscall paths emit byte-identical per-peer streams
 // (test_net.cpp proves it); batching is dropped permanently when the
-// kernel lacks the calls (ENOSYS probe), switched off per-process with
-// CONGOS_UDP_NO_BATCH=1, or per-transport with set_batching(false).
+// kernel lacks the calls (ENOSYS probe) or switched off per-transport with
+// set_batching(false) (congos_d --no-batch).
 #pragma once
 
 #include <cstdint>
@@ -63,7 +63,7 @@ class UdpTransport : public Transport {
   std::size_t peer_count() const { return peers_.size(); }
 
   /// Toggles sendmmsg/recvmmsg batching (call after open()). Forced off on
-  /// platforms without the calls and by CONGOS_UDP_NO_BATCH=1.
+  /// platforms without the calls.
   void set_batching(bool on);
   bool batching() const { return batching_; }
 

@@ -14,33 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
+
 namespace congos::replay {
-
-/// FNV-1a over a byte range (same constants as the golden-trace hash in
-/// tests/test_golden.cpp). Used both for the per-round delivery-trace hash
-/// and for the whole-file integrity checksum.
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-inline std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len,
-                           std::uint64_t h = kFnvOffset) {
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-/// Fold one u64 value (little-endian byte order) into an FNV-1a hash.
-/// fnv1a_u64 over a sequence of per-round counts reproduces exactly the
-/// golden fnv1a(std::vector<std::uint64_t>) of tests/test_golden.cpp.
-inline std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 class ByteWriter {
  public:

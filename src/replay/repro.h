@@ -33,7 +33,7 @@ inline constexpr std::uint32_t kReproMagic = 0x50524743;  // "CGRP" little-endia
 /// fault counter totals; version 3 added the wire codec version the original
 /// run's byte accounting used. decode() still accepts version-1 and
 /// version-2 files (their fault fields default to "off"/zero and their
-/// wire_codec_version to 0 = "pre-codec modeled sizes").
+/// wire_codec_version to 0 = "byte totals predate the wire codec").
 inline constexpr std::uint32_t kReproVersion = 3;
 
 /// One adversary decision, in execution order. Crash/restart decisions carry
@@ -90,8 +90,8 @@ struct ReproFile {
 
   /// v3: wire::kWireFormatVersion at record time. total_bytes above is only
   /// comparable across runs that serialized with the same codec version;
-  /// 0 means the file predates the wire codec (byte counts are the old
-  /// fixed-width model).
+  /// 0 means the file predates the wire codec (its byte counts came from a
+  /// fixed-width estimate, not from encoded frames).
   std::uint32_t wire_codec_version = 0;
 
   /// Human-readable TraceLog tail of the original run (empty when tracing

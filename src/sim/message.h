@@ -82,40 +82,26 @@ enum class PayloadKind : std::uint8_t {
 /// Base class for all message payloads. Payloads are immutable once sent and
 /// shared between the network queue, the inboxes and the auditors.
 ///
-/// Two byte-size accessors drive the *communication* complexity accounting
-/// the paper discusses in Section 7 (bits per round, as opposed to
-/// Definition 3's messages per round):
+/// encoded_size() drives the *communication* complexity accounting the paper
+/// discusses in Section 7 (bits per round, as opposed to Definition 3's
+/// messages per round). It is the serialized size of the body under the
+/// versioned wire codec (src/wire): exactly the bytes encode_envelope()
+/// emits, computed by walking the same field template with a counting sink
+/// (wire::SizeSink), so it cannot drift from the encoder.
 ///
-///   * encoded_size() is the ACTUAL serialized size of the body under the
-///     versioned wire codec (src/wire): exactly the bytes encode_envelope()
-///     emits, computed by walking the same field template with a counting
-///     sink (wire::SizeSink) — so it cannot drift from the encoder.
-///   * modeled_size() is the legacy fixed-width size model (explicit-width
-///     ints, no varint/delta compression). It is kept so experiments can
-///     report the modeled-vs-actual delta (exp_bytes), i.e. what the
-///     compact encoding buys.
-///
-/// The kOpaque defaults (8 bytes) cover test doubles the codec never
+/// The kOpaque default (8 bytes) covers test doubles the codec never
 /// serializes; wire::encode_payload() refuses kOpaque bodies.
 struct Payload {
   constexpr explicit Payload(PayloadKind kind = PayloadKind::kOpaque)
       : kind_(kind) {}
   virtual ~Payload() = default;
   virtual std::uint64_t encoded_size() const { return 8; }
-  virtual std::uint64_t modeled_size() const { return 8; }
 
   PayloadKind kind() const { return kind_; }
 
  private:
   PayloadKind kind_;
 };
-
-/// Envelope header size under the legacy fixed-width model (addressing/tag
-/// header). The actual v1 frame header is varint-encoded and checksummed —
-/// see wire::encoded_envelope_size() — so real headers are usually larger
-/// (checksum) but addressing shrinks; this constant only feeds the modeled
-/// side of the modeled-vs-actual audit.
-constexpr std::size_t kEnvelopeHeaderBytes = 12;
 
 using PayloadPtr = std::shared_ptr<const Payload>;
 

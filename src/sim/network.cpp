@@ -21,13 +21,9 @@ const char* to_string(ServiceKind k) {
 void Network::submit(Envelope e) {
   CONGOS_ASSERT_MSG(e.from < n_ && e.to < n_, "envelope endpoints out of range");
   if (stats_ != nullptr) {
-    // Actual bytes: the exact v1 frame size encode_envelope() would emit
-    // (header-only SizeSink walk, allocation-free). Modeled bytes: the
-    // legacy fixed-width estimate, kept for the modeled-vs-actual audit.
-    const std::uint64_t actual = wire::encoded_envelope_size(e, round_);
-    const std::uint64_t modeled =
-        kEnvelopeHeaderBytes + (e.body ? e.body->modeled_size() : 0);
-    stats_->note_sent(e.tag.kind, actual, modeled);
+    // The exact v1 frame size encode_envelope() would emit (header-only
+    // SizeSink walk, allocation-free).
+    stats_->note_sent(e.tag.kind, wire::encoded_envelope_size(e, round_));
   }
   ++sent_total_;
   pending_.push_back(std::move(e));

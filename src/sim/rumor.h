@@ -53,12 +53,4 @@ void wire_fields(S& s, R& r) {
   s.bytes(r.data);
 }
 
-/// Modeled (fixed-width) serialized size of a rumor: uid (12) + deadline (8)
-/// + injected_at (8) + destination bitset + payload bytes. The old estimate
-/// forgot injected_at, which rides the wire (receivers need it to evaluate
-/// active_at); the codec cross-check in test_wire_size caught it.
-inline std::uint64_t modeled_size(const Rumor& r) {
-  return 12 + 8 + 8 + r.dest.byte_size() + r.data.size();
-}
-
 }  // namespace congos::sim

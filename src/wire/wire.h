@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "common/bitset.h"
+#include "common/fnv.h"
 
 namespace congos::wire {
 
@@ -43,20 +44,6 @@ namespace congos::wire {
 /// .repro artifacts and bench metadata). Bump on ANY layout change and keep
 /// decoders for old versions; the golden byte-layout test pins v1.
 inline constexpr std::uint8_t kWireFormatVersion = 1;
-
-// FNV-1a, the repo's standard checksum (same constants as the golden-trace
-// hash and the .repro codec).
-inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-inline std::uint64_t fnv1a(const std::uint8_t* data, std::size_t len) {
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= data[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 /// Constrains the payload parameter of a field walk: accepts T and const T,
 /// so one template serves WriteSink/SizeSink (const payload) and ReadSink

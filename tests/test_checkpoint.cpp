@@ -98,7 +98,7 @@ TEST(CheckpointCodec, RejectsUnknownVersion) {
   std::vector<std::uint8_t> bytes = net::encode_checkpoint(sample_checkpoint());
   bytes[8] = 0x63;
   const std::size_t body = bytes.size() - 8;
-  const std::uint64_t sum = replay::fnv1a(bytes.data(), body);
+  const std::uint64_t sum = fnv1a(bytes.data(), body);
   for (int b = 0; b < 8; ++b) {
     bytes[body + static_cast<std::size_t>(b)] =
         static_cast<std::uint8_t>(sum >> (8 * b));

@@ -12,6 +12,7 @@
 // changed protocol behaviour, which is a bug by definition.
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "harness/scenario.h"
 
 namespace congos {
@@ -34,13 +35,8 @@ class RoundTrace final : public sim::ExecutionObserver {
 };
 
 std::uint64_t fnv1a(const std::vector<std::uint64_t>& counts) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (auto c : counts) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (c >> (8 * b)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  }
+  std::uint64_t h = kFnvOffset;
+  for (auto c : counts) h = fnv1a_u64(h, c);
   return h;
 }
 

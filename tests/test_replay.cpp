@@ -75,14 +75,14 @@ TEST(Codec, HashMatchesGoldenFold) {
   // fnv1a_u64 folded over values must equal byte-wise fnv1a over their
   // little-endian encoding (the golden-trace definition in test_golden.cpp).
   const std::uint64_t values[] = {0, 1, 0xFFFFFFFFFFFFFFFFull, 12345};
-  std::uint64_t folded = replay::kFnvOffset;
+  std::uint64_t folded = kFnvOffset;
   ByteWriter w;
   for (std::uint64_t v : values) {
-    folded = replay::fnv1a_u64(folded, v);
+    folded = fnv1a_u64(folded, v);
     w.u64(v);
   }
   const auto bytes = w.take();
-  EXPECT_EQ(folded, replay::fnv1a(bytes.data(), bytes.size()));
+  EXPECT_EQ(folded, fnv1a(bytes.data(), bytes.size()));
 }
 
 // ---------------------------------------------------------------------------
@@ -228,7 +228,7 @@ TEST(ReproFile, AcceptsVersion1Artifacts) {
   w.u64(0);               // qod_data_mismatches
   w.str("");              // trace_tail
   auto bytes = w.take();
-  const std::uint64_t sum = replay::fnv1a(bytes.data(), bytes.size());
+  const std::uint64_t sum = fnv1a(bytes.data(), bytes.size());
   for (int b = 0; b < 8; ++b) {
     bytes.push_back(static_cast<std::uint8_t>(sum >> (8 * b)));
   }
@@ -293,7 +293,7 @@ TEST(ReproFile, RejectsBadMagicAndVersion) {
     auto copy = bytes;
     copy[4] += 1;
     const std::size_t body = copy.size() - 8;
-    const std::uint64_t sum = replay::fnv1a(copy.data(), body);
+    const std::uint64_t sum = fnv1a(copy.data(), body);
     for (int b = 0; b < 8; ++b) {
       copy[body + b] = static_cast<std::uint8_t>(sum >> (8 * b));
     }

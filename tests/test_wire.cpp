@@ -255,7 +255,7 @@ std::vector<std::uint8_t> patched(std::vector<std::uint8_t> bytes, std::size_t i
                                   std::uint8_t value) {
   bytes[i] = value;
   const std::size_t n = bytes.size() - wire::kChecksumBytes;
-  const std::uint64_t h = wire::fnv1a(bytes.data(), n);
+  const std::uint64_t h = fnv1a(bytes.data(), n);
   for (std::size_t b = 0; b < wire::kChecksumBytes; ++b) {
     bytes[n + b] = static_cast<std::uint8_t>(h >> (8 * b));
   }
@@ -423,7 +423,7 @@ TEST(WireEnvelope, GoldenV1Layout) {
   EXPECT_TRUE(std::equal(expected_prefix.begin(), expected_prefix.end(),
                          bytes.begin()));
   const std::uint64_t sum =
-      wire::fnv1a(expected_prefix.data(), expected_prefix.size());
+      fnv1a(expected_prefix.data(), expected_prefix.size());
   for (std::size_t b = 0; b < wire::kChecksumBytes; ++b) {
     EXPECT_EQ(bytes[expected_prefix.size() + b],
               static_cast<std::uint8_t>(sum >> (8 * b)));
@@ -483,20 +483,36 @@ TEST(WireReject, BadEnumTagsAndVersions) {
 
 TEST(WireCompression, SortedGidsDeltaEncode) {
   gossip::GossipMsg msg;
+  gossip::GossipMsg spread;  // the same rumors, gids at least 2^35 apart
   Rng rng(3);
   std::uint64_t gid = 1'000'000;
+  std::uint64_t spread_gid = gid;
   for (int i = 0; i < 64; ++i) {
     gossip::GossipRumor r;
     r.gid = gid;
-    gid += 1 + rng.next_below(4);
+    const std::uint64_t step = 1 + rng.next_below(4);
+    gid += step;
     r.origin = static_cast<ProcessId>(i % 16);
     r.deadline_at = 128;
     r.dest = rand_bits(rng, 32);
     msg.rumors.push_back(r);
+    r.gid = spread_gid;
+    spread_gid += step << 35;
+    spread.rumors.push_back(r);
   }
-  // Delta-encoded gids: ~1 byte per rumor instead of the modeled 8. The
-  // whole batch must come in well under half the fixed-width model.
-  EXPECT_LT(msg.encoded_size() * 2, msg.modeled_size());
+  // Delta-encoded gids: a small gap costs one varint byte, a gap of 2^35
+  // or more at least six, so the dense batch is at least 3 bytes per rumor
+  // smaller.
+  EXPECT_LE(msg.encoded_size() + 3 * msg.rumors.size(), spread.encoded_size());
+  // Exactly: the count, the first gid in full, then one byte per gid.
+  std::uint64_t fields = 0;
+  for (const auto& r : msg.rumors) {
+    wire::SizeSink s;
+    gossip::wire_rumor_fields(s, r);
+    fields += s.size();
+  }
+  EXPECT_EQ(msg.encoded_size(),
+            1 + wire::varint_size(msg.rumors[0].gid) + (msg.rumors.size() - 1) + fields);
   // And the batch still round-trips losslessly inside an envelope.
   Rng erng(4);
   expect_roundtrip(rand_envelope(erng, std::make_shared<gossip::GossipMsg>(msg)), 9);

@@ -1,16 +1,14 @@
-// Byte-accounting audit (Section 7 discussion + ROADMAP item 3): every
-// payload reports TWO serialized sizes — encoded_size(), the actual bytes
-// the wire codec emits, and modeled_size(), the legacy fixed-width model —
-// and the stats collector aggregates actual bytes per round.
+// Byte-accounting audit (Section 7 discussion): every payload reports one
+// serialized size, encoded_size(), the bytes the wire codec emits, and the
+// stats collector aggregates those bytes per round.
 //
-// The audit test at the top is the cross-check the wire-codec PR demanded:
-// it enumerates every payload kind and pins encoded_size() to the length
-// encode_payload() really produces, so a hand-maintained estimate can never
-// silently disagree with the serializer again. (That check is what exposed
-// the old bugs fixed in this PR: sim::Rumor's estimate ignored injected_at,
-// Fragment counted the group-count field at the wrong width against a
-// comment saying otherwise, and StrongAckPayload had no override at all —
-// every ack billed 8 bytes no matter how many uids it carried.)
+// The audit test at the top enumerates every payload kind and pins
+// encoded_size() to the length encode_payload() really produces, so a size
+// override can never silently disagree with the serializer. The WireSize
+// tests below pin properties of individual layouts on the same encoded
+// sizes: every rumor field rides the wire, a fragment's group count is
+// encoded once, metadata payloads carry no rumor data, and acks grow with
+// what they acknowledge.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -20,6 +18,7 @@
 #include "gossip/continuous_gossip.h"
 #include "harness/scenario.h"
 #include "sim/stats.h"
+#include "wire/envelope.h"
 #include "wire/payload_codec.h"
 
 namespace congos {
@@ -37,6 +36,14 @@ core::Fragment small_fragment(std::size_t n, std::size_t payload) {
   f.meta.dest = DynamicBitset(n);
   f.data.assign(payload, 0xCD);
   return f;
+}
+
+/// Bytes the codec's field walk counts for `v` (found by ADL).
+template <class T>
+std::uint64_t walked_size(const T& v) {
+  wire::SizeSink s;
+  wire_fields(s, v);
+  return s.size();
 }
 
 /// One payload of every codec-serializable kind, with non-default contents
@@ -224,8 +231,6 @@ TEST(WireSizeAudit, NestedBodySizeMemosMatchAFreshWalk) {
     EXPECT_EQ(walked(p), emitted);
     EXPECT_EQ(p.encoded_size(), emitted);
     EXPECT_EQ(p.encoded_size(), emitted);  // memoized second query
-    const std::uint64_t modeled = p.modeled_size();
-    EXPECT_EQ(p.modeled_size(), modeled);
 
     wire::ReadSink r(w.data());
     const sim::PayloadPtr back = wire::decode_payload(r, p.kind());
@@ -234,18 +239,12 @@ TEST(WireSizeAudit, NestedBodySizeMemosMatchAFreshWalk) {
     EXPECT_EQ(back->encoded_size(), emitted);
     EXPECT_EQ(back->encoded_size(), emitted);
     EXPECT_EQ(walked(*back), emitted);
-    EXPECT_EQ(back->modeled_size(), modeled);
   };
   check(*frag_body, "FragmentBody");
   check(*proxy_share, "ProxyShareBody");
   check(*hit_share, "HitSetShareBody");
   check(*report, "DistributionReportBody");
   check(*msg, "GossipMsg carrying all four");
-
-  // ProxyShareBody's modeled size is memoized too; pin it to its formula.
-  std::uint64_t formula = 28 + 4 * proxy_share->failed_proxies.size();
-  for (const auto& f : proxy_share->proxied) formula += core::modeled_size(f);
-  EXPECT_EQ(proxy_share->modeled_size(), formula);
 }
 
 // One body can be carried by batches that several threads measure; the
@@ -256,19 +255,13 @@ TEST(WireSizeAudit, SizeMemoFirstQueriesMayRace) {
   share->failed_proxies = {1, 2};
   wire::WriteSink w;
   ASSERT_TRUE(wire::encode_payload(w, *share));
-  const std::uint64_t modeled = 28 + 4 * 2 + 2 * core::modeled_size(share->proxied[0]);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> seen(4);
+  std::vector<std::uint64_t> seen(4);
   std::vector<std::thread> threads;
   for (auto& out : seen) {
-    threads.emplace_back([&share, &out] {
-      out = {share->encoded_size(), share->modeled_size()};
-    });
+    threads.emplace_back([&share, &out] { out = share->encoded_size(); });
   }
   for (auto& t : threads) t.join();
-  for (const auto& [encoded, model] : seen) {
-    EXPECT_EQ(encoded, w.data().size());
-    EXPECT_EQ(model, modeled);
-  }
+  for (const std::uint64_t encoded : seen) EXPECT_EQ(encoded, w.data().size());
 }
 
 TEST(WireSizeAudit, CopiedBodyMeasuresItselfAfresh) {
@@ -291,97 +284,141 @@ TEST(WireSizeAudit, OpaquePayloadsAreNotSerializable) {
 }
 
 TEST(WireSize, RumorModelCountsEveryField) {
-  EXPECT_GT(sim::modeled_size(small_rumor(64, 100)),
-            sim::modeled_size(small_rumor(64, 10)));
-  EXPECT_GT(sim::modeled_size(small_rumor(6400, 10)),
-            sim::modeled_size(small_rumor(64, 10)));
-  // uid (12) + deadline (8) + injected_at (8) + dest bitset + payload: the
-  // pre-codec estimate dropped injected_at.
-  EXPECT_EQ(sim::modeled_size(small_rumor(64, 10)), 12u + 8u + 8u + 8u + 10u);
+  const auto injected_at_0 = [](std::size_t n, std::size_t payload) {
+    sim::Rumor r = small_rumor(n, payload);
+    r.injected_at = 0;
+    return r;
+  };
+  const sim::Rumor base = injected_at_0(64, 10);
+  EXPECT_GT(walked_size(injected_at_0(64, 100)), walked_size(base));
+  EXPECT_GT(walked_size(injected_at_0(6400, 10)), walked_size(base));
+  // source 1 + seq 1 + deadline 2 (zigzag 64) + injected_at 1
+  // + dest bitset (1 + 8) + payload (1 + 10).
+  EXPECT_EQ(walked_size(base), 1u + 1u + 2u + 1u + 9u + 11u);
+
+  // Every field rides the wire: changing any one of them changes the
+  // encoded rumor. Receivers need injected_at to evaluate active_at.
+  const auto encoded = [](const sim::Rumor& r) {
+    wire::WriteSink w;
+    wire_fields(w, r);
+    return w.data();
+  };
+  std::vector<sim::Rumor> changed(6, base);
+  changed[0].uid.source = 3;
+  changed[1].uid.seq = 2;
+  changed[2].deadline = 65;
+  changed[3].injected_at = 5;
+  changed[4].dest.set(7);
+  changed[5].data[0] = 0;
+  for (std::size_t i = 0; i < changed.size(); ++i) {
+    EXPECT_NE(encoded(changed[i]), encoded(base)) << "field " << i;
+  }
+  sim::Rumor late = base;
+  late.injected_at = 1 << 20;
+  EXPECT_GT(walked_size(late), walked_size(base));
 }
 
 TEST(WireSize, FragmentCountsGroupCountExactlyOnce) {
-  EXPECT_GT(core::modeled_size(small_fragment(64, 100)),
-            core::modeled_size(small_fragment(64, 10)));
-  // The whole layout in one formula (fragment.h documents it next to the
-  // codec walk): meta fixed part + dest bitset + share bytes.
-  EXPECT_EQ(core::modeled_size(small_fragment(64, 10)),
-            core::kFragmentMetaModeledBytes + 8u + 10u);
-  EXPECT_EQ(core::kFragmentMetaModeledBytes, 12u + 4u + 4u + 8u + 8u + 4u);
+  EXPECT_GT(walked_size(small_fragment(64, 100)), walked_size(small_fragment(64, 10)));
+  // A group count of 200 needs one more varint byte than 2: the fragment
+  // grows by exactly that byte, so the field is encoded once.
+  const core::Fragment narrow = small_fragment(64, 10);
+  core::Fragment wide = narrow;
+  wide.meta.num_groups = 200;
+  EXPECT_EQ(walked_size(wide), walked_size(narrow) + 1);
+  core::FragmentBody body;
+  body.fragment = wide;
+  EXPECT_EQ(body.encoded_size(), walked_size(wide));
+  // In a batch, a second fragment of the same rumor inherits the group
+  // count instead of repeating it.
+  core::ProxyRequestPayload narrow_batch;
+  narrow_batch.fragments = {narrow, narrow};
+  core::ProxyRequestPayload wide_batch;
+  wide_batch.fragments = {wide, wide};
+  EXPECT_EQ(wide_batch.encoded_size(), narrow_batch.encoded_size() + 1);
 }
 
 TEST(WireSize, GossipMsgSumsRumors) {
   gossip::GossipMsg msg;
-  EXPECT_EQ(msg.modeled_size(), 4u);
   EXPECT_EQ(msg.encoded_size(), 1u);  // just the varint count
   gossip::GossipRumor r;
   r.dest = DynamicBitset(64);
   auto body = std::make_shared<core::FragmentBody>();
   body->fragment = small_fragment(64, 16);
   r.body = body;
-  const auto one_m = msg.modeled_size();
-  const auto one_e = msg.encoded_size();
+  const auto none = msg.encoded_size();
   msg.rumors.push_back(r);
-  const auto two_m = msg.modeled_size();
-  const auto two_e = msg.encoded_size();
+  const auto one = msg.encoded_size();
   msg.rumors.push_back(r);
-  // Identical rumors (gid delta 0) grow both sizes by equal increments.
-  EXPECT_EQ(msg.modeled_size() - two_m, two_m - one_m);
-  EXPECT_EQ(msg.encoded_size() - two_e, two_e - one_e);
-  EXPECT_GT(two_m, one_m);
-  EXPECT_GT(two_e, one_e);
+  // Identical rumors (gid delta 0) grow the batch by equal increments.
+  EXPECT_EQ(msg.encoded_size() - one, one - none);
+  EXPECT_GT(one, none);
+  // The batch is its count plus, per rumor, a one-byte gid delta and the
+  // rumor's own fields.
+  wire::SizeSink fields;
+  gossip::wire_rumor_fields(fields, r);
+  EXPECT_EQ(msg.encoded_size(), 1u + 2 * (1u + fields.size()));
 }
 
 TEST(WireSize, BatchAndDirectPayloads) {
   baseline::BaselineRumorPayload single;
   single.rumor = small_rumor(64, 16);
-  EXPECT_EQ(single.modeled_size(), sim::modeled_size(single.rumor));
+  EXPECT_EQ(single.encoded_size(), walked_size(single.rumor));
 
   baseline::BaselineBatchPayload batch;
   batch.rumors = {small_rumor(64, 16), small_rumor(64, 16)};
-  EXPECT_EQ(batch.modeled_size(), 4u + 2 * sim::modeled_size(small_rumor(64, 16)));
+  EXPECT_EQ(batch.encoded_size(), 1u + 2 * walked_size(small_rumor(64, 16)));
 
   core::DirectRumorPayload direct;
   direct.rumor = small_rumor(64, 16);
-  EXPECT_EQ(direct.modeled_size(), sim::modeled_size(direct.rumor));
+  EXPECT_EQ(direct.encoded_size(), walked_size(direct.rumor));
 }
 
 TEST(WireSize, MetadataPayloadsAreDataFree) {
   // Shares and reports carry identifiers only: size independent of any
   // rumor payload length (that is what makes them safe to gossip widely).
-  core::HitSetShareBody share;
-  share.hits.resize(5);
-  EXPECT_EQ(share.modeled_size(), 24u + 5 * core::kHitModeledBytes);
-  core::DistributionReportBody report;
-  report.hits.resize(3);
-  EXPECT_EQ(report.modeled_size(), 24u + 3 * core::kHitModeledBytes);
+  const core::HitSetShareBody empty_share;
+  const core::DistributionReportBody empty_report;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> sizes;
+  for (const std::size_t payload : {std::size_t{10}, std::size_t{4096}}) {
+    const sim::Rumor rumor = small_rumor(64, payload);
+    core::HitSetShareBody share;
+    share.hits.assign(5, core::Hit{3, rumor.uid});
+    core::DistributionReportBody report;
+    report.hits.assign(3, core::Hit{3, rumor.uid});
+    // The empty header plus one identifier record per hit, nothing else.
+    EXPECT_EQ(share.encoded_size(),
+              empty_share.encoded_size() + 5 * walked_size(share.hits[0]));
+    EXPECT_EQ(report.encoded_size(),
+              empty_report.encoded_size() + 3 * walked_size(report.hits[0]));
+    sizes.emplace_back(share.encoded_size(), report.encoded_size());
+  }
+  EXPECT_EQ(sizes[0], sizes[1]);
   core::ProxyAckPayload ack;
-  EXPECT_EQ(ack.modeled_size(), 8u);
+  EXPECT_EQ(ack.encoded_size(), 1u);  // the deadline class alone
 }
 
 TEST(WireSize, StrongAckScalesWithUids) {
   // The pre-codec version of this payload had NO size override: every ack
   // was billed the 8-byte opaque default regardless of contents.
   baseline::StrongAckPayload ack;
-  EXPECT_EQ(ack.modeled_size(), 4u);
+  EXPECT_EQ(ack.encoded_size(), 1u);  // the varint count
   ack.uids.resize(10, RumorUid{1, 1});
-  EXPECT_EQ(ack.modeled_size(), 4u + 10 * 12u);
-  EXPECT_GT(ack.encoded_size(), 10u);  // >= 1 byte per uid on the real wire
+  EXPECT_EQ(ack.encoded_size(), 1u + 10 * 2u);  // source + seq varint per uid
 }
 
 TEST(WireSize, StatsAccumulateBytes) {
   sim::MessageStats s;
-  s.note_sent(sim::ServiceKind::kProxy, 100, 120);
-  s.note_sent(sim::ServiceKind::kProxy, 50, 60);
+  s.note_sent(sim::ServiceKind::kProxy, 100);
+  s.note_sent(sim::ServiceKind::kProxy, 50);
   s.end_round(0);
-  s.note_sent(sim::ServiceKind::kFallback, 10, 12);
+  s.note_sent(sim::ServiceKind::kFallback, 10);
   s.end_round(1);
   EXPECT_EQ(s.total_bytes(), 160u);
+  EXPECT_EQ(s.total_bytes(sim::ServiceKind::kProxy), 150u);
   EXPECT_EQ(s.max_bytes_per_round(), 150u);
   EXPECT_EQ(s.max_bytes_from(1), 10u);
   EXPECT_NEAR(s.mean_bytes_per_round(), 80.0, 1e-9);
-  EXPECT_EQ(s.total_modeled_bytes(), 192u);
-  EXPECT_EQ(s.total_modeled_bytes(sim::ServiceKind::kProxy), 180u);
 }
 
 TEST(WireSize, StatsByteCountersDoNotNarrow) {
@@ -389,11 +426,10 @@ TEST(WireSize, StatsByteCountersDoNotNarrow) {
   // path is std::uint64_t (static_asserts in stats.h pin the member types).
   sim::MessageStats s;
   const std::uint64_t big = 1ull << 40;
-  for (int i = 0; i < 8; ++i) s.note_sent(sim::ServiceKind::kProxy, big, big);
+  for (int i = 0; i < 8; ++i) s.note_sent(sim::ServiceKind::kProxy, big);
   s.end_round(0);
   EXPECT_EQ(s.total_bytes(), 8 * big);
   EXPECT_EQ(s.total_bytes(sim::ServiceKind::kProxy), 8 * big);
-  EXPECT_EQ(s.total_modeled_bytes(), 8 * big);
   EXPECT_GT(s.total_bytes(), std::uint64_t{0xFFFFFFFFull});
 }
 
@@ -408,12 +444,8 @@ TEST(WireSize, ScenarioReportsBytes) {
   const auto r = harness::run_scenario(cfg);
   EXPECT_GT(r.total_bytes, 0u);
   EXPECT_GT(r.max_bytes_per_round, 0u);
-  // Bytes strictly exceed message count (every frame has a header and an
-  // 8-byte checksum).
-  EXPECT_GT(r.total_bytes, r.total_messages * sim::kEnvelopeHeaderBytes);
-  // The compact encoding beats the fixed-width model: actual < modeled.
-  EXPECT_GT(r.total_bytes_modeled, 0u);
-  EXPECT_LT(r.total_bytes, r.total_bytes_modeled);
+  // Every frame carries a header and an 8-byte checksum.
+  EXPECT_GT(r.total_bytes, r.total_messages * wire::kChecksumBytes);
 }
 
 TEST(WireSize, CongosBytesDominatedByFragmentTraffic) {
@@ -431,10 +463,6 @@ TEST(WireSize, CongosBytesDominatedByFragmentTraffic) {
   // Same message counts (payload length does not change the protocol), but
   // much larger byte volume.
   EXPECT_GT(big.total_bytes, small.total_bytes * 2);
-  // Delta-gid and shared-header batching compress the real wire well below
-  // the fixed-width model on fragment-heavy traffic.
-  EXPECT_LT(small.total_bytes, small.total_bytes_modeled);
-  EXPECT_LT(big.total_bytes, big.total_bytes_modeled);
 }
 
 }  // namespace
