@@ -2,6 +2,9 @@
 // afford to simulate) for an idle system, plain gossip, and full CONGOS.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <string>
+
 #include "adversary/adversary.h"
 #include "adversary/workload.h"
 #include "harness/scenario.h"
@@ -84,6 +87,9 @@ BENCHMARK(BM_HotPathRounds)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// Full CONGOS runs. Besides the time per run, each engine step phase
+// reports its wall time per simulated round (<phase>_us_per_round, from
+// Engine::phase_ns()), so a change in the total can be traced to a phase.
 void BM_CongosRun(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   harness::ScenarioConfig cfg;
@@ -91,10 +97,20 @@ void BM_CongosRun(benchmark::State& state) {
   cfg.rounds = 128;
   cfg.protocol = harness::Protocol::kCongos;
   cfg.continuous.inject_prob = 0.02;
-  cfg.continuous.deadlines = {64};
+  const Round deadline = 64;
+  cfg.continuous.deadlines = {deadline};
+  const double rounds_per_iter =
+      static_cast<double>(cfg.rounds + deadline + 2);  // incl. drain window
+  std::array<std::uint64_t, sim::kNumStepPhases> phase_ns{};
   for (auto _ : state) {
     auto r = harness::run_scenario(cfg);
+    for (std::size_t i = 0; i < sim::kNumStepPhases; ++i) phase_ns[i] += r.phase_ns[i];
     benchmark::DoNotOptimize(r);
+  }
+  const double rounds = rounds_per_iter * static_cast<double>(state.iterations());
+  for (std::size_t i = 0; i < sim::kNumStepPhases; ++i) {
+    state.counters[std::string(sim::to_string(static_cast<sim::StepPhase>(i))) +
+                   "_us_per_round"] = static_cast<double>(phase_ns[i]) / 1e3 / rounds;
   }
 }
 BENCHMARK(BM_CongosRun)

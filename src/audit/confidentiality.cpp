@@ -1,5 +1,7 @@
 #include "audit/confidentiality.h"
 
+#include <algorithm>
+
 #include "baseline/baseline_payload.h"
 #include "common/assert.h"
 #include "gossip/continuous_gossip.h"
@@ -8,12 +10,57 @@ namespace congos::audit {
 
 ConfidentialityAuditor::ConfidentialityAuditor(std::size_t n,
                                                const partition::PartitionSet* partitions)
-    : n_(n), partitions_(partitions), knowledge_(n), sightings_(n) {}
+    : n_(n), partitions_(partitions), knowledge_(n), slots_(n) {}
 
 void ConfidentialityAuditor::flag(ViolationKind kind, ProcessId p, const RumorUid& uid,
                                   Round now) {
-  violations_.push_back(Violation{kind, p, uid, now});
-  ++counts_[static_cast<std::size_t>(kind)];
+  Slot& slot = slots_[p];
+  slot.pending.push_back(Violation{kind, p, uid, now});
+  ++slot.counts[static_cast<std::size_t>(kind)];
+}
+
+void ConfidentialityAuditor::merge_pending() const {
+  const std::size_t merged = violations_.size();
+  for (const Slot& slot : slots_) {
+    if (slot.pending.empty()) continue;
+    violations_.insert(violations_.end(), slot.pending.begin(), slot.pending.end());
+    slot.pending.clear();  // keeps capacity
+  }
+  if (violations_.size() == merged) return;
+  // Appended in process order, each process in sighting order: a stable sort
+  // by round yields (round, process, sighting order), and a stable merge
+  // keeps an earlier batch's sightings ahead of a later batch's at the same
+  // (round, process). Rounds the engine merges one at a time are already in
+  // order and skip both steps.
+  const auto earlier = [](const Violation& a, const Violation& b) {
+    return a.when != b.when ? a.when < b.when : a.process < b.process;
+  };
+  const auto mid = violations_.begin() + static_cast<std::ptrdiff_t>(merged);
+  if (!std::is_sorted(mid, violations_.end(), earlier)) {
+    std::stable_sort(mid, violations_.end(), earlier);
+  }
+  if (merged != 0 && earlier(*mid, *(mid - 1))) {
+    std::inplace_merge(violations_.begin(), mid, violations_.end(), earlier);
+  }
+}
+
+void ConfidentialityAuditor::on_round_end(Round /*now*/) { merge_pending(); }
+
+const std::vector<Violation>& ConfidentialityAuditor::violations() const {
+  merge_pending();
+  return violations_;
+}
+
+std::uint64_t ConfidentialityAuditor::count(ViolationKind kind) const {
+  std::uint64_t total = 0;
+  for (const Slot& slot : slots_) total += slot.counts[static_cast<std::size_t>(kind)];
+  return total;
+}
+
+std::uint64_t ConfidentialityAuditor::unknown_payloads() const {
+  std::uint64_t total = 0;
+  for (const Slot& slot : slots_) total += slot.unknown_payloads;
+  return total;
 }
 
 void ConfidentialityAuditor::on_inject(const sim::Rumor& rumor, Round /*now*/) {
@@ -36,12 +83,12 @@ void ConfidentialityAuditor::saw_fragment(ProcessId p, const core::Fragment& fra
                                           Round now) {
   const core::FragmentKey& key = frag.meta.key;
   const GroupIndex num_groups = frag.meta.num_groups;
-  auto& sightings = sightings_[p];
-  if (!group_counts_vary_) {
+  Slot& slot = slots_[p];
+  if (!slot.group_counts_vary) {
     // Repeat: knowledge is unchanged (the group bit is set and the rumor's
     // group count is this one), and curious() is fixed once injected.
-    auto it = sightings.find(key);
-    if (it != sightings.end() && it->second.num_groups == num_groups) {
+    auto it = slot.sightings.find(key);
+    if (it != slot.sightings.end() && it->second.num_groups == num_groups) {
       if (it->second.foreign) flag(ViolationKind::kForeignFragment, p, key.rumor, now);
       return;
     }
@@ -49,12 +96,12 @@ void ConfidentialityAuditor::saw_fragment(ProcessId p, const core::Fragment& fra
 
   const RumorUid uid = key.rumor;
   const bool could_before = knowledge_.can_reconstruct(p, uid);
-  if (knowledge_.note_fragment(p, key, num_groups)) group_counts_vary_ = true;
+  if (knowledge_.note_fragment(p, key, num_groups)) slot.group_counts_vary = true;
   if (!rumors_.contains(uid)) return;  // not injected yet: judged again later
   const bool is_curious = curious(p, uid);
   const bool foreign = is_curious && partitions_ != nullptr &&
                        (*partitions_)[key.partition].group_of(p) != key.group;
-  sightings[key] = Sighting{num_groups, foreign};
+  slot.sightings[key] = Sighting{num_groups, foreign};
   if (foreign) flag(ViolationKind::kForeignFragment, p, uid, now);
   if (is_curious && !could_before && knowledge_.can_reconstruct(p, uid)) {
     flag(ViolationKind::kFragmentSetLeak, p, uid, now);
@@ -63,9 +110,11 @@ void ConfidentialityAuditor::saw_fragment(ProcessId p, const core::Fragment& fra
 
 void ConfidentialityAuditor::on_envelope_delivered(const sim::Envelope& e, Round now) {
   const ProcessId p = e.to;
+  CONGOS_ASSERT_MSG(p < n_, "delivery to an unknown process");
+  std::uint64_t& unknown_payloads = slots_[p].unknown_payloads;
   const sim::Payload* body = e.body.get();
   if (body == nullptr) {
-    ++unknown_payloads_;
+    ++unknown_payloads;
     return;
   }
 
@@ -75,7 +124,7 @@ void ConfidentialityAuditor::on_envelope_delivered(const sim::Envelope& e, Round
       for (const auto& r : msg.rumors) {
         const sim::Payload* inner = r.body.get();
         if (inner == nullptr) {
-          ++unknown_payloads_;
+          ++unknown_payloads;
           continue;
         }
         switch (inner->kind()) {
@@ -98,7 +147,7 @@ void ConfidentialityAuditor::on_envelope_delivered(const sim::Envelope& e, Round
                      now);
             break;
           default:
-            ++unknown_payloads_;
+            ++unknown_payloads;
         }
       }
       return;
@@ -136,7 +185,7 @@ void ConfidentialityAuditor::on_envelope_delivered(const sim::Envelope& e, Round
       // Unknown payload type: count it; protocols with private metadata
       // payloads land here harmlessly, but a nonzero count in a CONGOS-only
       // test is a bug.
-      ++unknown_payloads_;
+      ++unknown_payloads;
   }
 }
 

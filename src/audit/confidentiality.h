@@ -26,9 +26,32 @@
 // sighting produced, pushed again (every sighting counts). The auditor keeps
 // that verdict per (process, fragment key) and settles a repeat with one
 // hash probe. Keys are values taken off the wire, never payload addresses or
-// protocol state. If some process ever sees two group counts for one rumor,
-// a repeat can move the tracker's count back, so every later sighting takes
-// the full path.
+// protocol state.
+//
+// The repeat path is disabled per process, not per run. Its one hazard is a
+// repeat that moves the tracker's group count for (p, uid) back to its own
+// count, which can complete a set a second time. That count is written only
+// by sightings at p, so the hazard exists only once p itself has seen two
+// group counts for some rumor (KnowledgeTracker::note_fragment reports it).
+// Until then every fragment p saw of a rumor carried the count the tracker
+// holds, so a repeat whose count matches its first judged sighting leaves
+// the tracker, curious() and the foreign verdict exactly as the full path
+// would. What other processes saw never enters p's verdicts.
+//
+// Threading. All mutable state of a sighting lives with its receiver: the
+// tracker's per-process entries and one Slot per process (sightings, the
+// repeat flag, pending violations, counters). rumors_ is written only by
+// on_inject, which the engine calls before delivery. So on_envelope_delivered
+// may run concurrently for envelopes with *different* receivers, with no
+// locks, as the engine's receiver observers do (Engine::add_receiver_observer,
+// DESIGN.md section 12). Every other member, queries included, must run with
+// no delivery in flight.
+//
+// violations() has one canonical order: round, then receiving process, then
+// sighting order at that process. It is the order the engine's serial receive
+// loop produces, and no thread count and no interleaving of receivers can
+// change it. Direct callers (the offline wire audit, tests) get the same order
+// whatever order they feed envelopes in across receivers.
 #pragma once
 
 #include <array>
@@ -63,13 +86,15 @@ class ConfidentialityAuditor final : public sim::ExecutionObserver {
   // -- ExecutionObserver ------------------------------------------------------
   void on_inject(const sim::Rumor& rumor, Round now) override;
   void on_envelope_delivered(const sim::Envelope& e, Round now) override;
+  /// Folds the round's per-process violations into violations(), so the
+  /// merge stays one append per round.
+  void on_round_end(Round now) override;
 
   // -- results ---------------------------------------------------------------
 
-  const std::vector<Violation>& violations() const { return violations_; }
-  std::uint64_t count(ViolationKind kind) const {
-    return counts_[static_cast<std::size_t>(kind)];
-  }
+  /// Every violation, in the canonical order (header comment).
+  const std::vector<Violation>& violations() const;
+  std::uint64_t count(ViolationKind kind) const;
   /// Confidentiality violations in the paper's sense (Definition 2): a
   /// non-destination learned (or could reconstruct) a rumor.
   std::uint64_t leaks() const {
@@ -96,7 +121,11 @@ class ConfidentialityAuditor final : public sim::ExecutionObserver {
 
   /// Payload types the auditor did not recognize (should stay 0 in tests of
   /// protocols the auditor supports).
-  std::uint64_t unknown_payloads() const { return unknown_payloads_; }
+  std::uint64_t unknown_payloads() const;
+
+  /// True iff process p has seen two group counts for one rumor, so its
+  /// repeat sightings take the full path from then on.
+  bool group_counts_vary(ProcessId p) const { return slots_[p].group_counts_vary; }
 
  private:
   struct RumorInfo {
@@ -110,19 +139,28 @@ class ConfidentialityAuditor final : public sim::ExecutionObserver {
     bool foreign = false;  // pushed kForeignFragment
   };
 
+  /// Everything a sighting at one process writes; only that process's
+  /// receiver touches it.
+  struct Slot {
+    FlatMap<core::FragmentKey, Sighting, core::FragmentKeyHash> sightings;
+    /// Violations flagged here since the last merge, in sighting order.
+    /// Mutable so the lazy merge behind violations() can drain it.
+    mutable std::vector<Violation> pending;
+    std::array<std::uint64_t, 3> counts{};  // per ViolationKind
+    std::uint64_t unknown_payloads = 0;
+    bool group_counts_vary = false;  // disables p's repeat path for good
+  };
+
   std::size_t n_;
   const partition::PartitionSet* partitions_;
   KnowledgeTracker knowledge_;
   FlatMap<RumorUid, RumorInfo> rumors_;
-  std::vector<FlatMap<core::FragmentKey, Sighting, core::FragmentKeyHash>>
-      sightings_;  // per process
-  bool group_counts_vary_ = false;  // disables the repeat path for good
-  std::vector<Violation> violations_;
-  std::array<std::uint64_t, 3> counts_{};  // per ViolationKind
-  std::uint64_t unknown_payloads_ = 0;
+  std::vector<Slot> slots_;  // per process
+  mutable std::vector<Violation> violations_;  // merged, canonical order
 
   bool curious(ProcessId p, const RumorUid& uid) const;
   void flag(ViolationKind kind, ProcessId p, const RumorUid& uid, Round now);
+  void merge_pending() const;
   void saw_fragment(ProcessId p, const core::Fragment& frag, Round now);
   void saw_full(ProcessId p, const RumorUid& uid, Round now);
 };

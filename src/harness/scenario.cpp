@@ -135,8 +135,14 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg)
 
   impl_->confidentiality = std::make_unique<audit::ConfidentialityAuditor>(
       cfg_.n, impl_->partitions.get());
-  if (cfg_.audit_confidentiality) engine.add_observer(impl_->confidentiality.get());
-  engine.add_observer(&impl_->qod);
+  // The confidentiality auditor keeps its state per receiver, so it audits
+  // each inbox on the shard that receives it (DESIGN.md section 12). The QoD
+  // auditor ignores envelopes (its reports come through the listener), so it
+  // registers the same way and the serial delivery loop skips both.
+  if (cfg_.audit_confidentiality) {
+    engine.add_receiver_observer(impl_->confidentiality.get());
+  }
+  engine.add_receiver_observer(&impl_->qod);
   for (auto* obs : cfg_.extra_observers) engine.add_observer(obs);
 
   switch (cfg_.workload) {
@@ -184,6 +190,10 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg)
 ScenarioRun::~ScenarioRun() = default;
 
 sim::Engine& ScenarioRun::engine() { return *impl_->engine; }
+
+const audit::ConfidentialityAuditor& ScenarioRun::confidentiality() const {
+  return *impl_->confidentiality;
+}
 
 Round ScenarioRun::total_rounds() const {
   return cfg_.rounds + impl_->max_deadline + 2;
@@ -236,6 +246,7 @@ ScenarioResult ScenarioRun::finalize() const {
     result.faults_by_kind[f] = stats.faults(static_cast<sim::FaultKind>(f));
   }
   result.fault_total = stats.fault_total();
+  result.phase_ns = engine.phase_ns();
 
   result.qod = impl_->qod.finalize(engine.now());
   result.leaks = impl_->confidentiality->leaks();

@@ -3,6 +3,7 @@
 // suite, the examples and every bench binary.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -149,6 +150,11 @@ struct ScenarioResult {
   /// Largest per-message rumor merge seen by the strongly-confidential
   /// baseline (Theorem 1 bounds this by a constant c w.h.p.).
   std::uint64_t strong_max_merged = 0;
+
+  /// Wall nanoseconds per engine step phase over the run, indexed by
+  /// sim::StepPhase (Engine::phase_ns()). The only field that is not a pure
+  /// function of the config.
+  std::array<std::uint64_t, sim::kNumStepPhases> phase_ns{};
 };
 
 /// Builds the system, runs it for cfg.rounds rounds plus a drain period of
@@ -171,6 +177,9 @@ class ScenarioRun {
 
   const ScenarioConfig& config() const { return cfg_; }
   sim::Engine& engine();
+  /// The built-in confidentiality auditor (registered only when
+  /// cfg.audit_confidentiality is set).
+  const audit::ConfidentialityAuditor& confidentiality() const;
 
   /// Rounds a full execution takes: cfg.rounds plus the drain window
   /// (maximum workload deadline, at least cfg.min_drain) plus 2.

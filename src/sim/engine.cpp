@@ -1,12 +1,25 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/assert.h"
 #include "common/thread_pool.h"
 #include "sim/delivery_mux.h"
 
 namespace congos::sim {
+
+const char* to_string(StepPhase phase) {
+  switch (phase) {
+    case StepPhase::kAdversary: return "adversary";
+    case StepPhase::kSend: return "send";
+    case StepPhase::kMerge: return "merge";
+    case StepPhase::kDeliver: return "deliver";
+    case StepPhase::kReceive: return "receive";
+    case StepPhase::kRoundEnd: return "round_end";
+  }
+  return "?";
+}
 
 class Engine::NetworkSender final : public Sender {
  public:
@@ -38,13 +51,16 @@ class Engine::ShardSender final : public Sender {
   ProcessId from_;
 };
 
-/// Fans delivered envelopes out to the registered execution observers.
-/// Stack-allocated per step; replaces a per-round std::function closure.
+/// Fans delivered envelopes out to the delivery observers (receiver
+/// observers see them in the receive phase instead). Stack-allocated per
+/// step; replaces a per-round std::function closure.
 class Engine::DeliveryFanout final : public DeliveryObserver {
  public:
   explicit DeliveryFanout(Engine& engine) : engine_(engine) {}
   void on_delivered(const Envelope& e) override {
-    for (auto* obs : engine_.observers_) obs->on_envelope_delivered(e, engine_.now_);
+    for (auto* obs : engine_.delivery_observers_) {
+      obs->on_envelope_delivered(e, engine_.now_);
+    }
   }
 
  private:
@@ -64,10 +80,7 @@ class Engine::PhaseTask final : public ShardTask {
     const std::size_t lo = shard * m / engine_.shard_count_;
     const std::size_t hi = (shard + 1) * m / engine_.shard_count_;
     if (receive_) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const ProcessId p = ids[i];
-        engine_.processes_[p]->receive_phase(engine_.now_, engine_.network_.inbox(p));
-      }
+      for (std::size_t i = lo; i < hi; ++i) engine_.receive(ids[i]);
     } else {
       std::vector<Envelope>& out = engine_.shard_buffers_[shard].out;
       for (std::size_t i = lo; i < hi; ++i) {
@@ -220,27 +233,54 @@ void Engine::run_phase_sharded(bool receive) {
   if (mux_ != nullptr) mux_->begin_buffering();
   PhaseTask task(*this, receive);
   pool_->run_shards(task, shard_count_);
-  if (!receive) {
-    // Fixed merge order: shard 0's envelopes first. Reproduces the serial
-    // submission order, so delivery (and traces) cannot tell the difference.
-    for (ShardBuffer& buf : shard_buffers_) {
-      for (Envelope& e : buf.out) network_.submit(std::move(e));
-      buf.out.clear();  // keeps capacity: no allocation next round
-    }
-  }
   if (mux_ != nullptr) mux_->flush();
 }
 
+void Engine::merge_shard_sends() {
+  // Fixed merge order: shard 0's envelopes first. Reproduces the serial
+  // submission order, so delivery (and traces) cannot tell the difference.
+  for (ShardBuffer& buf : shard_buffers_) {
+    for (Envelope& e : buf.out) network_.submit(std::move(e));
+    buf.out.clear();  // keeps capacity: no allocation next round
+  }
+}
+
+void Engine::receive(ProcessId p) {
+  // Every delivered envelope sits in an alive receiver's inbox (dead and
+  // crashing receivers have a kDropAll inbound filter), so walking the
+  // alive inboxes shows receiver observers each delivery exactly once.
+  const std::span<const Envelope> inbox = network_.inbox(p);
+  if (!receiver_observers_.empty()) {
+    for (const Envelope& e : inbox) {
+      for (auto* obs : receiver_observers_) obs->on_envelope_delivered(e, now_);
+    }
+  }
+  processes_[p]->receive_phase(now_, inbox);
+}
+
 void Engine::step() {
+  // One clock read per phase boundary; each lap charges the time since the
+  // previous read to one phase, so the phases sum to the step's wall time.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point mark = Clock::now();
+  const auto lap = [&](StepPhase phase) {
+    const Clock::time_point t = Clock::now();
+    phase_ns_[static_cast<std::size_t>(phase)] += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t - mark).count());
+    mark = t;
+  };
+
   if (!started_) {
     started_ = true;
     for (auto& p : processes_) p->on_start(now_);
   }
 
   begin_round();
+  lap(StepPhase::kRoundEnd);
 
   phase_ = Phase::kRoundStart;
   if (adversary_ != nullptr) adversary_->at_round_start(*this);
+  lap(StepPhase::kAdversary);
 
   phase_ = Phase::kSending;
   // Exactly the processes alive now participate in the send phase; crash()
@@ -248,33 +288,39 @@ void Engine::step() {
   sent_this_round_ = alive_;
   if (use_shards()) {
     run_phase_sharded(/*receive=*/false);
+    lap(StepPhase::kSend);
+    merge_shard_sends();
+    lap(StepPhase::kMerge);
   } else {
     for (const ProcessId p : alive_ids_) {
       NetworkSender sender(network_, p);
       processes_[p]->send_phase(now_, sender);
     }
+    lap(StepPhase::kSend);
   }
 
   phase_ = Phase::kAfterSends;
   if (adversary_ != nullptr) adversary_->after_sends(*this);
+  lap(StepPhase::kAdversary);
 
   phase_ = Phase::kDelivering;
   DeliveryFanout fanout(*this);
   network_.deliver(out_policy_, out_filtered_, in_policy_, in_filtered_, rng_,
-                   observers_.empty() ? nullptr : &fanout);
+                   delivery_observers_.empty() ? nullptr : &fanout);
+  lap(StepPhase::kDeliver);
 
   phase_ = Phase::kReceiving;
   // after_sends may have crashed processes: alive_ids_ is already current.
   if (use_shards()) {
     run_phase_sharded(/*receive=*/true);
   } else {
-    for (const ProcessId p : alive_ids_) {
-      processes_[p]->receive_phase(now_, network_.inbox(p));
-    }
+    for (const ProcessId p : alive_ids_) receive(p);
   }
+  lap(StepPhase::kReceive);
 
   phase_ = Phase::kRoundEnd;
   if (adversary_ != nullptr) adversary_->at_round_end(*this);
+  lap(StepPhase::kAdversary);
 
   network_.end_round();
   stats_.end_round(now_);
@@ -282,6 +328,7 @@ void Engine::step() {
 
   phase_ = Phase::kIdle;
   ++now_;
+  lap(StepPhase::kRoundEnd);
 }
 
 void Engine::run(Round rounds) {

@@ -16,8 +16,13 @@
 // contiguous shards of the alive-id list. Per-shard send buffers are merged
 // into the network in ascending shard order, reproducing the serial
 // submission order exactly — traces are byte-identical at any thread count.
+// Receiver observers (add_receiver_observer) see each inbox on the shard
+// that receives it, just before the process does; every other observer hook
+// runs on the driving thread.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -36,6 +41,20 @@ namespace congos::sim {
 
 class Engine;
 class DeliveryMux;
+
+/// The parts of Engine::step() that Engine::phase_ns() times. Together they
+/// cover the whole step: the boundaries are consecutive clock reads.
+enum class StepPhase : std::uint8_t {
+  kAdversary,  // the three adversary hooks (injections and their observers)
+  kSend,       // send phase, serial or sharded
+  kMerge,      // sharded only: per-shard send buffers into the network
+  kDeliver,    // Network::deliver plus the serial delivery observers
+  kReceive,    // receive phase, receiver observers included
+  kRoundEnd,   // round bookkeeping: flag clears, end_round, on_round_end
+};
+inline constexpr std::size_t kNumStepPhases = 6;
+
+const char* to_string(StepPhase phase);
 
 /// The CRRI adversary hook points. Implementations live in src/adversary.
 class Adversary {
@@ -141,15 +160,38 @@ class Engine {
   // -- wiring ----------------------------------------------------------------
 
   void set_adversary(Adversary* adversary) { adversary_ = adversary; }
-  void add_observer(ExecutionObserver* obs) { observers_.push_back(obs); }
+
+  /// Every hook runs on the driving thread; on_envelope_delivered runs inside
+  /// Network::deliver, in delivery order across all receivers.
+  void add_observer(ExecutionObserver* obs) {
+    observers_.push_back(obs);
+    delivery_observers_.push_back(obs);
+  }
+
+  /// Like add_observer, except that on_envelope_delivered runs in the receive
+  /// phase: for each alive process, over its inbox in inbox order, on the
+  /// shard that runs that process's receive_phase and just before it. The
+  /// observer must therefore tolerate concurrent calls for envelopes with
+  /// different receivers (e.to), and see the same envelopes per receiver in
+  /// the same order as a delivery observer would. The other hooks keep
+  /// add_observer's semantics.
+  void add_receiver_observer(ExecutionObserver* obs) {
+    observers_.push_back(obs);
+    receiver_observers_.push_back(obs);
+  }
+
+  /// Wall nanoseconds spent in each StepPhase over every step() so far,
+  /// indexed by StepPhase.
+  const std::array<std::uint64_t, kNumStepPhases>& phase_ns() const { return phase_ns_; }
 
   /// Deterministic intra-round parallelism (DESIGN.md section 12): run the
   /// send and receive phases across `pool` workers in `shards` fixed
   /// contiguous chunks of the ascending alive-id list. Results are
   /// byte-identical to serial execution at any thread/shard count. When the
   /// processes share a DeliveryListener it MUST be a DeliveryMux passed here
-  /// so delivery reports are re-serialized in process-id order; adversary
-  /// hooks and the delivery phase stay on the calling thread. Pass
+  /// so delivery reports are re-serialized in process-id order. Adversary
+  /// hooks, the delivery phase and every observer hook except a receiver
+  /// observer's on_envelope_delivered stay on the calling thread. Pass
   /// pool == nullptr to return to serial execution. Only valid at a round
   /// boundary.
   void set_parallelism(ThreadPool* pool, std::size_t shards, DeliveryMux* mux = nullptr);
@@ -171,7 +213,10 @@ class Engine {
   Network network_;
 
   Adversary* adversary_ = nullptr;
-  std::vector<ExecutionObserver*> observers_;
+  std::vector<ExecutionObserver*> observers_;           // all but delivery hooks
+  std::vector<ExecutionObserver*> delivery_observers_;  // inside Network::deliver
+  std::vector<ExecutionObserver*> receiver_observers_;  // in the receive phase
+  std::array<std::uint64_t, kNumStepPhases> phase_ns_{};
 
   Round now_ = 0;
   Phase phase_ = Phase::kIdle;
@@ -222,6 +267,8 @@ class Engine {
   void begin_round();
   bool use_shards() const { return pool_ != nullptr && alive_ids_.size() > 1; }
   void run_phase_sharded(bool receive);
+  void merge_shard_sends();
+  void receive(ProcessId p);
   void notify_crash(ProcessId p, PartialDelivery policy);
   void notify_restart(ProcessId p, PartialDelivery policy);
 };

@@ -279,6 +279,65 @@ TEST_F(ConfAuditorTest, CountsMatchTheViolationList) {
   EXPECT_EQ(auditor.leaks(), 2u);
 }
 
+TEST_F(ConfAuditorTest, GroupCountChangeElsewhereLeavesRepeatVerdictsAlone) {
+  // The repeat path is disabled per process: 6 seeing two group counts for
+  // r must not change how 7's repeats of its own fragments of r are judged.
+  // 7 is in group 1 of partitions 0 and 1; (1, 0) is foreign to it.
+  auto r = test_rumor(0, 1, kN, {2});
+  const auto feed_7 = [&](ConfidentialityAuditor& a, Round t) {
+    a.on_envelope_delivered(partials_env(0, 7, {frag_for(r, 0, 1, 2)}), t);
+    a.on_envelope_delivered(partials_env(0, 7, {frag_for(r, 1, 0, 2)}), t);
+  };
+  ConfidentialityAuditor alone{kN, &parts};  // never sees 6's traffic
+  auditor.on_inject(r, 0);
+  alone.on_inject(r, 0);
+  feed_7(auditor, 1);
+  feed_7(alone, 1);
+
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 0, 3)}), 2);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 0, 2)}), 2);
+  EXPECT_TRUE(auditor.group_counts_vary(6));
+  EXPECT_FALSE(auditor.group_counts_vary(7));
+
+  for (Round t = 3; t <= 5; ++t) {
+    feed_7(auditor, t);
+    feed_7(alone, t);
+  }
+  EXPECT_FALSE(auditor.group_counts_vary(7));
+  constexpr auto kF = ViolationKind::kForeignFragment;
+  EXPECT_EQ(seen(alone),
+            (std::vector<Seen>{{kF, 7, 1}, {kF, 7, 3}, {kF, 7, 4}, {kF, 7, 5}}));
+  EXPECT_EQ(seen(auditor), seen(alone));
+  EXPECT_EQ(auditor.knowledge().fragment_mask(7, r.uid, 0), 0b10u);
+  EXPECT_EQ(auditor.knowledge().fragment_mask(7, r.uid, 1), 0b01u);
+  EXPECT_FALSE(auditor.knowledge().can_reconstruct(7, r.uid));
+  EXPECT_EQ(auditor.leaks(), 0u);
+}
+
+TEST_F(ConfAuditorTest, ViolationsComeInCanonicalOrder) {
+  // Round, then receiving process, then sighting order at that process,
+  // whatever order the receivers are fed in and whenever the list is read.
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_inject(r, 0);
+  constexpr auto kF = ViolationKind::kForeignFragment;
+  constexpr auto kL = ViolationKind::kFullLeak;
+  auditor.on_envelope_delivered(partials_env(0, 7, {frag_for(r, 0, 0, 2)}), 2);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 2);
+  auditor.on_envelope_delivered(direct_env(0, 7, r), 2);
+  EXPECT_EQ(seen(auditor), (std::vector<Seen>{{kF, 6, 2}, {kF, 7, 2}, {kL, 7, 2}}));
+  // Sightings of an earlier round read after the list was built.
+  auditor.on_envelope_delivered(partials_env(0, 5, {frag_for(r, 0, 0, 2)}), 1);
+  auditor.on_envelope_delivered(partials_env(0, 6, {frag_for(r, 0, 1, 2)}), 2);
+  auditor.on_envelope_delivered(partials_env(0, 4, {frag_for(r, 0, 1, 2)}), 1);
+  EXPECT_EQ(seen(auditor), (std::vector<Seen>{{kF, 4, 1},
+                                              {kF, 5, 1},
+                                              {kF, 6, 2},
+                                              {kF, 6, 2},
+                                              {kF, 7, 2},
+                                              {kL, 7, 2}}));
+  EXPECT_EQ(auditor.count(kF), 5u);
+}
+
 // ---------------------------------------------------------------------------
 
 class QodAuditorTest : public ::testing::Test {

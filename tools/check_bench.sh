@@ -84,13 +84,15 @@ if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
   GIT_DIRTY=true
 fi
 
-# One compact line per benchmark: name, real/cpu time, rounds/sec, context.
+# One compact line per benchmark: name, real/cpu time, the gated metric
+# (named in `metric`), context.
 jq -c --arg rev "$GIT_REV" --arg sha "$GIT_SHA" --argjson dirty "$GIT_DIRTY" \
   --arg threads "$THREADS" --arg scale "$SCALE" --arg wire "$WIRE_VERSION" \
   --arg ethreads "$ENGINE_THREADS" --arg transport "$TRANSPORT" \
   '.context.date as $date | .benchmarks[] |
    {date: $date, rev: $rev, sha: $sha, dirty: $dirty, name: .name,
     real_time_ms: .real_time, cpu_time_ms: .cpu_time,
+    metric: "rounds_per_sec",
     rounds_per_sec: .rounds_per_sec, threads: $threads, bench_scale: $scale,
     wire_codec_version: $wire, engine_threads: $ethreads,
     transport: $transport}' \
@@ -100,9 +102,10 @@ echo "appended $(jq '.benchmarks | length' "$TMP_JSON") benchmark record(s) to $
 tail -n 2 "$OUT_FILE"
 
 # UDP datagram-path lane (DESIGN.md section 13): transport=udp rows from
-# bench/micro_net. The figure of merit goes into the same rounds_per_sec
-# field the gate reads (datagrams/sec for BM_UdpLoopback, frames/sec for
-# BM_DatagramCodec); the raw counters ride along, including
+# bench/micro_net. Each row names its figure of merit in `metric`
+# (datagrams_per_sec for BM_UdpLoopback, frames_per_sec for
+# BM_DatagramCodec), which is the field the gate reads; these rows carry no
+# rounds_per_sec. The raw counters ride along, including
 # send_syscalls_per_dgram - the batching win that holds across machines
 # even where cheap syscalls flatten the wall-clock difference.
 NET_BIN="$BUILD_DIR/bench/micro_net"
@@ -119,7 +122,8 @@ if [ -x "$NET_BIN" ]; then
     '.context.date as $date | .benchmarks[] |
      {date: $date, rev: $rev, sha: $sha, dirty: $dirty, name: .name,
       real_time_ms: .real_time, cpu_time_ms: .cpu_time,
-      rounds_per_sec: (.datagrams_per_sec // .frames_per_sec),
+      metric: (if .datagrams_per_sec != null then "datagrams_per_sec"
+               else "frames_per_sec" end),
       datagrams_per_sec: .datagrams_per_sec,
       frames_per_sec: .frames_per_sec,
       send_syscalls_per_dgram: .send_syscalls_per_dgram,
