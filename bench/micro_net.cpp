@@ -1,7 +1,9 @@
 // Microbenchmarks for the datagram fast path (DESIGN.md section 13): real
 // UDP loopback throughput with and without sendmmsg/recvmmsg batching, and
 // the frame codec chain (pooled builder -> unwrap -> split -> decode) with
-// and without LZ4 datagram compression.
+// and without LZ4 datagram compression. BM_CheckpointSave times one durable
+// save (DESIGN.md section 14) against a growing history; it is
+// informational and not among the rows tools/check_bench.sh records.
 //
 // BM_UdpLoopback is the number tools/check_bench.sh records as
 // transport=udp rows: datagrams/sec through a socket pair on 127.0.0.1.
@@ -10,11 +12,15 @@
 // 1200-byte datagrams.
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "congos/fragment.h"
+#include "net/checkpoint.h"
 #include "net/framing.h"
 #include "net/udp_transport.h"
 #include "wire/compress.h"
@@ -181,6 +187,61 @@ BENCHMARK(BM_DatagramCodec)
     ->ArgNames({"lz4"})
     ->Arg(0)
     ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
+
+// One durable save of one save interval's events - 128 received frames of
+// 300 bytes, about what a wire-durable daemon journals in 8 rounds - on top
+// of range(0) events of history already in the state file, fsync included.
+// range(1) = 1 is the append-only journal (CheckpointLog::append), whose
+// time per save must not grow with history; 0 rewrites the whole history
+// through write_checkpoint_file, the cost every save had before the
+// journal became append-only. The file lives in the current directory.
+void BM_CheckpointSave(benchmark::State& state) {
+  const auto history = static_cast<std::size_t>(state.range(0));
+  const bool append = state.range(1) != 0;
+  constexpr std::size_t kSaveEvents = 128;
+  constexpr std::size_t kFrameBytes = 300;
+
+  net::NodeCheckpoint ck;
+  ck.n = 8;
+  ck.seed = 1;
+  ck.round_ms = 20;
+  net::CheckpointEvent frame;
+  frame.kind = net::CheckpointEvent::Kind::kRecv;
+  frame.frame.assign(kFrameBytes, 0xC5);
+  ck.events.assign(history, frame);
+  const std::vector<net::CheckpointEvent> batch(kSaveEvents, frame);
+
+  const std::string path =
+      "micro_net_checkpoint_" + std::to_string(::getpid()) + ".ckpt";
+  net::CheckpointLog log;
+  std::string err;
+  if (append && !log.rewrite(path, ck, ck.events, &err)) {
+    state.SkipWithError(err.c_str());
+    return;
+  }
+  if (!append) ck.events.insert(ck.events.end(), batch.begin(), batch.end());
+  for (auto _ : state) {
+    ++ck.round;
+    const bool ok = append ? log.append(ck, batch, &err)
+                           : net::write_checkpoint_file(path, ck, &err);
+    if (!ok) {
+      state.SkipWithError(err.c_str());
+      break;
+    }
+  }
+  std::remove(path.c_str());
+  state.counters["events_per_save"] = kSaveEvents;
+}
+BENCHMARK(BM_CheckpointSave)
+    ->ArgNames({"history", "append"})
+    ->Args({1000, 1})
+    ->Args({10000, 1})
+    ->Args({100000, 1})
+    ->Args({1000, 0})
+    ->Args({10000, 0})
+    ->Args({100000, 0})
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -111,9 +111,11 @@ struct ClusterConfig {
   /// supervisor surfaces it.
   std::vector<std::int64_t> duration_overrides;
 
-  /// Durable checkpoints (congos_d --state / --checkpoint-every): written
-  /// to <workdir>/state<i>.ckpt. Forced on whenever kill_plan is non-empty,
-  /// since a respawn without a state file has nothing to resume from.
+  /// Durable checkpoints (congos_d --state / --checkpoint-every): an
+  /// append-only journal at <workdir>/state<i>.ckpt, one fsynced batch per
+  /// save holding the events since the previous one. Forced on whenever
+  /// kill_plan is non-empty, since a respawn without a state file has
+  /// nothing to resume from.
   bool durable_state = false;
   Round checkpoint_every = 8;
   /// Scheduled SIGKILL + resume events; supervised by run_cluster's

@@ -7,12 +7,21 @@
 #include <cstdio>
 #include <cstring>
 
+#include "common/assert.h"
 #include "common/fnv.h"
 #include "replay/codec.h"
 
 namespace congos::net {
 
 namespace {
+
+/// Length pair in front of each batch body, and the trailer behind it.
+constexpr std::size_t kBatchLengthBytes = 16;
+constexpr std::size_t kBatchTrailerBytes = 8;
+/// Body fields ahead of the events: round, resume_count, event count.
+constexpr std::size_t kBatchFieldBytes = 8 + 4 + 8;
+static_assert(kCheckpointBatchOverhead ==
+              kBatchLengthBytes + kBatchFieldBytes + kBatchTrailerBytes);
 
 void put_bitset(replay::ByteWriter& w, const DynamicBitset& b) {
   w.u64(b.size());
@@ -34,29 +43,42 @@ DynamicBitset get_bitset(replay::ByteReader& r) {
 
 void put_bytes(replay::ByteWriter& w, const std::vector<std::uint8_t>& v) {
   w.u64(v.size());
-  for (std::uint8_t b : v) w.u8(b);
+  w.raw(v.data(), v.size());
 }
 
 std::vector<std::uint8_t> get_bytes(replay::ByteReader& r) {
   const std::uint64_t n = r.u64();
-  if (n > r.remaining()) {
-    r.fail();
-    return {};
+  const std::uint8_t* p = r.raw(n);
+  if (!r.ok()) return {};
+  return std::vector<std::uint8_t>(p, p + n);
+}
+
+/// Encoded size of one event, so a batch is reserved in one allocation.
+std::size_t event_bytes(const CheckpointEvent& e) {
+  std::size_t bytes = 8 + 1;  // round, kind
+  if (e.kind == CheckpointEvent::Kind::kInject) {
+    // seq, deadline, bitset (universe, index count, u32 indices), data
+    bytes += 8 + 8 + 16 + 4 * e.dest.count() + 8 + e.data.size();
+  } else {
+    bytes += 8 + e.frame.size();
   }
-  std::vector<std::uint8_t> v(n);
-  for (auto& b : v) b = r.u8();
-  return v;
+  return bytes;
 }
 
-bool set_error(std::string* error, const std::string& what) {
-  if (error != nullptr) *error = what;
-  return false;
+void put_event(replay::ByteWriter& w, const CheckpointEvent& e) {
+  w.i64(e.round);
+  w.u8(static_cast<std::uint8_t>(e.kind));
+  if (e.kind == CheckpointEvent::Kind::kInject) {
+    w.u64(e.seq);
+    w.i64(e.deadline);
+    put_bitset(w, e.dest);
+    put_bytes(w, e.data);
+  } else {
+    put_bytes(w, e.frame);
+  }
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_checkpoint(const NodeCheckpoint& ck) {
-  replay::ByteWriter w;
+void put_header(replay::ByteWriter& w, const NodeCheckpoint& ck) {
   w.u64(kCheckpointMagic);
   w.u32(kCheckpointVersion);
 
@@ -72,102 +94,209 @@ std::vector<std::uint8_t> encode_checkpoint(const NodeCheckpoint& ck) {
 
   w.u64(static_cast<std::uint64_t>(ck.epoch_ms));
   w.i64(ck.round_ms);
+  CONGOS_ASSERT(w.bytes().size() == kCheckpointHeaderBytes);
+}
 
-  w.i64(ck.round);
-  w.u32(ck.resume_count);
+/// Appends one batch to `w`; its trailer continues `header_fnv`, which
+/// binds every batch to the header it was written under.
+void put_batch(replay::ByteWriter& w, std::uint64_t header_fnv, Round round,
+               std::uint32_t resume_count, std::span<const CheckpointEvent> events) {
+  std::size_t body = kBatchFieldBytes;
+  for (const CheckpointEvent& e : events) body += event_bytes(e);
+  const std::size_t start = w.bytes().size();
+  w.reserve(start + kBatchLengthBytes + body + kBatchTrailerBytes);
+  w.u64(body);
+  w.u64(~static_cast<std::uint64_t>(body));
+  w.i64(round);
+  w.u32(resume_count);
+  w.u64(events.size());
+  for (const CheckpointEvent& e : events) put_event(w, e);
+  CONGOS_ASSERT(w.bytes().size() == start + kBatchLengthBytes + body);
+  w.u64(fnv1a(w.bytes().data() + start, kBatchLengthBytes + body, header_fnv));
+}
 
-  w.u64(ck.events.size());
-  for (const CheckpointEvent& e : ck.events) {
-    w.i64(e.round);
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    if (e.kind == CheckpointEvent::Kind::kInject) {
-      w.u64(e.seq);
-      w.i64(e.deadline);
-      put_bitset(w, e.dest);
-      put_bytes(w, e.data);
-    } else {
-      put_bytes(w, e.frame);
-    }
-  }
-
-  // Whole-file integrity trailer over everything written so far.
-  const std::vector<std::uint8_t>& body = w.bytes();
-  w.u64(fnv1a(body.data(), body.size()));
+/// Header plus one batch holding `events`.
+std::vector<std::uint8_t> encode_whole(const NodeCheckpoint& at,
+                                       std::span<const CheckpointEvent> events) {
+  replay::ByteWriter w;
+  put_header(w, at);
+  const std::uint64_t header_fnv = fnv1a(w.bytes().data(), w.bytes().size());
+  put_batch(w, header_fnv, at.round, at.resume_count, events);
   return w.take();
+}
+
+std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int b = 0; b < 8; ++b) v |= static_cast<std::uint64_t>(p[b]) << (8 * b);
+  return v;
+}
+
+bool set_error(std::string* error, const std::string& what) {
+  if (error != nullptr) *error = what;
+  return false;
+}
+
+bool set_errno_error(std::string* error, const std::string& what, int err) {
+  return set_error(error, what + ": " + std::strerror(err));
+}
+
+/// pwrite() all of `len` bytes at `offset`, riding out short writes.
+bool write_at(int fd, const std::uint8_t* data, std::size_t len, std::uint64_t offset) {
+  std::size_t done = 0;
+  while (done < len) {
+    const ssize_t n = ::pwrite(fd, data + done, len - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Write-temp, fsync, rename: a crash mid-write leaves the previous file
+/// (or nothing), never a torn one.
+bool write_file_atomically(const std::string& path,
+                           const std::vector<std::uint8_t>& bytes,
+                           std::string* error) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return set_errno_error(error, "cannot open '" + tmp + "'", errno);
+  if (!write_at(fd, bytes.data(), bytes.size(), 0)) {
+    const int saved = errno;
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return set_errno_error(error, "write '" + tmp + "'", saved);
+  }
+  // fsync before rename: the rename must never promote a file whose bytes
+  // are still only in the page cache, or a machine crash could leave a
+  // "complete" name pointing at torn contents.
+  if (::fsync(fd) != 0) {
+    const int saved = errno;
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    return set_errno_error(error, "fsync '" + tmp + "'", saved);
+  }
+  if (::close(fd) != 0) {
+    const int saved = errno;
+    ::unlink(tmp.c_str());
+    return set_errno_error(error, "close '" + tmp + "'", saved);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    const int saved = errno;
+    ::unlink(tmp.c_str());
+    return set_errno_error(error, "rename to '" + path + "'", saved);
+  }
+  return true;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_checkpoint(const NodeCheckpoint& ck) {
+  return encode_whole(ck, ck.events);
 }
 
 bool decode_checkpoint(const std::uint8_t* data, std::size_t len,
                        NodeCheckpoint* out, std::string* error) {
-  // The checksum gate runs first: anything shorter than the trailer, or
-  // whose trailer disagrees with the body hash, is rejected before a single
-  // field is interpreted.
-  if (len < 8) return set_error(error, "state file truncated (no checksum)");
-  const std::size_t body_len = len - 8;
-  std::uint64_t stored = 0;
-  for (int b = 0; b < 8; ++b) {
-    stored |= static_cast<std::uint64_t>(data[body_len + b]) << (8 * b);
+  if (len < kCheckpointHeaderBytes) {
+    return set_error(error, "state file truncated (no complete header)");
   }
-  if (fnv1a(data, body_len) != stored) {
-    return set_error(error, "state file checksum mismatch (corrupted)");
-  }
-
-  replay::ByteReader r(data, body_len);
-  if (r.u64() != kCheckpointMagic) {
+  replay::ByteReader h(data, kCheckpointHeaderBytes);
+  if (h.u64() != kCheckpointMagic) {
     return set_error(error, "not a congos_d state file (bad magic)");
   }
-  const std::uint32_t version = r.u32();
+  const std::uint32_t version = h.u32();
   if (version != kCheckpointVersion) {
     return set_error(error, "unsupported state file version " + std::to_string(version));
   }
 
+  // The binding is read here but trusted only once a batch checksum - which
+  // covers the header - has verified it.
   NodeCheckpoint ck;
-  ck.id = r.u32();
-  ck.n = r.u64();
-  ck.seed = r.u64();
-  ck.tau = r.u32();
-  ck.allow_degenerate = r.boolean();
-  ck.retransmit.enabled = r.boolean();
-  ck.retransmit.budget = static_cast<int>(r.u32());
-  ck.retransmit.max_link_delay = r.i64();
-  ck.max_rounds = r.i64();
+  ck.id = h.u32();
+  ck.n = h.u64();
+  ck.seed = h.u64();
+  ck.tau = h.u32();
+  ck.allow_degenerate = h.boolean();
+  ck.retransmit.enabled = h.boolean();
+  ck.retransmit.budget = static_cast<int>(h.u32());
+  ck.retransmit.max_link_delay = h.i64();
+  ck.max_rounds = h.i64();
 
-  ck.epoch_ms = static_cast<std::int64_t>(r.u64());
-  ck.round_ms = r.i64();
+  ck.epoch_ms = static_cast<std::int64_t>(h.u64());
+  ck.round_ms = h.i64();
+  CONGOS_ASSERT(h.ok() && h.remaining() == 0);
+  const std::uint64_t header_fnv = fnv1a(data, kCheckpointHeaderBytes);
 
-  ck.round = r.i64();
-  ck.resume_count = r.u32();
-
-  const std::uint64_t count = r.u64();
+  std::size_t off = kCheckpointHeaderBytes;
+  std::size_t batches = 0;
   Round prev = 0;
-  for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
-    CheckpointEvent e;
-    e.round = r.i64();
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(CheckpointEvent::Kind::kRecv)) {
-      return set_error(error, "state file has unknown event kind");
+  while (off < len) {
+    const std::size_t left = len - off;
+    if (left < kBatchLengthBytes) break;  // torn inside the length pair
+    const std::uint64_t body = load_u64(data + off);
+    if (load_u64(data + off + 8) != ~body) {
+      // A torn append leaves a prefix of correct bytes, so a complete but
+      // inconsistent length pair is damage, wherever it sits.
+      return set_error(error, "state file batch length corrupted");
     }
-    e.kind = static_cast<CheckpointEvent::Kind>(kind);
-    if (e.kind == CheckpointEvent::Kind::kInject) {
-      e.seq = r.u64();
-      e.deadline = r.i64();
-      e.dest = get_bitset(r);
-      e.data = get_bytes(r);
-    } else {
-      e.frame = get_bytes(r);
+    const std::size_t framing = kBatchLengthBytes + kBatchTrailerBytes;
+    if (left < framing || body > left - framing) break;  // short final batch
+    const std::size_t sealed = kBatchLengthBytes + static_cast<std::size_t>(body);
+    const std::size_t end = off + sealed + kBatchTrailerBytes;
+    if (fnv1a(data + off, sealed, header_fnv) != load_u64(data + off + sealed)) {
+      if (end == len) break;  // bad final batch: a torn tail
+      return set_error(error, "state file checksum mismatch (corrupted)");
     }
-    if (!r.ok()) break;
-    // Semantic validation: the journal is an ordered history of one run.
-    if (e.round < prev || e.round < 0) {
-      return set_error(error, "state file journal rounds not monotone");
+
+    // The batch is sealed; now validate what it says.
+    replay::ByteReader r(data + off + kBatchLengthBytes, static_cast<std::size_t>(body));
+    const Round round = r.i64();
+    const std::uint32_t resume_count = r.u32();
+    if (batches > 0 && (round < ck.round || resume_count < ck.resume_count)) {
+      return set_error(error, "state file batch rounds not monotone");
     }
-    if (e.round > ck.round) {
-      return set_error(error, "state file journal event past checkpoint round");
+    const std::uint64_t count = r.u64();
+    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+      CheckpointEvent e;
+      e.round = r.i64();
+      const std::uint8_t kind = r.u8();
+      if (kind > static_cast<std::uint8_t>(CheckpointEvent::Kind::kRecv)) {
+        return set_error(error, "state file has unknown event kind");
+      }
+      e.kind = static_cast<CheckpointEvent::Kind>(kind);
+      if (e.kind == CheckpointEvent::Kind::kInject) {
+        e.seq = r.u64();
+        e.deadline = r.i64();
+        e.dest = get_bitset(r);
+        e.data = get_bytes(r);
+      } else {
+        e.frame = get_bytes(r);
+      }
+      if (!r.ok()) break;
+      // Semantic validation: the journal is an ordered history of one run.
+      if (e.round < prev || e.round < 0) {
+        return set_error(error, "state file journal rounds not monotone");
+      }
+      if (e.round > round) {
+        return set_error(error, "state file journal event past checkpoint round");
+      }
+      prev = e.round;
+      ck.events.push_back(std::move(e));
     }
-    prev = e.round;
-    ck.events.push_back(std::move(e));
+    if (!r.ok() || r.remaining() != 0) {
+      return set_error(error, "state file batch malformed");
+    }
+    // Later events may not predate this save: it was taken at `round`.
+    prev = round;
+    ck.round = round;
+    ck.resume_count = resume_count;
+    ++batches;
+    off = end;
   }
-  if (!r.ok() || r.remaining() != 0) {
-    return set_error(error, "state file truncated or malformed");
+  if (batches == 0) {
+    return set_error(error, "state file truncated or corrupted (no complete batch)");
   }
   if (ck.n == 0 || ck.id >= ck.n || ck.round < 0 || ck.round_ms <= 0) {
     return set_error(error, "state file config binding out of range");
@@ -186,44 +315,7 @@ bool decode_checkpoint(const std::vector<std::uint8_t>& bytes, NodeCheckpoint* o
 
 bool write_checkpoint_file(const std::string& path, const NodeCheckpoint& ck,
                            std::string* error) {
-  const std::vector<std::uint8_t> bytes = encode_checkpoint(ck);
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return set_error(error, "cannot open '" + tmp + "': " + std::strerror(errno));
-  }
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int saved = errno;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return set_error(error, "write '" + tmp + "': " + std::strerror(saved));
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  // fsync before rename: the rename must never promote a file whose bytes
-  // are still only in the page cache, or a machine crash could leave a
-  // "complete" name pointing at torn contents.
-  if (::fsync(fd) != 0) {
-    const int saved = errno;
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return set_error(error, "fsync '" + tmp + "': " + std::strerror(saved));
-  }
-  if (::close(fd) != 0) {
-    const int saved = errno;
-    ::unlink(tmp.c_str());
-    return set_error(error, "close '" + tmp + "': " + std::strerror(saved));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    const int saved = errno;
-    ::unlink(tmp.c_str());
-    return set_error(error, "rename to '" + path + "': " + std::strerror(saved));
-  }
-  return true;
+  return write_file_atomically(path, encode_checkpoint(ck), error);
 }
 
 bool read_checkpoint_file(const std::string& path, NodeCheckpoint* out,
@@ -244,6 +336,62 @@ bool read_checkpoint_file(const std::string& path, NodeCheckpoint* out,
     return set_error(error, "cannot read state file '" + path + "'");
   }
   return decode_checkpoint(bytes, out, error);
+}
+
+CheckpointLog::~CheckpointLog() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+bool CheckpointLog::create(const std::string& path, std::string* error) {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  size_ = 0;
+  dirty_tail_ = false;
+  if (fd_ < 0) return set_errno_error(error, "cannot open '" + path + "'", errno);
+  return true;
+}
+
+bool CheckpointLog::rewrite(const std::string& path, const NodeCheckpoint& at,
+                            std::span<const CheckpointEvent> events,
+                            std::string* error) {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  const std::vector<std::uint8_t> bytes = encode_whole(at, events);
+  if (!write_file_atomically(path, bytes, error)) return false;
+  fd_ = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+  if (fd_ < 0) return set_errno_error(error, "cannot reopen '" + path + "'", errno);
+  size_ = bytes.size();
+  header_fnv_ = fnv1a(bytes.data(), kCheckpointHeaderBytes);
+  dirty_tail_ = false;
+  return true;
+}
+
+bool CheckpointLog::append(const NodeCheckpoint& at,
+                           std::span<const CheckpointEvent> events,
+                           std::string* error) {
+  if (fd_ < 0) return set_error(error, "state file is not open");
+  if (dirty_tail_) {
+    if (::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
+      return set_errno_error(error, "cannot cut the torn state file tail", errno);
+    }
+    dirty_tail_ = false;
+  }
+  replay::ByteWriter w;
+  if (size_ == 0) {
+    put_header(w, at);
+    header_fnv_ = fnv1a(w.bytes().data(), w.bytes().size());
+  }
+  put_batch(w, header_fnv_, at.round, at.resume_count, events);
+  const std::vector<std::uint8_t>& bytes = w.bytes();
+  // The batch counts as saved only once fsync returns: a crash before that
+  // leaves at worst a torn tail, which readers drop.
+  if (!write_at(fd_, bytes.data(), bytes.size(), size_) || ::fsync(fd_) != 0) {
+    const int saved = errno;
+    dirty_tail_ = ::ftruncate(fd_, static_cast<off_t>(size_)) != 0;
+    return set_errno_error(error, "append to state file", saved);
+  }
+  size_ += bytes.size();
+  return true;
 }
 
 bool validate_checkpoint_clock(const NodeCheckpoint& ck, std::int64_t epoch_ms,

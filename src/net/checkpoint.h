@@ -22,24 +22,38 @@
 // cluster auditor re-checks offline by replaying every checkpointed frame
 // through the confidentiality auditor (harness/cluster.cpp).
 //
-// Wire format (replay/codec.h conventions: little-endian, length-prefixed,
-// fully bounds-checked reader):
+// File layout (replay/codec.h conventions: little-endian, length-prefixed,
+// fully bounds-checked reader). The file is an append-only journal: each
+// save appends one batch holding only the events since the previous save.
 //
-//   u64   magic   "CGDSTATE"
-//   u32   version (kCheckpointVersion)
-//   ...   config binding + clock binding + progress (see NodeCheckpoint)
-//   u64   event count, then per event: i64 round, u8 kind, fields
-//   u64   FNV-1a over every preceding byte
+//   header (kCheckpointHeaderBytes):
+//     u64 magic "CGDSTATE", u32 version (kCheckpointVersion),
+//     config binding + clock binding (see NodeCheckpoint)
+//   then per batch (kCheckpointBatchOverhead bytes plus its events):
+//     u64 body length L, u64 ~L (a torn write leaves the pair short or
+//                                 intact, never inconsistent)
+//     L-byte body: i64 round reached, u32 resume_count,
+//                  u64 event count, then per event: i64 round, u8 kind, fields
+//     u64 FNV-1a over header ++ length pair ++ body
 //
-// Readers reject truncation, any bit flip (checksum), unknown versions or
-// event kinds, non-monotone event rounds, and events past the checkpoint
-// round - a corrupted or tampered state file degrades into a clean load
-// error, never into a trusted resume. Staleness (a file from a different
-// cluster run) is caught by validate_checkpoint_clock(): the shared epoch
-// the runner distributes must match the one the file was written under.
+// A decoded file is the concatenation of its batches: every batch's events,
+// and the round and resume_count of the last one. The reader tells a torn
+// tail from corruption by position. A short or checksum-bad *final* batch
+// is what a crash mid-append leaves, so the state as of the batch before it
+// is returned. A bad batch with more bytes after it, or a length pair
+// whose halves disagree, is corruption and the file is rejected, as is a
+// file with no complete batch. An unknown version is rejected up front;
+// checksummed batches are then validated: unknown event kinds,
+// non-monotone event or batch rounds, and events past their batch's round
+// are rejected - a corrupted or tampered state file degrades into a clean
+// load error, never into a trusted resume.
+// Staleness (a file from a different cluster run) is caught by
+// validate_checkpoint_clock(): the shared epoch the runner distributes must
+// match the one the file was written under.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,7 +64,14 @@
 namespace congos::net {
 
 inline constexpr std::uint64_t kCheckpointMagic = 0x4554415453444743ull;  // "CGDSTATE"
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Version 2: the append-only batch layout above (version 1 was one
+/// whole-file record with a single trailing checksum).
+inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// Fixed size of the header: magic, version, config and clock binding.
+inline constexpr std::size_t kCheckpointHeaderBytes = 74;
+/// Bytes a batch adds beyond its encoded events: length pair, round,
+/// resume_count, event count and checksum trailer.
+inline constexpr std::size_t kCheckpointBatchOverhead = 44;
 
 /// One journaled state mutation, in the order it happened.
 struct CheckpointEvent {
@@ -98,24 +119,67 @@ struct NodeCheckpoint {
   friend bool operator==(const NodeCheckpoint&, const NodeCheckpoint&) = default;
 };
 
-/// Serializes `ck` (including the trailing whole-file checksum).
+/// Serializes `ck` whole: the header plus one batch holding every event.
 std::vector<std::uint8_t> encode_checkpoint(const NodeCheckpoint& ck);
 
-/// Strict parse + validation; on failure *error says what was rejected.
+/// Strict parse + validation of a whole file; returns the concatenation of
+/// its batches (a torn final batch is dropped, see the layout above). On
+/// failure *error says what was rejected.
 bool decode_checkpoint(const std::uint8_t* data, std::size_t len,
                        NodeCheckpoint* out, std::string* error);
 bool decode_checkpoint(const std::vector<std::uint8_t>& bytes, NodeCheckpoint* out,
                        std::string* error);
 
-/// Atomic durable write: the bytes land in `path + ".tmp"`, are fsynced,
-/// then renamed over `path`, so a crash mid-write leaves the previous
-/// complete file (or nothing), never a torn one.
+/// Atomic durable whole-file write: encode_checkpoint(ck) lands in
+/// `path + ".tmp"`, is fsynced, then renamed over `path`, so a crash
+/// mid-write leaves the previous file (or nothing), never a torn one.
 bool write_checkpoint_file(const std::string& path, const NodeCheckpoint& ck,
                            std::string* error);
 
 /// Reads and fully validates `path`.
 bool read_checkpoint_file(const std::string& path, NodeCheckpoint* out,
                           std::string* error);
+
+/// The open state file of one running node. Each append() adds one batch
+/// and fsyncs, so a save costs the events since the previous one, not the
+/// whole history.
+class CheckpointLog {
+ public:
+  CheckpointLog() = default;
+  ~CheckpointLog();
+  CheckpointLog(const CheckpointLog&) = delete;
+  CheckpointLog& operator=(const CheckpointLog&) = delete;
+
+  /// Fresh start: opens `path` emptied, discarding any stale file. The
+  /// first append() writes the header in front of its batch.
+  bool create(const std::string& path, std::string* error);
+
+  /// Resume: atomically replaces `path` with the whole resumed state - the
+  /// header plus one batch holding `events` at `at.round` - the way
+  /// write_checkpoint_file does, and opens it for appending. The rewrite
+  /// drops any torn tail before the first append lands behind it.
+  bool rewrite(const std::string& path, const NodeCheckpoint& at,
+               std::span<const CheckpointEvent> events, std::string* error);
+
+  /// Appends one batch holding `events`, stamped with `at.round` and
+  /// `at.resume_count` (`at.events` is not read), and fsyncs before
+  /// returning true. `at`'s binding fills the header while the file is
+  /// still empty. On failure the file is cut back to its last durable size,
+  /// so a retry never lands behind a torn batch.
+  bool append(const NodeCheckpoint& at, std::span<const CheckpointEvent> events,
+              std::string* error);
+
+  /// Durable bytes in the file: everything up to the last successful append.
+  std::uint64_t size() const { return size_; }
+
+ private:
+  int fd_ = -1;
+  std::uint64_t size_ = 0;
+  /// FNV-1a state over the file's header; every batch trailer continues it.
+  std::uint64_t header_fnv_ = 0;
+  /// A failed append may have left bytes past size_ that could not be cut.
+  bool dirty_tail_ = false;
+};
 
 /// Staleness gate: true iff the file was written under the same shared
 /// RoundClock the cluster runner just distributed. A mismatch means the

@@ -73,6 +73,10 @@ bool NodeRuntime::boot(const char* log_mode, std::string* error) {
 
 bool NodeRuntime::start(std::string* error) {
   if (!boot("w", error)) return false;
+  // A fresh run never appends to a stale file from an earlier one.
+  if (!cfg_.state_path.empty() && !state_.create(cfg_.state_path, error)) {
+    return false;
+  }
   process_->on_start(0);
   run_send_phase();
   return true;
@@ -122,9 +126,19 @@ bool NodeRuntime::resume(const NodeCheckpoint& ck, std::string* error) {
   while (next < ck.events.size()) apply_journal_event(ck.events[next++]);
   replaying_ = false;
 
-  journal_ = ck.events;
   resume_count_ = ck.resume_count + 1;
   resumed_at_ = ck.round;
+  // Unless the daemon named the cluster clock, stay on the one the state
+  // was written under.
+  if (!clock_bound_) {
+    epoch_ms_ = ck.epoch_ms;
+    round_ms_ = ck.round_ms;
+  }
+  if (cfg_.state_path.empty()) {
+    journal_ = ck.events;
+  } else if (!state_.rewrite(cfg_.state_path, binding(), ck.events, error)) {
+    return false;
+  }
   return true;
 }
 
@@ -159,7 +173,7 @@ void NodeRuntime::set_clock_binding(std::int64_t epoch_ms, std::int64_t round_ms
   round_ms_ = round_ms;
 }
 
-NodeCheckpoint NodeRuntime::make_checkpoint() const {
+NodeCheckpoint NodeRuntime::binding() const {
   NodeCheckpoint ck;
   ck.id = cfg_.id;
   ck.n = cfg_.n;
@@ -172,6 +186,11 @@ NodeCheckpoint NodeRuntime::make_checkpoint() const {
   ck.round_ms = round_ms_;
   ck.round = now_;
   ck.resume_count = resume_count_;
+  return ck;
+}
+
+NodeCheckpoint NodeRuntime::make_checkpoint() const {
+  NodeCheckpoint ck = binding();
   ck.events = journal_;
   return ck;
 }
@@ -181,9 +200,8 @@ bool NodeRuntime::save_checkpoint(std::string* error) {
     if (error != nullptr) *error = "no state_path configured";
     return false;
   }
-  if (!write_checkpoint_file(cfg_.state_path, make_checkpoint(), error)) {
-    return false;
-  }
+  if (!state_.append(binding(), journal_, error)) return false;
+  journal_.clear();  // on disk now; capacity stays for the next interval
   ++checkpoint_writes_;
   last_checkpoint_round_ = now_;
   return true;

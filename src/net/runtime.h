@@ -49,8 +49,9 @@ struct NodeConfig {
   /// is requested but LZ4 is unavailable in this process.
   bool compress = false;
   /// Durable state file (net/checkpoint.h); empty = no file. When set,
-  /// every state mutation is journaled and save_checkpoint() atomically
-  /// rewrites the file so a SIGKILLed daemon can rejoin via resume().
+  /// every state mutation is journaled, start() empties the file, and each
+  /// save_checkpoint() appends the events since the previous save, so a
+  /// SIGKILLed daemon can rejoin via resume(). Saved events leave memory.
   std::string state_path;
   /// Journal state mutations even without a state_path, for in-process
   /// tests that checkpoint via make_checkpoint() instead of the filesystem.
@@ -79,9 +80,11 @@ class NodeRuntime final : public sim::DeliveryListener {
   /// outbound datagrams and event logging suppressed, which reproduces the
   /// exact pre-crash state (process, retransmission timers, pending inbox)
   /// because the protocol is deterministic in (seed, journal). The event
-  /// log is reopened in append mode so pre-crash audit evidence survives.
-  /// Fails when the checkpoint's config binding does not match `cfg` -
-  /// resuming under different flags would silently diverge.
+  /// log is reopened in append mode so pre-crash audit evidence survives,
+  /// and a state file is rewritten whole with the resumed state (dropping
+  /// any torn tail) before saves append to it again. Fails when the
+  /// checkpoint's config binding does not match `cfg` - resuming under
+  /// different flags would silently diverge.
   bool resume(const NodeCheckpoint& ck, std::string* error);
 
   /// Binds the shared RoundClock parameters stamped into checkpoints (the
@@ -89,11 +92,19 @@ class NodeRuntime final : public sim::DeliveryListener {
   /// to reject state files from a different cluster run.
   void set_clock_binding(std::int64_t epoch_ms, std::int64_t round_ms);
 
-  /// Current state as a checkpoint value (config + clock binding + journal).
+  /// Current state as a checkpoint value (config + clock binding + the
+  /// in-memory journal). A node with a state file holds only the events
+  /// not yet saved; read_checkpoint_file() returns its whole history.
   NodeCheckpoint make_checkpoint() const;
 
-  /// Atomically rewrites cfg.state_path with make_checkpoint().
+  /// Appends the events journaled since the previous save to
+  /// cfg.state_path as one batch and fsyncs; the save counts only once the
+  /// fsync returns. Costs the events since the last save, not the history.
   bool save_checkpoint(std::string* error);
+
+  /// Journal events held in memory: with a state file, at most the events
+  /// since the last save; else the whole history.
+  std::size_t journal_events() const { return journal_.size(); }
 
   Round now() const { return now_; }
   bool done() const { return cfg_.max_rounds > 0 && now_ >= cfg_.max_rounds; }
@@ -165,6 +176,8 @@ class NodeRuntime final : public sim::DeliveryListener {
   bool boot(const char* log_mode, std::string* error);
   /// Re-applies one journaled mutation at its original round during resume.
   void apply_journal_event(const CheckpointEvent& e);
+  /// Config + clock binding and progress, without events.
+  NodeCheckpoint binding() const;
 
   NodeConfig cfg_;
   Transport* transport_;
@@ -196,9 +209,12 @@ class NodeRuntime final : public sim::DeliveryListener {
   std::uint64_t unsupported_datagrams_ = 0;
 
   // -- crash/restart survival (DESIGN.md section 14) --------------------------
-  /// Ordered history of every state mutation since round 0 (injections and
-  /// accepted frames), carried across resumes; this *is* the durable state.
+  /// Ordered state mutations (injections and accepted frames): the ones
+  /// the state file does not hold yet, or with no state file the whole
+  /// history since round 0, carried across resumes. Journal plus state
+  /// file *is* the durable state.
   std::vector<CheckpointEvent> journal_;
+  CheckpointLog state_;
   bool journaling_ = false;
   /// True while resume() re-runs the journal: sends and log lines are
   /// suppressed, everything else executes exactly as it did live.

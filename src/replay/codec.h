@@ -29,6 +29,11 @@ class ByteWriter {
   }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void boolean(bool v) { u8(v ? 1 : 0); }
+  /// `len` bytes verbatim, in one bulk append.
+  void raw(const std::uint8_t* data, std::size_t len) {
+    buf_.insert(buf_.end(), data, data + len);
+  }
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
@@ -86,6 +91,14 @@ class ByteReader {
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   bool boolean() { return u8() != 0; }
+  /// The next `n` bytes in place, or nullptr (stream marked bad) when fewer
+  /// remain.
+  const std::uint8_t* raw(std::uint64_t n) {
+    if (!take(n)) return nullptr;
+    const std::uint8_t* p = data_ + pos_;
+    pos_ += n;
+    return p;
+  }
   double f64() {
     const std::uint64_t bits = u64();
     double v;

@@ -1,7 +1,9 @@
 // Durable checkpoint coverage (DESIGN.md section 14): the codec rejects
 // every corruption we can synthesize (truncation at each offset, each bit
 // flipped, foreign versions, non-monotone journals, stale clock bindings),
-// the file writer is atomic, and - the core guarantee - a NodeRuntime
+// the file writer is atomic, the append-only journal drops a torn final
+// batch but rejects interior damage, each save appends only the events
+// since the previous one, and - the core guarantee - a NodeRuntime
 // resumed from a checkpoint is byte-for-byte the process that would have
 // existed had the crash never happened, pinned over a deterministic
 // SimLink cluster including the partially-buffered-inbox case.
@@ -10,14 +12,19 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "net/checkpoint.h"
 #include "net/runtime.h"
 #include "net/sim_transport.h"
 #include "replay/codec.h"
+#include "test_util.h"
 
 namespace congos {
 namespace {
@@ -196,23 +203,45 @@ struct Feed final : net::DatagramSink {
   }
 };
 
+/// Clock binding stamped into the state files of file-backed test nodes.
+constexpr std::int64_t kEpochMs = 1754600000000;
+constexpr std::int64_t kRoundMs = 40;
+
 /// A SimLink cluster with explicit per-step control so the test can crash
 /// and resume one node at any point inside a round.
 struct ResumableCluster {
   std::size_t n;
   std::uint64_t seed;
   Round max_rounds;
+  /// Per node: a state file path, or empty for the in-memory journal.
+  std::vector<std::string> state_paths;
   net::SimLink link;
   std::vector<std::unique_ptr<net::NodeRuntime>> nodes;
 
-  ResumableCluster(std::size_t n_, std::uint64_t seed_, Round max_rounds_)
-      : n(n_), seed(seed_), max_rounds(max_rounds_), link(n_) {
+  ResumableCluster(std::size_t n_, std::uint64_t seed_, Round max_rounds_,
+                   std::vector<std::string> state_paths_ = {})
+      : n(n_),
+        seed(seed_),
+        max_rounds(max_rounds_),
+        state_paths(std::move(state_paths_)),
+        link(n_) {
     for (ProcessId p = 0; p < n; ++p) {
-      nodes.push_back(std::make_unique<net::NodeRuntime>(
-          node_cfg(p, n, seed, max_rounds), &link.endpoint(p)));
+      nodes.push_back(make_node(p));
       std::string err;
       EXPECT_TRUE(nodes.back()->start(&err)) << err;
     }
+  }
+
+  /// A node with a state file keeps only unsaved events in memory, the
+  /// way congos_d runs; the others keep the whole journal in memory.
+  std::unique_ptr<net::NodeRuntime> make_node(ProcessId p) {
+    net::NodeConfig cfg = node_cfg(p, n, seed, max_rounds);
+    if (p < state_paths.size() && !state_paths[p].empty()) {
+      cfg.state_path = state_paths[p];
+    }
+    auto rt = std::make_unique<net::NodeRuntime>(cfg, &link.endpoint(p));
+    if (!cfg.state_path.empty()) rt->set_clock_binding(kEpochMs, kRoundMs);
+    return rt;
   }
 
   void poll_into(ProcessId p) {
@@ -236,8 +265,7 @@ struct ResumableCluster {
   /// same link endpoint.
   void crash_and_resume(ProcessId p, const net::NodeCheckpoint& ck) {
     nodes[p].reset();
-    nodes[p] = std::make_unique<net::NodeRuntime>(
-        node_cfg(p, n, seed, max_rounds), &link.endpoint(p));
+    nodes[p] = make_node(p);
     std::string err;
     ASSERT_TRUE(nodes[p]->resume(ck, &err)) << err;
   }
@@ -338,6 +366,325 @@ TEST(NodeRuntimeResume, RejectsMismatchedConfigBinding) {
   std::string err;
   EXPECT_FALSE(rt.resume(ck, &err));
   EXPECT_NE(err.find("config binding"), std::string::npos) << err;
+}
+
+// -- the append-only journal ----------------------------------------------------
+
+std::string state_file_path(const std::string& tag) {
+  return "checkpoint_" + tag + "_" + std::to_string(::getpid()) + ".ckpt";
+}
+
+std::vector<std::uint8_t> slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::uint64_t file_size(const std::string& path) {
+  return static_cast<std::uint64_t>(std::filesystem::file_size(path));
+}
+
+/// Encoded bytes of `events` alone: the whole-file encoding with them minus
+/// the one without.
+std::size_t events_bytes(net::NodeCheckpoint ck) {
+  const std::size_t with = net::encode_checkpoint(ck).size();
+  ck.events.clear();
+  return with - net::encode_checkpoint(ck).size();
+}
+
+net::CheckpointEvent recv_event(Round round, std::uint8_t fill, std::size_t len) {
+  net::CheckpointEvent e;
+  e.round = round;
+  e.kind = net::CheckpointEvent::Kind::kRecv;
+  e.frame.assign(len, fill);
+  return e;
+}
+
+/// A three-batch state file written by CheckpointLog the way a daemon
+/// writes it, with the state a reader must return after each batch.
+struct ThreeBatchFile {
+  std::vector<std::uint8_t> bytes;
+  std::size_t batch_end[3] = {};
+  net::NodeCheckpoint state[3];
+};
+
+ThreeBatchFile three_batch_file() {
+  net::NodeCheckpoint at = sample_checkpoint();
+  const net::CheckpointEvent inject = at.events.front();  // round 2
+  at.events.clear();
+  const std::vector<std::vector<net::CheckpointEvent>> batches = {
+      {inject, recv_event(5, 0x11, 7)},
+      {recv_event(5, 0x22, 3), recv_event(8, 0x33, 12), recv_event(9, 0x44, 1)},
+      {recv_event(12, 0x55, 9), recv_event(17, 0x66, 4)}};
+  const Round rounds[3] = {5, 9, 17};
+
+  ThreeBatchFile f;
+  const std::string path = state_file_path("three");
+  net::CheckpointLog log;
+  std::string err;
+  EXPECT_TRUE(log.create(path, &err)) << err;
+  net::NodeCheckpoint state = at;
+  for (int b = 0; b < 3; ++b) {
+    at.round = rounds[b];
+    at.resume_count = b == 2 ? 2 : 1;
+    EXPECT_TRUE(log.append(at, batches[b], &err)) << err;
+    f.batch_end[b] = log.size();
+    state.round = at.round;
+    state.resume_count = at.resume_count;
+    state.events.insert(state.events.end(), batches[b].begin(), batches[b].end());
+    f.state[b] = state;
+  }
+  f.bytes = slurp(path);
+  std::remove(path.c_str());
+  return f;
+}
+
+TEST(CheckpointJournal, AppendedBatchesReadBackAsOneHistory) {
+  const ThreeBatchFile f = three_batch_file();
+  ASSERT_EQ(f.bytes.size(), f.batch_end[2]);
+  for (int b = 0; b < 3; ++b) {
+    net::NodeCheckpoint back;
+    std::string err;
+    ASSERT_TRUE(net::decode_checkpoint(f.bytes.data(), f.batch_end[b], &back, &err))
+        << "batch " << b << ": " << err;
+    EXPECT_TRUE(back == f.state[b]) << "batch " << b;
+    // Each append costs its own events plus a constant, never the history.
+    const std::size_t before = b == 0 ? 0 : f.batch_end[b - 1];
+    const std::size_t own_events = events_bytes(f.state[b]) -
+                                   (b == 0 ? 0 : events_bytes(f.state[b - 1]));
+    EXPECT_EQ(f.batch_end[b] - before,
+              own_events + net::kCheckpointBatchOverhead +
+                  (b == 0 ? net::kCheckpointHeaderBytes : 0))
+        << "batch " << b;
+  }
+  // A single-batch file has the same shape as the whole-file encoding.
+  net::NodeCheckpoint empty = f.state[0];
+  empty.events.clear();
+  EXPECT_EQ(net::encode_checkpoint(empty).size(),
+            net::kCheckpointHeaderBytes + net::kCheckpointBatchOverhead);
+}
+
+TEST(CheckpointJournal, TornFinalBatchYieldsThePreviousState) {
+  const ThreeBatchFile f = three_batch_file();
+  for (std::size_t len = 0; len < f.bytes.size(); ++len) {
+    net::NodeCheckpoint back;
+    std::string err;
+    const bool ok = net::decode_checkpoint(f.bytes.data(), len, &back, &err);
+    if (len < f.batch_end[0]) {
+      // No complete batch: nothing to resume from.
+      EXPECT_FALSE(ok) << "accepted a file truncated to " << len << " bytes";
+      continue;
+    }
+    const int whole = len < f.batch_end[1] ? 0 : 1;
+    ASSERT_TRUE(ok) << "truncated to " << len << ": " << err;
+    EXPECT_TRUE(back == f.state[whole]) << "truncated to " << len;
+    EXPECT_EQ(back.round, f.state[whole].round);
+    EXPECT_EQ(back.events.size(), f.state[whole].events.size());
+  }
+}
+
+TEST(CheckpointJournal, RejectsDamageBeforeTheFinalBatch) {
+  const ThreeBatchFile f = three_batch_file();
+  for (std::size_t i = 0; i < f.bytes.size(); ++i) {
+    for (int b = 0; b < 8; ++b) {
+      std::vector<std::uint8_t> bad = f.bytes;
+      bad[i] ^= static_cast<std::uint8_t>(1u << b);
+      net::NodeCheckpoint back;
+      std::string err;
+      const bool ok = net::decode_checkpoint(bad, &back, &err);
+      // Damage in the header, batch 1 or batch 2, or in the final batch's
+      // length pair, is corruption; anywhere else in the final batch it
+      // reads as a torn tail.
+      if (i < f.batch_end[1] + 16) {
+        EXPECT_FALSE(ok) << "accepted bit " << b << " of byte " << i << " flipped";
+      } else {
+        ASSERT_TRUE(ok) << "byte " << i << " bit " << b << ": " << err;
+        EXPECT_TRUE(back == f.state[1]) << "byte " << i << " bit " << b;
+      }
+    }
+  }
+}
+
+// The state file is adversarial input: random truncations and bit flips of
+// a multi-batch file must yield a clean error or one of its valid prefix
+// states, never a crash or a state no save ever wrote.
+TEST(CheckpointFuzz, MutatedMultiBatchFilesFailCleanlyOrYieldAPrefix) {
+  const ThreeBatchFile f = three_batch_file();
+  Rng rng(20261017);
+  int accepted = 0;
+  int rejected = 0;
+  for (int it = 0; it < testutil::fuzz_iters(); ++it) {
+    std::vector<std::uint8_t> bad = f.bytes;
+    const std::uint64_t mode = rng.next_below(3);  // truncate, flip, or both
+    if (mode != 1) bad.resize(rng.next_below(bad.size() + 1));
+    if (mode != 0 && !bad.empty()) {
+      const auto flips = rng.uniform_int(1, 4);
+      for (std::int64_t k = 0; k < flips; ++k) {
+        bad[rng.next_below(bad.size())] ^=
+            static_cast<std::uint8_t>(1u << rng.next_below(8));
+      }
+    }
+    net::NodeCheckpoint back;
+    std::string err;
+    if (!net::decode_checkpoint(bad, &back, &err)) {
+      EXPECT_FALSE(err.empty());
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    EXPECT_TRUE(back == f.state[0] || back == f.state[1] || back == f.state[2])
+        << "iteration " << it << " decoded a state no save wrote";
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+/// Drives `c` one round at a time up to `rounds`, with a rumor every
+/// fourth round from a rotating source, and saves every file-backed node
+/// every `every` rounds through `save`.
+template <typename Save>
+void run_with_saves(ResumableCluster& c, Round rounds, Round every, Save save) {
+  std::uint64_t seq = 1;
+  for (Round r = c.link.round(); r < rounds; ++r) {
+    if (r % 4 == 1 && r + 44 < c.max_rounds) {
+      const auto src = static_cast<ProcessId>(seq % c.n);
+      DynamicBitset dest(c.n);
+      dest.set((src + 1 + seq % (c.n - 1)) % c.n);
+      c.nodes[src]->inject(seq, r + 40, dest, {static_cast<std::uint8_t>(seq), 0x5A});
+      ++seq;
+    }
+    c.run_rounds(1);
+    if (c.link.round() % every == 0) {
+      for (ProcessId p = 0; p < c.n; ++p) {
+        if (p < c.state_paths.size() && !c.state_paths[p].empty()) save(p);
+      }
+    }
+  }
+}
+
+TEST(CheckpointJournal, ResumeFromATornFileThenSaveReadsBackWhole) {
+  const std::size_t n = 4;
+  const ProcessId victim = 1;
+  const std::string path = state_file_path("torn_resume");
+  ResumableCluster c(n, 13, 64, {"", path, "", ""});
+  std::string err;
+  run_with_saves(c, 24, 8, [&](ProcessId p) {
+    ASSERT_TRUE(c.nodes[p]->save_checkpoint(&err)) << err;
+  });
+  const net::NodeCheckpoint at16 = [&] {
+    // The state as of the second save: the file cut inside its third batch.
+    const std::vector<std::uint8_t> bytes = slurp(path);
+    net::NodeCheckpoint whole;
+    EXPECT_TRUE(net::decode_checkpoint(bytes, &whole, &err)) << err;
+    EXPECT_EQ(whole.round, 24);
+    std::filesystem::resize_file(path, bytes.size() - 5);
+    net::NodeCheckpoint torn;
+    EXPECT_TRUE(net::read_checkpoint_file(path, &torn, &err)) << err;
+    return torn;
+  }();
+  ASSERT_EQ(at16.round, 16);
+
+  c.crash_and_resume(victim, at16);
+  EXPECT_EQ(c.nodes[victim]->journal_events(), 0u);
+  c.nodes[victim]->advance_to(c.link.round());  // the downtime rounds
+  c.run_rounds(8);
+  const net::NodeCheckpoint unsaved = c.nodes[victim]->make_checkpoint();
+  EXPECT_FALSE(unsaved.events.empty());
+  ASSERT_TRUE(c.nodes[victim]->save_checkpoint(&err)) << err;
+
+  net::NodeCheckpoint back;
+  ASSERT_TRUE(net::read_checkpoint_file(path, &back, &err)) << err;
+  EXPECT_EQ(back.round, 32);
+  EXPECT_EQ(back.resume_count, 1u);
+  std::vector<net::CheckpointEvent> history = at16.events;
+  history.insert(history.end(), unsaved.events.begin(), unsaved.events.end());
+  EXPECT_TRUE(back.events == history);
+  // Nothing of the torn tail survives: exactly the resumed state rewritten
+  // whole, then one appended batch.
+  EXPECT_EQ(file_size(path), net::kCheckpointHeaderBytes +
+                                 2 * net::kCheckpointBatchOverhead +
+                                 events_bytes(back));
+
+  // And the file resumes again.
+  c.crash_and_resume(victim, back);
+  c.run_rounds(64 - 32);
+  EXPECT_TRUE(c.nodes[victim]->healthy()) << c.nodes[victim]->stats_json();
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointJournal, FreshStartDiscardsAStaleFile) {
+  const std::string path = state_file_path("stale");
+  net::NodeCheckpoint stale = sample_checkpoint();
+  stale.id = 2;
+  stale.n = 4;
+  std::string err;
+  ASSERT_TRUE(net::write_checkpoint_file(path, stale, &err)) << err;
+  ASSERT_GT(file_size(path), 0u);
+
+  ResumableCluster c(4, 3, 32, {"", "", path, ""});
+  EXPECT_EQ(file_size(path), 0u) << "start() kept the stale file";
+  c.run_rounds(8);
+  const net::NodeCheckpoint unsaved = c.nodes[2]->make_checkpoint();
+  ASSERT_TRUE(c.nodes[2]->save_checkpoint(&err)) << err;
+  net::NodeCheckpoint back;
+  ASSERT_TRUE(net::read_checkpoint_file(path, &back, &err)) << err;
+  EXPECT_EQ(back.round, 8);
+  EXPECT_EQ(back.resume_count, 0u);
+  EXPECT_EQ(back.epoch_ms, kEpochMs);
+  EXPECT_TRUE(back.events == unsaved.events);
+  std::remove(path.c_str());
+}
+
+// Flat memory and flat checkpoint cost over a long run (ROADMAP item 3):
+// every save appends exactly its own events plus a constant, and a
+// file-backed node never holds events from before its last save.
+TEST(CheckpointJournal, SoakAppendsOnlyNewEventsInFlatMemory) {
+  const std::size_t n = 4;
+  const Round rounds = 10000;
+  const Round every = 8;
+  std::vector<std::string> paths;
+  for (ProcessId p = 0; p < n; ++p) {
+    paths.push_back(state_file_path("soak" + std::to_string(p)));
+  }
+  ResumableCluster c(n, 29, rounds, paths);
+
+  std::vector<Round> last_save(n, 0);
+  std::vector<std::uint64_t> saved_events(n, 0);
+  std::uint64_t saves = 0;
+  std::size_t max_unsaved = 0;
+  std::string err;
+  run_with_saves(c, rounds, every, [&](ProcessId p) {
+    // Stop saving after a failure: a journal that re-appended its history
+    // would grow quadratically.
+    if (::testing::Test::HasFailure()) return;
+    net::NodeRuntime& rt = *c.nodes[p];
+    const net::NodeCheckpoint unsaved = rt.make_checkpoint();
+    for (const net::CheckpointEvent& e : unsaved.events) {
+      ASSERT_GE(e.round, last_save[p]) << "node " << p << " kept a saved event";
+    }
+    max_unsaved = std::max(max_unsaved, unsaved.events.size());
+    const std::uint64_t before = file_size(paths[p]);
+    ASSERT_TRUE(rt.save_checkpoint(&err)) << err;
+    ASSERT_EQ(file_size(paths[p]) - before,
+              events_bytes(unsaved) + net::kCheckpointBatchOverhead +
+                  (before == 0 ? net::kCheckpointHeaderBytes : 0))
+        << "node " << p << " save at round " << rt.now();
+    ASSERT_EQ(rt.journal_events(), 0u);
+    last_save[p] = rt.now();
+    saved_events[p] += unsaved.events.size();
+    ++saves;
+  });
+
+  EXPECT_EQ(saves, n * static_cast<std::uint64_t>(rounds / every));
+  EXPECT_GT(max_unsaved, 0u);
+  for (ProcessId p = 0; p < n; ++p) {
+    EXPECT_TRUE(c.nodes[p]->healthy()) << c.nodes[p]->stats_json();
+    EXPECT_GE(c.nodes[p]->deliveries(), 1u);
+    net::NodeCheckpoint back;
+    EXPECT_TRUE(net::read_checkpoint_file(paths[p], &back, &err)) << err;
+    EXPECT_EQ(back.round, rounds);
+    EXPECT_EQ(back.events.size(), saved_events[p]);
+    std::remove(paths[p].c_str());
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // used to exercise the simulator substrate in isolation.
 #pragma once
 
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -11,6 +12,16 @@
 #include "sim/process.h"
 
 namespace congos::testutil {
+
+/// Iterations for the decode fuzz tests: 256, or CONGOS_WIRE_FUZZ_ITERS
+/// when set (the sanitizer CI job raises it).
+inline int fuzz_iters() {
+  if (const char* env = std::getenv("CONGOS_WIRE_FUZZ_ITERS")) {
+    const int v = std::atoi(env);
+    if (v > 0) return v;
+  }
+  return 256;
+}
 
 struct IntPayload final : sim::Payload {
   explicit IntPayload(int v) : value(v) {}

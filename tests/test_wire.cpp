@@ -20,17 +20,12 @@
 #include "wire/envelope.h"
 #include "wire/payload_codec.h"
 #include "wire/wire.h"
+#include "test_util.h"
 
 namespace congos {
 namespace {
 
-int fuzz_iters() {
-  if (const char* env = std::getenv("CONGOS_WIRE_FUZZ_ITERS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
-  }
-  return 256;
-}
+using testutil::fuzz_iters;
 
 DynamicBitset rand_bits(Rng& rng, std::size_t n) {
   DynamicBitset b(n);

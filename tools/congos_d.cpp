@@ -61,11 +61,15 @@ const char kUsage[] = R"(congos_d - CONGOS daemon over UDP on 127.0.0.1
   --rounds=R        stop after R rounds                    (default 256)
   --duration=SEC    wall-clock cap; exceeded -> exit 3     (default 120)
   --log=PATH        event log (inject/deliver/recv lines)
-  --state=PATH      durable checkpoint file (net/checkpoint.h), rewritten
-                    atomically every --checkpoint-every rounds and at exit
-  --checkpoint-every=K  rounds between checkpoint writes   (default 8)
-  --resume=PATH     reload a checkpoint and rejoin the running cluster;
-                    corrupted/truncated/stale files are rejected (exit 2)
+  --state=PATH      durable checkpoint file (net/checkpoint.h): an
+                    append-only journal, emptied on a fresh start; every
+                    --checkpoint-every rounds and at exit one batch with
+                    the events since the last save is appended and fsynced
+  --checkpoint-every=K  rounds between checkpoint appends  (default 8)
+  --resume=PATH     reload a checkpoint and rejoin the running cluster; a
+                    torn final batch is dropped (the state file is rewritten
+                    whole before appending again), corrupted/stale files
+                    are rejected (exit 2)
   --compress        LZ4-compress outbound datagrams (plain peers interop;
                     refused at startup when LZ4 is unavailable)
   --no-batch        single-syscall UDP path (no sendmmsg/recvmmsg)
@@ -365,6 +369,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", err.c_str());
     return 2;
   }
+  resume_ck = net::NodeCheckpoint{};  // replayed and on disk: keep memory flat
   for (net::InjectCommand& cmd : ctl.pending) {
     runtime.inject(cmd.seq, cmd.deadline, std::move(cmd.dest),
                    std::move(cmd.data));
