@@ -2,8 +2,11 @@
 // UDP loopback throughput with and without sendmmsg/recvmmsg batching, and
 // the frame codec chain (pooled builder -> unwrap -> split -> decode) with
 // and without LZ4 datagram compression. BM_CheckpointSave times one durable
-// save (DESIGN.md section 14) against a growing history; it is
-// informational and not among the rows tools/check_bench.sh records.
+// save (DESIGN.md section 14) against a growing history; BM_RecvEventLine
+// and BM_DecodeGossipFrame time a daemon's two per-frame receive costs
+// (the event-log line and the decode, with and without the rumor decode
+// memo; DESIGN.md section 13.1). These three are informational and not
+// among the rows tools/check_bench.sh records.
 //
 // BM_UdpLoopback is the number tools/check_bench.sh records as
 // transport=udp rows: datagrams/sec through a socket pair on 127.0.0.1.
@@ -20,7 +23,9 @@
 #include <vector>
 
 #include "congos/fragment.h"
+#include "gossip/continuous_gossip.h"
 #include "net/checkpoint.h"
+#include "net/control.h"
 #include "net/framing.h"
 #include "net/udp_transport.h"
 #include "wire/compress.h"
@@ -243,6 +248,77 @@ BENCHMARK(BM_CheckpointSave)
     ->Args({100000, 0})
     ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
+
+// One `recv` event-log line for a 400-byte frame, into a reused buffer:
+// what a daemon writes for every frame it accepts.
+void BM_RecvEventLine(benchmark::State& state) {
+  std::vector<std::uint8_t> frame(400);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = static_cast<std::uint8_t>(i * 131);
+  }
+  std::string line;
+  for (auto _ : state) {
+    line.clear();
+    net::append_recv_event(&line, 1234, frame);
+    benchmark::DoNotOptimize(line.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_RecvEventLine);
+
+// Decode of one gossip frame of 24 fragment rumors, the shape continuous
+// gossip re-pushes every round. range(0) = 1 decodes through a warm
+// gossip::RumorDecodeMemo, so every rumor is a hit: the steady state of a
+// rumor re-pushed by its holders.
+void BM_DecodeGossipFrame(benchmark::State& state) {
+  const bool memoized = state.range(0) != 0;
+  auto msg = std::make_shared<gossip::GossipMsg>();
+  for (std::uint64_t g = 0; g < 24; ++g) {
+    gossip::GossipRumor r;
+    r.gid = (std::uint64_t{3} << 40) | (std::uint64_t{1} << 21) | g;
+    r.origin = 3;
+    r.deadline_at = 4000;
+    r.dest = DynamicBitset(8);
+    r.dest.set(g % 8);
+    auto body = std::make_shared<core::FragmentBody>();
+    body->fragment.meta.key.rumor = RumorUid{3, g};
+    body->fragment.meta.dest = DynamicBitset(8);
+    body->fragment.meta.dest.set(1);
+    body->fragment.meta.expires_at = 4000;
+    body->fragment.meta.dline = 64;
+    body->fragment.meta.num_groups = 2;
+    body->fragment.data.assign(16, static_cast<std::uint8_t>(g));
+    r.body = std::move(body);
+    msg->rumors.push_back(std::move(r));
+  }
+  sim::Envelope e;
+  e.from = 3;
+  e.to = 5;
+  e.tag.kind = sim::ServiceKind::kGroupGossip;
+  e.body = msg;
+  std::vector<std::uint8_t> frame;
+  if (!wire::encode_envelope(e, 100, &frame)) {
+    state.SkipWithError("encode failed");
+    return;
+  }
+  gossip::RumorDecodeMemo memo;
+  gossip::RumorDecodeMemo* const m = memoized ? &memo : nullptr;
+  wire::DecodedEnvelope warm;
+  (void)wire::decode_envelope(frame.data(), frame.size(), &warm, nullptr, m);
+  std::uint64_t failures = 0;
+  for (auto _ : state) {
+    wire::DecodedEnvelope dec;
+    if (!wire::decode_envelope(frame.data(), frame.size(), &dec, nullptr, m)) {
+      ++failures;
+    }
+    benchmark::DoNotOptimize(dec.env.body);
+  }
+  if (failures > 0) state.SkipWithError("decode failed");
+  state.counters["frame_bytes"] = static_cast<double>(frame.size());
+}
+BENCHMARK(BM_DecodeGossipFrame)->ArgNames({"memo"})->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -1,6 +1,7 @@
 #include "gossip/continuous_gossip.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/assert.h"
 #include "common/math.h"
@@ -35,6 +36,47 @@ std::vector<ProcessId> expander_neighbors(ProcessId self, const DynamicBitset& u
   out.reserve(skips.size());
   for (auto s : skips) out.push_back(members[(rank + s) % m]);
   return out;
+}
+
+bool RumorDecodeMemo::lookup(wire::ReadSink& s, std::uint64_t scope,
+                             GossipRumor& r) {
+  const auto it = entries_.find(Key{scope, r.gid});
+  if (it == entries_.end()) {
+    ++misses_;
+    return false;
+  }
+  const std::vector<std::uint8_t>& fields = it->second.fields;
+  if (s.remaining() < fields.size() ||
+      std::memcmp(s.cursor(), fields.data(), fields.size()) != 0) {
+    ++misses_;
+    return false;
+  }
+  s.skip(fields.size());
+  r = it->second.rumor;
+  ++hits_;
+  return true;
+}
+
+void RumorDecodeMemo::remember(std::uint64_t scope, const GossipRumor& r,
+                               const std::uint8_t* fields, std::size_t len) {
+  const Key key{scope, r.gid};
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    if (entries_.size() >= kMaxEntries) return;
+    it = entries_.try_emplace(key).first;
+  }
+  it->second.fields.assign(fields, fields + len);
+  it->second.rumor = r;
+}
+
+void RumorDecodeMemo::expire(Round now) {
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    if (it->second.rumor.deadline_at < now) {
+      it = entries_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 ContinuousGossipService::ContinuousGossipService(ProcessId self, GossipConfig cfg,

@@ -136,6 +136,75 @@ void wire_rumor_fields(S& s, R& r) {
   s.nested(r.body);
 }
 
+/// Byte-exact decode memo for gossip rumors (DESIGN.md section 13.1).
+///
+/// Continuous gossip re-pushes every active rumor to `fanout` peers each
+/// round, so a daemon receives the same rumor record many times. The memo
+/// maps an absolute gid, within a scope naming the frame's service, to the
+/// rumor's encoded field bytes (gid excluded) and the rumor decoded from
+/// them; the body is shared, which is safe because payloads are immutable
+/// once sent. A hit needs the next bytes of the frame to equal the stored
+/// bytes exactly. The field walk is self-delimiting and reads nothing but
+/// those bytes, so a hit yields what a fresh decode would; the key only
+/// decides which entry is compared. (Every gossip service of a process
+/// numbers its rumors from the same counter layout, so without the scope
+/// the services' gids would collide and evict each other: misses, never
+/// wrong rumors.) Entries leave once their deadline has passed (expire()),
+/// and at most kMaxEntries are held, so a peer sending far-future
+/// deadlines cannot grow it without bound. Not thread-safe: one memo per
+/// decoding thread (one per daemon).
+class RumorDecodeMemo {
+ public:
+  static constexpr std::size_t kMaxEntries = std::size_t{1} << 14;
+
+  /// On a hit, consumes the rumor's field bytes from `s`, copies the
+  /// memoized rumor into `r` (whose gid is already set) and returns true.
+  bool lookup(wire::ReadSink& s, std::uint64_t scope, GossipRumor& r);
+  /// Records `r`, decoded from `fields`, replacing any entry for its key.
+  void remember(std::uint64_t scope, const GossipRumor& r,
+                const std::uint8_t* fields, std::size_t len);
+  /// Drops every entry whose deadline_at is before `now`.
+  void expire(Round now);
+
+  std::size_t size() const { return entries_.size(); }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+
+ private:
+  struct Key {
+    std::uint64_t scope = 0;
+    std::uint64_t gid = 0;
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      return FlatHash<std::uint64_t>{}(k.gid ^ (k.scope * 0x9e3779b97f4a7c15ull));
+    }
+  };
+  struct Entry {
+    std::vector<std::uint8_t> fields;
+    GossipRumor rumor;
+  };
+  FlatMap<Key, Entry, KeyHash> entries_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+};
+
+/// Reads one rumor record's fields, through the sink's memo when it has one.
+inline void read_rumor_fields(wire::ReadSink& s, GossipRumor& r) {
+  RumorDecodeMemo* memo = s.rumor_memo();
+  if (memo == nullptr) {
+    wire_rumor_fields(s, r);
+    return;
+  }
+  const std::uint64_t scope = s.rumor_memo_scope();
+  if (memo->lookup(s, scope, r)) return;
+  const std::uint8_t* at = s.cursor();
+  const std::size_t from = s.pos();
+  wire_rumor_fields(s, r);
+  if (s.ok()) memo->remember(scope, r, at, s.pos() - from);
+}
+
 template <class S, wire::SameBase<GossipMsg> M>
 void wire_fields(S& s, M& m) {
   s.seq(m.rumors);
@@ -146,11 +215,13 @@ void wire_fields(S& s, M& m) {
       std::uint64_t delta = 0;
       s.varint(delta);
       r.gid = prev + delta;  // unsigned wrap-around restores any gid
+      prev = r.gid;
+      read_rumor_fields(s, r);
     } else {
       s.varint(r.gid - prev);  // small for sorted batches; lossless regardless
+      prev = r.gid;
+      wire_rumor_fields(s, r);
     }
-    prev = r.gid;
-    wire_rumor_fields(s, r);
   }
 }
 

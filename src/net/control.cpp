@@ -1,6 +1,8 @@
 #include "net/control.h"
 
+#include <array>
 #include <charconv>
+#include <cstring>
 #include <sstream>
 
 #include "wire/wire.h"
@@ -10,21 +12,53 @@ namespace congos::net {
 namespace {
 constexpr char kHexDigits[] = "0123456789abcdef";
 
+/// The two hex digits of every byte value, back to back.
+constexpr std::array<char, 512> kHexPairs = [] {
+  std::array<char, 512> t{};
+  for (std::size_t b = 0; b < 256; ++b) {
+    t[2 * b] = kHexDigits[b >> 4];
+    t[2 * b + 1] = kHexDigits[b & 0xF];
+  }
+  return t;
+}();
+
+/// Largest id an event line may name (kNoProcess is not a process).
+constexpr std::int64_t kMaxProcessId = std::int64_t{kNoProcess} - 1;
+
 int hex_val(char c) {
   if (c >= '0' && c <= '9') return c - '0';
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   return -1;
 }
+
+template <class Int>
+void append_int(std::string* out, Int v) {
+  char buf[24];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, res.ptr);
+}
+
+void append_bitset_hex(std::string* out, const DynamicBitset& b) {
+  wire::WriteSink s;
+  s.bitset(b);
+  append_hex(out, s.data());
+}
 }  // namespace
+
+void append_hex(std::string* out, std::span<const std::uint8_t> bytes) {
+  const std::size_t at = out->size();
+  out->resize(at + 2 * bytes.size());
+  char* p = out->data() + at;
+  for (const std::uint8_t b : bytes) {
+    std::memcpy(p, &kHexPairs[2 * std::size_t{b}], 2);
+    p += 2;
+  }
+}
 
 std::string to_hex(std::span<const std::uint8_t> bytes) {
   std::string out;
-  out.reserve(bytes.size() * 2);
-  for (const std::uint8_t b : bytes) {
-    out.push_back(kHexDigits[b >> 4]);
-    out.push_back(kHexDigits[b & 0xF]);
-  }
+  append_hex(&out, bytes);
   return out;
 }
 
@@ -42,9 +76,9 @@ bool from_hex(const std::string& hex, std::vector<std::uint8_t>* out) {
 }
 
 std::string bitset_to_hex(const DynamicBitset& b) {
-  wire::WriteSink s;
-  s.bitset(b);
-  return to_hex(s.data());
+  std::string out;
+  append_bitset_hex(&out, b);
+  return out;
 }
 
 bool bitset_from_hex(const std::string& hex, DynamicBitset* out) {
@@ -89,7 +123,10 @@ bool parse_line(const std::string& text, Line* out) {
   while (in >> token) {
     const std::size_t eq = token.find('=');
     if (eq == std::string::npos || eq == 0) return false;
-    out->kv[token.substr(0, eq)] = token.substr(eq + 1);
+    // A repeated key is ambiguous, not a later value winning.
+    if (!out->kv.emplace(token.substr(0, eq), token.substr(eq + 1)).second) {
+      return false;
+    }
   }
   return true;
 }
@@ -144,11 +181,12 @@ std::string encode_inject(const InjectCommand& cmd) {
 
 bool parse_inject(const Line& line, InjectCommand* out, std::string* error) {
   bool ok = true;
-  out->seq = static_cast<std::uint64_t>(line.get_int("seq", &ok));
+  const std::int64_t seq = line.get_int("seq", &ok);
+  out->seq = static_cast<std::uint64_t>(seq);
   out->deadline = line.get_int("deadline", &ok);
   const std::string dest = line.get("dest", &ok);
   const std::string data = line.get("data", &ok);
-  if (!ok || line.verb != "inject" || out->deadline <= 0 ||
+  if (!ok || line.verb != "inject" || seq < 0 || out->deadline <= 0 ||
       !bitset_from_hex(dest, &out->dest) || !from_hex(data, &out->data)) {
     if (error != nullptr) *error = "bad inject command";
     return false;
@@ -156,38 +194,68 @@ bool parse_inject(const Line& line, InjectCommand* out, std::string* error) {
   return true;
 }
 
-std::string encode_inject_event(Round round, const sim::Rumor& rumor) {
-  std::ostringstream out;
-  out << "inject round=" << round << " src=" << rumor.uid.source
-      << " seq=" << rumor.uid.seq << " deadline=" << rumor.deadline
-      << " dest=" << bitset_to_hex(rumor.dest) << " data=" << to_hex(rumor.data);
-  return out.str();
+bool validate_inject(const InjectCommand& cmd, std::size_t n,
+                     std::string* error) {
+  if (cmd.dest.size() == n) return true;
+  if (error != nullptr) {
+    *error = "dest has " + std::to_string(cmd.dest.size()) +
+             " bits, expected n=" + std::to_string(n);
+  }
+  return false;
 }
 
-std::string encode_deliver_event(Round round, ProcessId at, const RumorUid& uid,
-                                 std::span<const std::uint8_t> data) {
-  std::ostringstream out;
-  out << "deliver round=" << round << " at=" << at << " src=" << uid.source
-      << " seq=" << uid.seq << " data=" << to_hex(data);
-  return out.str();
+void append_inject_event(std::string* out, Round round,
+                         const sim::Rumor& rumor) {
+  out->append("inject round=");
+  append_int(out, round);
+  out->append(" src=");
+  append_int(out, rumor.uid.source);
+  out->append(" seq=");
+  append_int(out, rumor.uid.seq);
+  out->append(" deadline=");
+  append_int(out, rumor.deadline);
+  out->append(" dest=");
+  append_bitset_hex(out, rumor.dest);
+  out->append(" data=");
+  append_hex(out, rumor.data);
 }
 
-std::string encode_recv_event(Round round, std::span<const std::uint8_t> frame) {
-  std::ostringstream out;
-  out << "recv round=" << round << " frame=" << to_hex(frame);
-  return out.str();
+void append_deliver_event(std::string* out, Round round, ProcessId at,
+                          const RumorUid& uid,
+                          std::span<const std::uint8_t> data) {
+  out->append("deliver round=");
+  append_int(out, round);
+  out->append(" at=");
+  append_int(out, at);
+  out->append(" src=");
+  append_int(out, uid.source);
+  out->append(" seq=");
+  append_int(out, uid.seq);
+  out->append(" data=");
+  append_hex(out, data);
+}
+
+void append_recv_event(std::string* out, Round round,
+                       std::span<const std::uint8_t> frame) {
+  out->append("recv round=");
+  append_int(out, round);
+  out->append(" frame=");
+  append_hex(out, frame);
 }
 
 bool parse_inject_event(const Line& line, sim::Rumor* out, Round* round,
                         std::string* error) {
   bool ok = true;
   *round = line.get_int("round", &ok);
-  out->uid.source = static_cast<ProcessId>(line.get_int("src", &ok));
-  out->uid.seq = static_cast<std::uint64_t>(line.get_int("seq", &ok));
+  const std::int64_t src = line.get_int("src", &ok);
+  const std::int64_t seq = line.get_int("seq", &ok);
+  out->uid.source = static_cast<ProcessId>(src);
+  out->uid.seq = static_cast<std::uint64_t>(seq);
   out->deadline = line.get_int("deadline", &ok);
   const std::string dest = line.get("dest", &ok);
   const std::string data = line.get("data", &ok);
-  if (!ok || line.verb != "inject" || !bitset_from_hex(dest, &out->dest) ||
+  if (!ok || line.verb != "inject" || src < 0 || src > kMaxProcessId ||
+      seq < 0 || !bitset_from_hex(dest, &out->dest) ||
       !from_hex(data, &out->data)) {
     if (error != nullptr) *error = "bad inject event";
     return false;

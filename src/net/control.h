@@ -48,6 +48,8 @@ namespace congos::net {
 // -- hex / bitset helpers ----------------------------------------------------
 
 std::string to_hex(std::span<const std::uint8_t> bytes);
+/// Appends the lowercase hex of `bytes` to *out (to_hex without a string).
+void append_hex(std::string* out, std::span<const std::uint8_t> bytes);
 bool from_hex(const std::string& hex, std::vector<std::uint8_t>* out);
 
 /// Canonical wire encoding of a bitset, hexed (round-trips size exactly).
@@ -56,7 +58,8 @@ bool bitset_from_hex(const std::string& hex, DynamicBitset* out);
 
 // -- line parsing ------------------------------------------------------------
 
-/// A parsed `verb key=value ...` line. Values never contain spaces.
+/// A parsed `verb key=value ...` line. Values never contain spaces; keys
+/// are unique.
 struct Line {
   std::string verb;
   std::map<std::string, std::string> kv;
@@ -67,6 +70,8 @@ struct Line {
   std::string get(const std::string& key, bool* ok) const;
 };
 
+/// False for an empty line, a token that is not `key=value` with a
+/// non-empty key, or a key given twice.
 bool parse_line(const std::string& text, Line* out);
 
 // -- control commands --------------------------------------------------------
@@ -91,12 +96,21 @@ struct InjectCommand {
 std::string encode_inject(const InjectCommand& cmd);
 bool parse_inject(const Line& line, InjectCommand* out, std::string* error);
 
+/// An injection is only well-formed for a daemon of `n` processes when its
+/// destination set has exactly n bits: a narrower set makes peers index
+/// past it, a wider one names processes that do not exist.
+bool validate_inject(const InjectCommand& cmd, std::size_t n,
+                     std::string* error);
+
 // -- event-log lines ---------------------------------------------------------
 
-std::string encode_inject_event(Round round, const sim::Rumor& rumor);
-std::string encode_deliver_event(Round round, ProcessId at, const RumorUid& uid,
-                                 std::span<const std::uint8_t> data);
-std::string encode_recv_event(Round round, std::span<const std::uint8_t> frame);
+// Each appends one event line, without its newline, to *out. The runtime
+// reuses one buffer for every line it logs.
+void append_inject_event(std::string* out, Round round, const sim::Rumor& rumor);
+void append_deliver_event(std::string* out, Round round, ProcessId at,
+                          const RumorUid& uid, std::span<const std::uint8_t> data);
+void append_recv_event(std::string* out, Round round,
+                       std::span<const std::uint8_t> frame);
 
 /// Parses an `inject` event back into a Rumor (injected_at = round).
 bool parse_inject_event(const Line& line, sim::Rumor* out, Round* round,

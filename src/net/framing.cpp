@@ -7,7 +7,8 @@
 namespace congos::net {
 
 bool append_frame(const sim::Envelope& e, Round round,
-                  std::vector<std::uint8_t>* datagram) {
+                  std::vector<std::uint8_t>* datagram,
+                  wire::BodyEncodeMemo* memo) {
   // Size first (allocation-free), then encode straight into the datagram:
   // no temporary frame buffer, no second copy.
   const std::uint64_t frame_size = wire::encoded_envelope_size(e, round);
@@ -21,7 +22,7 @@ bool append_frame(const sim::Envelope& e, Round round,
     v >>= 7;
   }
   datagram->push_back(static_cast<std::uint8_t>(v));
-  if (!wire::encode_envelope_append(e, round, datagram) ||
+  if (!wire::encode_envelope_append(e, round, datagram, memo) ||
       datagram->size() - start !=
           frame_size + wire::varint_size(frame_size)) {
     datagram->resize(start);

@@ -35,6 +35,10 @@
 #include "net/datagram.h"
 #include "sim/message.h"
 
+namespace congos::wire {
+struct BodyEncodeMemo;  // wire/envelope.h
+}  // namespace congos::wire
+
 namespace congos::net {
 
 /// Hard ceiling on one datagram: IPv4 localhost allows ~65507 payload
@@ -58,9 +62,12 @@ inline constexpr std::size_t kCompressMinBytes = 96;
 /// Appends one length-prefixed envelope frame to `datagram`. Returns false
 /// (datagram untouched) when the codec cannot express the body (kOpaque)
 /// or the frame would exceed kMaxDatagramBytes on its own. Encodes in
-/// place: with warm capacity this allocates nothing.
+/// place: with warm capacity this allocates nothing. `memo` (optional)
+/// reuses the encoded body of a payload shared by consecutive frames
+/// (wire::encode_envelope_append).
 bool append_frame(const sim::Envelope& e, Round round,
-                  std::vector<std::uint8_t>* datagram);
+                  std::vector<std::uint8_t>* datagram,
+                  wire::BodyEncodeMemo* memo = nullptr);
 
 /// Replaces `*bytes` with its compressed container when that is both
 /// possible (LZ4 available, input large enough) and beneficial (container
@@ -120,13 +127,14 @@ class DatagramBuilder {
 
   /// Appends a frame, flushing through `flush(DatagramHandle)` when the
   /// budget forces a new datagram. Returns false when the frame is
-  /// unencodable.
+  /// unencodable. `memo` as in append_frame().
   template <class Flush>
-  bool add(const sim::Envelope& e, Round round, Flush&& flush) {
+  bool add(const sim::Envelope& e, Round round, Flush&& flush,
+           wire::BodyEncodeMemo* memo = nullptr) {
     if (buf_ == nullptr) buf_ = acquire();
     std::vector<std::uint8_t>& bytes = buf_->bytes;
     const std::size_t before = bytes.size();
-    if (!append_frame(e, round, &bytes)) return false;
+    if (!append_frame(e, round, &bytes, memo)) return false;
     if (before > 0 && bytes.size() > kDatagramBudget) {
       // The new frame tipped a non-empty datagram over the budget: ship the
       // old frames alone and carry the new frame into a fresh buffer.

@@ -25,7 +25,8 @@ class NodeRuntime::PhaseSender final : public sim::Sender {
     }
     const ProcessId to = e.to;
     const bool ok = (*builders_)[to].add(
-        e, rt_->now_, [&](DatagramHandle d) { rt_->ship(to, std::move(d)); });
+        e, rt_->now_, [&](DatagramHandle d) { rt_->ship(to, std::move(d)); },
+        &rt_->encode_memo_);
     if (!ok) ++rt_->encode_errors_;
   }
 
@@ -33,6 +34,15 @@ class NodeRuntime::PhaseSender final : public sim::Sender {
   NodeRuntime* rt_;
   std::vector<DatagramBuilder>* builders_;
 };
+
+template <class Append>
+void NodeRuntime::log_event(Append&& append) {
+  if (log_ == nullptr || replaying_) return;
+  line_.clear();
+  append(&line_);
+  line_.push_back('\n');
+  std::fwrite(line_.data(), 1, line_.size(), log_);
+}
 
 NodeRuntime::NodeRuntime(const NodeConfig& cfg, Transport* transport,
                          FaultShim* shim)
@@ -155,7 +165,8 @@ void NodeRuntime::apply_journal_event(const CheckpointEvent& e) {
     return;
   }
   wire::DecodedEnvelope dec;
-  if (!wire::decode_envelope(e.frame.data(), e.frame.size(), &dec) ||
+  if (!wire::decode_envelope(e.frame.data(), e.frame.size(), &dec, nullptr,
+                             &rumor_memo_) ||
       dec.env.to != cfg_.id) {
     // The frame was validated when first accepted and the file passed its
     // checksum, so this can only be a logic regression - surface it.
@@ -233,7 +244,8 @@ void NodeRuntime::handle_datagram(ProcessId /*from_hint*/,
       return;
     }
     wire::DecodedEnvelope dec;
-    if (!wire::decode_envelope(frame.data(), frame.size(), &dec)) {
+    if (!wire::decode_envelope(frame.data(), frame.size(), &dec, nullptr,
+                               &rumor_memo_)) {
       ++decode_errors_;
       continue;
     }
@@ -243,7 +255,7 @@ void NodeRuntime::handle_datagram(ProcessId /*from_hint*/,
     }
     ++frames_received_;
     if (dec.env.from < last_heard_.size()) last_heard_[dec.env.from] = now_;
-    log_line(encode_recv_event(now_, frame));
+    log_event([&](std::string* out) { append_recv_event(out, now_, frame); });
     if (journaling_) {
       CheckpointEvent ev;
       ev.round = now_;
@@ -265,6 +277,7 @@ void NodeRuntime::run_send_phase() {
   for (ProcessId to = 0; to < builders_.size(); ++to) {
     builders_[to].finish([&](DatagramHandle d) { ship(to, std::move(d)); });
   }
+  encode_memo_.release();
 }
 
 void NodeRuntime::ship(ProcessId to, DatagramHandle d) {
@@ -279,6 +292,7 @@ void NodeRuntime::tick() {
   process_->receive_phase(now_, inbox_);
   inbox_.clear();
   ++now_;
+  rumor_memo_.expire(now_);
   if (shim_ != nullptr) shim_->set_round(now_);
   if (!done()) run_send_phase();
 }
@@ -288,15 +302,16 @@ void NodeRuntime::advance_to(Round target) {
   while (now_ < target) tick();
 }
 
-void NodeRuntime::inject(std::uint64_t seq, Round deadline, DynamicBitset dest,
+bool NodeRuntime::inject(std::uint64_t seq, Round deadline, DynamicBitset dest,
                          std::vector<std::uint8_t> data) {
+  if (dest.size() != cfg_.n) return false;
   sim::Rumor rumor;
   rumor.uid = RumorUid{cfg_.id, seq};
   rumor.data = std::move(data);
   rumor.deadline = deadline;
   rumor.dest = std::move(dest);
   rumor.injected_at = now_;
-  log_line(encode_inject_event(now_, rumor));
+  log_event([&](std::string* out) { append_inject_event(out, now_, rumor); });
   if (journaling_) {
     CheckpointEvent ev;
     ev.round = now_;
@@ -309,13 +324,16 @@ void NodeRuntime::inject(std::uint64_t seq, Round deadline, DynamicBitset dest,
   }
   ++injections_;
   process_->inject(rumor);
+  return true;
 }
 
 void NodeRuntime::on_rumor_delivered(ProcessId at, const RumorUid& uid,
                                      Round when,
                                      std::span<const std::uint8_t> data) {
   ++deliveries_;
-  log_line(encode_deliver_event(when, at, uid, data));
+  log_event([&](std::string* out) {
+    append_deliver_event(out, when, at, uid, data);
+  });
 }
 
 bool NodeRuntime::healthy() const {
@@ -388,11 +406,6 @@ std::string NodeRuntime::stats_json() const {
   return out.str();
 }
 
-void NodeRuntime::log_line(const std::string& line) {
-  if (log_ == nullptr || replaying_) return;
-  std::fputs(line.c_str(), log_);
-  std::fputc('\n', log_);
-}
 
 void NodeRuntime::flush_log() {
   if (log_ != nullptr) std::fflush(log_);

@@ -31,6 +31,7 @@
 #include "net/framing.h"
 #include "net/transport.h"
 #include "sim/faults.h"
+#include "wire/envelope.h"
 
 namespace congos::net {
 
@@ -120,7 +121,9 @@ class NodeRuntime final : public sim::DeliveryListener {
   void advance_to(Round target);
 
   /// Inject a rumor sourced at this node (stamps injected_at = now()).
-  void inject(std::uint64_t seq, Round deadline, DynamicBitset dest,
+  /// Returns false, injecting and logging nothing, unless `dest` has
+  /// exactly n bits (net::validate_inject).
+  bool inject(std::uint64_t seq, Round deadline, DynamicBitset dest,
               std::vector<std::uint8_t> data);
 
   // -- health / stats ---------------------------------------------------------
@@ -171,7 +174,10 @@ class NodeRuntime final : public sim::DeliveryListener {
   /// No-op while replaying a checkpoint journal (the bytes already went
   /// over the wire in the previous incarnation).
   void ship(ProcessId to, DatagramHandle d);
-  void log_line(const std::string& line);
+  /// Writes one event-log line, built by `append(std::string*)` in a
+  /// reused buffer; no-op without a log or while replaying a journal.
+  template <class Append>
+  void log_event(Append&& append);
   /// Shared start()/resume() setup: log file, partitions, process stack.
   bool boot(const char* log_mode, std::string* error);
   /// Re-applies one journaled mutation at its original round during resume.
@@ -194,6 +200,12 @@ class NodeRuntime final : public sim::DeliveryListener {
   std::vector<std::uint8_t> compress_scratch_;
   std::vector<std::uint8_t> decompress_scratch_;
   std::FILE* log_ = nullptr;
+  std::string line_;
+  /// Gossip rumors this node has decoded, so a re-pushed rumor is taken
+  /// from here instead of decoded again; expired once per round.
+  gossip::RumorDecodeMemo rumor_memo_;
+  /// The last body the send phase encoded; released when the phase ends.
+  wire::BodyEncodeMemo encode_memo_;
 
   std::uint64_t frames_received_ = 0;
   std::uint64_t decode_errors_ = 0;

@@ -18,8 +18,26 @@ bool encode_envelope(const sim::Envelope& e, Round round,
   return encode_envelope_append(e, round, out);
 }
 
+namespace {
+
+/// Encodes `p` into the memo's buffer unless it already holds p's bytes.
+bool memoize_body(const sim::PayloadPtr& p, std::uint64_t body_size,
+                  BodyEncodeMemo* memo) {
+  if (memo->payload == p) return true;
+  memo->payload.reset();
+  memo->body.clear();
+  WriteSink b(std::move(memo->body));
+  const bool ok = encode_payload(b, *p) && b.ok() && b.data().size() == body_size;
+  memo->body = b.take();
+  if (ok) memo->payload = p;
+  return ok;
+}
+
+}  // namespace
+
 bool encode_envelope_append(const sim::Envelope& e, Round round,
-                            std::vector<std::uint8_t>* out) {
+                            std::vector<std::uint8_t>* out,
+                            BodyEncodeMemo* memo) {
   const std::size_t start = out->size();
   WriteSink s(std::move(*out));
   FrameHeader h = make_frame_header(e, round);
@@ -32,7 +50,12 @@ bool encode_envelope_append(const sim::Envelope& e, Round round,
   s.varint(body_size);
   const std::size_t body_at = s.data().size();
   bool ok = true;
-  if (e.body != nullptr) ok = encode_payload(s, *e.body);
+  if (e.body != nullptr && memo != nullptr) {
+    ok = memoize_body(e.body, body_size, memo);
+    if (ok) s.append(memo->body);
+  } else if (e.body != nullptr) {
+    ok = encode_payload(s, *e.body);
+  }
   ok = ok && s.ok() && s.data().size() - body_at == body_size;
   if (!ok) {
     *out = s.take();
@@ -46,7 +69,8 @@ bool encode_envelope_append(const sim::Envelope& e, Round round,
 }
 
 bool decode_envelope(const std::uint8_t* data, std::size_t len,
-                     DecodedEnvelope* out, std::string* error) {
+                     DecodedEnvelope* out, std::string* error,
+                     gossip::RumorDecodeMemo* memo) {
   if (len < kChecksumBytes + 1) {
     set_error(error, "frame too short");
     return false;
@@ -80,6 +104,10 @@ bool decode_envelope(const std::uint8_t* data, std::size_t len,
     set_error(error, "unknown service kind");
     return false;
   }
+
+  // Gossip gids are unique per service, so the memo files rumors under the
+  // frame's (service kind, partition).
+  s.set_rumor_memo(memo, (std::uint64_t{h.service_kind} << 32) | h.partition);
 
   std::uint64_t blen = 0;
   s.varint(blen);

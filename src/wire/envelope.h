@@ -84,23 +84,46 @@ struct DecodedEnvelope {
   std::uint8_t version = 0;
 };
 
+/// The encoded body of the last payload encode_envelope_append() wrote
+/// with this memo. One gossip batch goes to every push target of a round,
+/// so a send phase encodes each shared body once and copies it into the
+/// other frames; header, body-length varint and checksum stay per frame.
+/// The memo holds a reference to its payload: payload pools recycle
+/// objects inside a phase, and only the held reference keeps a new payload
+/// from reusing the address of the memoized one. Call release() when the
+/// phase ends so the pool can recycle it; the buffer keeps its capacity.
+struct BodyEncodeMemo {
+  sim::PayloadPtr payload;
+  std::vector<std::uint8_t> body;
+
+  void release() { payload.reset(); }
+};
+
 /// Serializes one envelope. Returns false (out untouched beyond clearing)
 /// for bodies the codec cannot express (kOpaque test doubles).
 bool encode_envelope(const sim::Envelope& e, Round round,
                      std::vector<std::uint8_t>* out);
 
 /// Appends the frame to `out` in place — no temporary buffers, so once
-/// `out` has warm capacity the encode allocates nothing (the datagram fast
-/// path encodes straight into a pooled buffer; tests/test_net_alloc.cpp
-/// pins this). On failure `out` is restored to its original size.
+/// `out` (and the memo's buffer, when given) has warm capacity the encode
+/// allocates nothing (the datagram fast path encodes straight into a
+/// pooled buffer; tests/test_net_alloc.cpp pins this). With a memo, a body
+/// equal to the memoized payload is copied instead of re-encoded; the
+/// bytes are the same either way. On failure `out` is restored to its
+/// original size.
 bool encode_envelope_append(const sim::Envelope& e, Round round,
-                            std::vector<std::uint8_t>* out);
+                            std::vector<std::uint8_t>* out,
+                            BodyEncodeMemo* memo = nullptr);
 
 /// Parses bytes produced by encode_envelope(). Rejects bad checksums,
 /// unknown versions, out-of-range enum tags, body under/overruns and
 /// trailing garbage; `error` (when non-null) describes the first problem.
+/// With a `memo`, gossip rumor records already seen are taken from it
+/// (gossip::RumorDecodeMemo; the result is the same as without), after the
+/// checksum has been verified.
 bool decode_envelope(const std::uint8_t* data, std::size_t len,
-                     DecodedEnvelope* out, std::string* error = nullptr);
+                     DecodedEnvelope* out, std::string* error = nullptr,
+                     gossip::RumorDecodeMemo* memo = nullptr);
 bool decode_envelope(const std::vector<std::uint8_t>& bytes, DecodedEnvelope* out,
                      std::string* error = nullptr);
 

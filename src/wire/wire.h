@@ -38,6 +38,10 @@
 #include "common/bitset.h"
 #include "common/fnv.h"
 
+namespace congos::gossip {
+class RumorDecodeMemo;  // gossip/continuous_gossip.h; only ever pointed to
+}  // namespace congos::gossip
+
 namespace congos::wire {
 
 /// Format version stamped into every envelope frame (and optionally into
@@ -231,6 +235,27 @@ class ReadSink {
   void fail() { ok_ = false; }
   std::size_t pos() const { return pos_; }
   std::size_t remaining() const { return ok_ ? len_ - pos_ : 0; }
+  /// The unread bytes start here; valid for remaining() bytes.
+  const std::uint8_t* cursor() const { return data_ + pos_; }
+  /// Consumes n bytes unread (fails the sink when fewer remain).
+  void skip(std::size_t n) {
+    if (n > remaining()) {
+      fail();
+      return;
+    }
+    pos_ += n;
+  }
+
+  /// Optional decode memo consulted by the GossipMsg walk (null = plain
+  /// decode, the default), and the scope its entries are filed under (the
+  /// frame's service: gids are unique only within one). It never changes
+  /// what a decode yields.
+  void set_rumor_memo(gossip::RumorDecodeMemo* memo, std::uint64_t scope) {
+    rumor_memo_ = memo;
+    rumor_memo_scope_ = scope;
+  }
+  gossip::RumorDecodeMemo* rumor_memo() const { return rumor_memo_; }
+  std::uint64_t rumor_memo_scope() const { return rumor_memo_scope_; }
 
   void u8(std::uint8_t& v) {
     if (!ok_ || pos_ >= len_) {
@@ -351,6 +376,8 @@ class ReadSink {
   std::size_t len_;
   std::size_t pos_ = 0;
   bool ok_ = true;
+  gossip::RumorDecodeMemo* rumor_memo_ = nullptr;
+  std::uint64_t rumor_memo_scope_ = 0;
 };
 
 }  // namespace congos::wire

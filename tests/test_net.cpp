@@ -8,11 +8,15 @@
 
 #include <algorithm>
 #include <fstream>
+#include <cstdio>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/fnv.h"
+#include "common/rng.h"
 #include "congos/fragment.h"
 #include "net/clock.h"
 #include "net/control.h"
@@ -23,6 +27,7 @@
 #include "net/udp_transport.h"
 #include "wire/compress.h"
 #include "wire/envelope.h"
+#include "test_util.h"
 
 namespace congos {
 namespace {
@@ -198,8 +203,10 @@ TEST(Control, InjectEventRoundTrip) {
   rumor.deadline = 32;
   rumor.dest = DynamicBitset(8);
   rumor.dest.set(0);
+  std::string text;
+  net::append_inject_event(&text, 6, rumor);
   net::Line line;
-  ASSERT_TRUE(net::parse_line(net::encode_inject_event(6, rumor), &line));
+  ASSERT_TRUE(net::parse_line(text, &line));
   sim::Rumor back;
   Round round = 0;
   std::string err;
@@ -222,6 +229,87 @@ TEST(Control, RejectsMalformedLines) {
   EXPECT_FALSE(net::parse_inject(line, &cmd, nullptr));
 }
 
+// The event-log encoders write the exact lines congos_d has always
+// written: the cluster audit and the benchmark parse node<i>.log, so these
+// strings are pinned, and a stream-formatted oracle covers the full range
+// of every numeric field.
+TEST(Control, EventLinesArePinned) {
+  std::string line = "keep:";  // encoders append, never overwrite
+  const std::vector<std::uint8_t> frame = {0x01, 0x00, 0xab, 0xff, 0x7e};
+  net::append_recv_event(&line, 12, frame);
+  EXPECT_EQ(line, "keep:recv round=12 frame=0100abff7e");
+
+  line.clear();
+  net::append_recv_event(&line, 0, {});
+  EXPECT_EQ(line, "recv round=0 frame=");
+
+  line.clear();
+  const std::vector<std::uint8_t> data = {0xde, 0xad, 0x00};
+  net::append_deliver_event(&line, 31, 5, RumorUid{2, 77}, data);
+  EXPECT_EQ(line, "deliver round=31 at=5 src=2 seq=77 data=dead00");
+
+  sim::Rumor rumor;
+  rumor.uid = RumorUid{4, 18446744073709551615ull};
+  rumor.data = {0x10, 0x20};
+  rumor.deadline = 64;
+  rumor.dest = DynamicBitset(10);
+  rumor.dest.set(1);
+  rumor.dest.set(9);
+  line.clear();
+  net::append_inject_event(&line, 7, rumor);
+  EXPECT_EQ(line,
+            "inject round=7 src=4 seq=18446744073709551615 deadline=64 "
+            "dest=0a0202 data=1020");
+
+  Rng rng(0x10C5);
+  for (int i = 0; i < 200; ++i) {
+    const auto round = static_cast<Round>(rng.next()) >> rng.next_below(63);
+    const auto at = static_cast<ProcessId>(rng.next());
+    const RumorUid uid{static_cast<ProcessId>(rng.next()), rng.next()};
+    std::vector<std::uint8_t> bytes(rng.next_below(40));
+    if (!bytes.empty()) rng.fill_bytes(bytes.data(), bytes.size());
+    std::ostringstream want;
+    want << "recv round=" << round << " frame=" << net::to_hex(bytes)
+         << "deliver round=" << round << " at=" << at << " src=" << uid.source
+         << " seq=" << uid.seq << " data=" << net::to_hex(bytes);
+    std::string got;
+    net::append_recv_event(&got, round, bytes);
+    net::append_deliver_event(&got, round, at, uid, bytes);
+    ASSERT_EQ(got, want.str()) << i;
+  }
+}
+
+TEST(Control, RejectsRepeatedKeys) {
+  net::Line line;
+  EXPECT_FALSE(net::parse_line("recv round=1 round=2", &line));
+  EXPECT_FALSE(net::parse_line("inject seq=1 deadline=5 seq=1 dest=00 data=",
+                               &line));
+  ASSERT_TRUE(net::parse_line("recv round=1 frame=00", &line));
+  EXPECT_EQ(line.kv.size(), 2u);
+}
+
+TEST(Control, InjectDestMustHaveWidthN) {
+  net::InjectCommand cmd;
+  cmd.seq = 1;
+  cmd.deadline = 64;
+  std::string err;
+  for (const std::size_t width : {std::size_t{0}, std::size_t{4}, std::size_t{9},
+                                  std::size_t{16}}) {
+    cmd.dest = DynamicBitset(width);
+    if (width > 1) cmd.dest.set(1);
+    EXPECT_FALSE(net::validate_inject(cmd, 8, &err)) << width;
+    EXPECT_NE(err.find("expected n=8"), std::string::npos) << err;
+  }
+  cmd.dest = DynamicBitset(8);
+  cmd.dest.set(1);
+  EXPECT_TRUE(net::validate_inject(cmd, 8, &err));
+
+  // A negative seq is not an unsigned sequence number.
+  net::Line line;
+  ASSERT_TRUE(net::parse_line("inject seq=-1 deadline=5 dest=0801 data=", &line));
+  EXPECT_FALSE(net::parse_inject(line, &cmd, nullptr));
+}
+
 TEST(Control, HexHelpers) {
   std::vector<std::uint8_t> bytes;
   EXPECT_TRUE(net::from_hex("00ff10", &bytes));
@@ -241,6 +329,127 @@ TEST(Control, HexHelpers) {
   EXPECT_TRUE(back.test(0));
   EXPECT_TRUE(back.test(18));
   EXPECT_EQ(back.count(), 2u);
+}
+
+// Control datagrams are untrusted input: random bytes, random tokens and
+// mutations of well-formed command and event lines must parse or fail,
+// never crash. Whatever parses re-encodes to a line that parses back to
+// the same value.
+TEST(ControlFuzz, RandomAndMutatedLinesFailCleanly) {
+  net::StartCommand start;
+  start.epoch_ms = 1754650000123;
+  start.round_ms = 25;
+  start.peer_ports = {4000, 4001, 4002};
+  net::InjectCommand inject;
+  inject.seq = 9;
+  inject.deadline = 64;
+  inject.dest = DynamicBitset(8);
+  inject.dest.set(2);
+  inject.data = {0xca, 0xfe};
+  sim::Rumor rumor;
+  rumor.uid = RumorUid{3, 9};
+  rumor.data = {0x01};
+  rumor.deadline = 64;
+  rumor.dest = inject.dest;
+  std::string inject_event;
+  net::append_inject_event(&inject_event, 5, rumor);
+  std::string deliver_event;
+  net::append_deliver_event(&deliver_event, 9, 2, rumor.uid, rumor.data);
+  std::string recv_event;
+  net::append_recv_event(&recv_event, 9, std::vector<std::uint8_t>{1, 2, 3});
+  const std::vector<std::string> seeds = {
+      net::encode_start(start), net::encode_inject(inject), inject_event,
+      deliver_event,            recv_event,                 "stats",
+      "stop"};
+  const std::string alphabet =
+      "injectstartpeersroundseqdeadlinedestdatasrcepoch-ms0123456789abcdefAF"
+      "=,=- \t\n";
+
+  Rng rng(0xC0DE);
+  const int iters = testutil::fuzz_iters();
+  int parsed = 0;
+  for (int i = 0; i < iters; ++i) {
+    std::string text;
+    const std::uint64_t mode = rng.next_below(3);
+    if (mode == 0) {
+      text.resize(rng.next_below(96));
+      for (char& c : text) c = static_cast<char>(rng.next_below(256));
+    } else if (mode == 1) {
+      text.resize(rng.next_below(96));
+      for (char& c : text) c = alphabet[rng.next_below(alphabet.size())];
+    } else {
+      text = seeds[rng.next_below(seeds.size())];
+      const std::uint64_t edits = 1 + rng.next_below(4);
+      for (std::uint64_t e = 0; e < edits && !text.empty(); ++e) {
+        const std::size_t at = rng.next_below(text.size());
+        switch (rng.next_below(4)) {
+          case 0:
+            text[at] = alphabet[rng.next_below(alphabet.size())];
+            break;
+          case 1:
+            text.insert(at, 1, alphabet[rng.next_below(alphabet.size())]);
+            break;
+          case 2:
+            text.erase(at, 1 + rng.next_below(4));
+            break;
+          default: {  // repeat a token: duplicate keys must be refused
+            const std::string repeat = text.substr(text.find(' ') + 1, at);
+            text.push_back(' ');
+            text.append(repeat);
+            break;
+          }
+        }
+      }
+    }
+
+    net::Line line;
+    if (!net::parse_line(text, &line)) continue;
+    ++parsed;
+    std::string err;
+    net::StartCommand sc;
+    if (net::parse_start(line, &sc, &err)) {
+      net::Line again;
+      ASSERT_TRUE(net::parse_line(net::encode_start(sc), &again)) << text;
+      net::StartCommand back;
+      ASSERT_TRUE(net::parse_start(again, &back, &err)) << text;
+      EXPECT_EQ(back.epoch_ms, sc.epoch_ms);
+      EXPECT_EQ(back.round_ms, sc.round_ms);
+      EXPECT_EQ(back.peer_ports, sc.peer_ports);
+    }
+    net::InjectCommand ic;
+    if (net::parse_inject(line, &ic, &err)) {
+      (void)net::validate_inject(ic, 8, &err);
+      net::Line again;
+      ASSERT_TRUE(net::parse_line(net::encode_inject(ic), &again)) << text;
+      net::InjectCommand back;
+      ASSERT_TRUE(net::parse_inject(again, &back, &err)) << text;
+      EXPECT_EQ(back.seq, ic.seq);
+      EXPECT_EQ(back.deadline, ic.deadline);
+      EXPECT_TRUE(back.dest == ic.dest);
+      EXPECT_EQ(back.data, ic.data);
+    }
+    sim::Rumor r;
+    Round round = 0;
+    if (net::parse_inject_event(line, &r, &round, &err)) {
+      std::string event;
+      net::append_inject_event(&event, round, r);
+      net::Line again;
+      ASSERT_TRUE(net::parse_line(event, &again)) << text;
+      sim::Rumor back;
+      Round back_round = 0;
+      ASSERT_TRUE(net::parse_inject_event(again, &back, &back_round, &err))
+          << text;
+      EXPECT_EQ(back_round, round);
+      EXPECT_EQ(back.uid, r.uid);
+      EXPECT_EQ(back.deadline, r.deadline);
+      EXPECT_TRUE(back.dest == r.dest);
+      EXPECT_EQ(back.data, r.data);
+    }
+    bool ok = true;
+    std::vector<std::uint8_t> bytes;
+    (void)net::from_hex(line.get("frame", &ok), &bytes);
+  }
+  EXPECT_GT(parsed, 0);
 }
 
 // -- fault shim ---------------------------------------------------------------
@@ -381,8 +590,11 @@ class SimCluster {
  public:
   /// `compress_mask` (optional) selects which nodes LZ4-compress their
   /// outbound datagrams - mixed clusters prove plain/compressed interop.
+  /// `log_prefix` (optional) gives node p the event log
+  /// <log_prefix><p>.log.
   SimCluster(std::size_t n, std::uint64_t seed, Round max_rounds,
-             DynamicBitset compress_mask = DynamicBitset())
+             DynamicBitset compress_mask = DynamicBitset(),
+             const std::string& log_prefix = "")
       : link_(n) {
     for (ProcessId p = 0; p < n; ++p) {
       net::NodeConfig cfg;
@@ -391,6 +603,9 @@ class SimCluster {
       cfg.seed = seed;
       cfg.max_rounds = max_rounds;
       cfg.compress = p < compress_mask.size() && compress_mask.test(p);
+      if (!log_prefix.empty()) {
+        cfg.log_path = log_prefix + std::to_string(p) + ".log";
+      }
       // Keep the fragment pipeline running: at n=8 the Theorem 16 cutoff
       // (tau >= n/log^2 n) would degenerate CONGOS to direct sending.
       cfg.congos.allow_degenerate = false;
@@ -472,6 +687,93 @@ TEST(NodeRuntime, TwoIdenticalClustersAgreeByteForByte) {
     return out;
   };
   EXPECT_EQ(run(), run());
+}
+
+// A dest narrower than n used to abort a peer (DynamicBitset index
+// assertion) and a wider one sent frames to ids >= n; the runtime now
+// refuses both before anything is logged, journaled or sent.
+TEST(NodeRuntime, InjectRefusesADestOfTheWrongWidth) {
+  const std::size_t n = 8;
+  SimCluster cluster(n, 11, 48);
+  cluster.run_rounds(1);
+  DynamicBitset narrow(4);
+  narrow.set(1);
+  DynamicBitset wide(12);
+  wide.set(1);
+  wide.set(10);
+  EXPECT_FALSE(cluster.node(0).inject(1, 64, narrow, {0x01}));
+  EXPECT_FALSE(cluster.node(0).inject(2, 64, wide, {0x02}));
+  EXPECT_EQ(cluster.node(0).injections(), 0u);
+
+  DynamicBitset dest(n);
+  dest.set(1);
+  EXPECT_TRUE(cluster.node(0).inject(3, 40, dest, {0x03}));
+  cluster.run_rounds(47);
+  EXPECT_EQ(cluster.node(0).injections(), 1u);
+  EXPECT_GE(cluster.node(1).deliveries(), 1u);
+  for (ProcessId p = 0; p < n; ++p) {
+    EXPECT_TRUE(cluster.node(p).healthy()) << p << ": "
+                                           << cluster.node(p).stats_json();
+  }
+}
+
+// Byte identity of everything a daemon writes: a deterministic 8-node
+// SimLink cluster (every other node LZ4-compressing when LZ4 loads; frames
+// are logged decompressed, so the logs are the same either way) with 30
+// injections over 120 rounds. The hash was recorded with the encoders and
+// codec paths that predate the decode/encode memos and the buffered line
+// writer, so it pins the per-frame fast path to the old output byte for
+// byte.
+constexpr std::uint64_t kPinnedFrames = 12843;
+constexpr std::uint64_t kPinnedLogBytes = 5367473;
+constexpr std::uint64_t kPinnedLogHash = 0x079998ad8596a68dull;
+
+TEST(NodeRuntime, EventLogsMatchPinnedHash) {
+  const std::size_t n = 8;
+  const Round kRounds = 120;
+  DynamicBitset compress(n);
+  if (wire::lz4_available()) {
+    for (ProcessId p = 0; p < n; p += 2) compress.set(p);
+  }
+  const std::string prefix =
+      "runtime_log_pin_" + std::to_string(::getpid()) + "_";
+  std::uint64_t frames = 0;
+  {
+    SimCluster cluster(n, 2024, kRounds, compress, prefix);
+    Rng rng(99);
+    for (std::uint64_t seq = 1; seq <= 30; ++seq) {
+      cluster.run_rounds(3);
+      DynamicBitset dest(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rng.chance(0.4)) dest.set(i);
+      }
+      std::vector<std::uint8_t> data(1 + rng.next_below(24));
+      rng.fill_bytes(data.data(), data.size());
+      const auto src = static_cast<ProcessId>(rng.next_below(n));
+      const auto deadline = static_cast<Round>(24 + rng.next_below(40));
+      ASSERT_TRUE(cluster.node(src).inject(seq, deadline, dest, data));
+    }
+    cluster.run_rounds(kRounds - 90);
+    for (ProcessId p = 0; p < n; ++p) {
+      EXPECT_TRUE(cluster.node(p).healthy()) << cluster.node(p).stats_json();
+      frames += cluster.node(p).frames_received();
+      cluster.node(p).flush_log();
+    }
+  }
+  std::uint64_t h = kFnvOffset;
+  std::uint64_t bytes = 0;
+  for (ProcessId p = 0; p < n; ++p) {
+    const std::string path = prefix + std::to_string(p) + ".log";
+    std::ifstream in(path, std::ios::binary);
+    const std::string log((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    h = fnv1a(reinterpret_cast<const std::uint8_t*>(log.data()), log.size(), h);
+    bytes += log.size();
+    std::remove(path.c_str());
+  }
+  EXPECT_EQ(frames, kPinnedFrames);
+  EXPECT_EQ(bytes, kPinnedLogBytes);
+  EXPECT_EQ(h, kPinnedLogHash) << std::hex << h;
 }
 
 // -- pooled datagram buffers --------------------------------------------------

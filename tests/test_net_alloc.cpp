@@ -1,9 +1,10 @@
 // Allocation discipline for the datagram fast path (DESIGN.md section 13).
 //
 // Replaces the global allocator with a counting shim and drives the whole
-// outbound chain - envelope encode, in-place frame append, pooled datagram
-// buffers, the UDP transport's per-peer queues, sendmmsg/recvmmsg batching -
-// over a real loopback socket pair. After a warm-up that lets the pool, the
+// outbound chain - envelope encode (with and without the body encode
+// memo), in-place frame append, pooled datagram buffers, the UDP
+// transport's per-peer queues, sendmmsg/recvmmsg batching - over a real
+// loopback socket pair. After a warm-up that lets the pool, the
 // builder buffers, the queues and the socket scratch reach their high-water
 // marks, a steady-state send+flush+drain cycle must perform ZERO heap
 // allocations, on both the batched and the single-syscall path.
@@ -23,6 +24,7 @@
 #include "congos/fragment.h"
 #include "net/framing.h"
 #include "net/udp_transport.h"
+#include "wire/envelope.h"
 
 namespace {
 
@@ -85,21 +87,24 @@ sim::Envelope make_envelope() {
 
 /// One steady-state iteration: encode kFramesPerIter envelopes through the
 /// pooled builder into the transport, flush the wire, drain the receiver.
+/// With `memo`, the body is encoded once and the memo released at the end,
+/// as a send phase does.
 void run_iteration(const sim::Envelope& e, net::DatagramBuilder& builder,
                    net::UdpTransport& tx, net::UdpTransport& rx,
-                   CountingSink& sink) {
+                   CountingSink& sink, wire::BodyEncodeMemo* memo) {
   constexpr int kFramesPerIter = 48;
   const auto ship = [&](net::DatagramHandle d) { tx.send(1, std::move(d)); };
   for (int i = 0; i < kFramesPerIter; ++i) {
-    ASSERT_TRUE(builder.add(e, 100, ship));
+    ASSERT_TRUE(builder.add(e, 100, ship, memo));
   }
   builder.finish(ship);
+  if (memo != nullptr) memo->release();
   for (int tries = 0; !tx.flush() && tries < 2000; ++tries) {
   }
   rx.drain(sink);
 }
 
-void expect_steady_state_alloc_free(bool batched) {
+void expect_steady_state_alloc_free(bool batched, bool memoized = false) {
   constexpr int kWarmup = 40;
   constexpr int kMeasured = 40;
 
@@ -119,12 +124,14 @@ void expect_steady_state_alloc_free(bool batched) {
   builder.set_pool(&pool);
   const sim::Envelope e = make_envelope();
   CountingSink sink;
+  wire::BodyEncodeMemo memo;
+  wire::BodyEncodeMemo* const m = memoized ? &memo : nullptr;
 
-  for (int i = 0; i < kWarmup; ++i) run_iteration(e, builder, tx, rx, sink);
+  for (int i = 0; i < kWarmup; ++i) run_iteration(e, builder, tx, rx, sink, m);
 
   const std::uint64_t datagrams_before = sink.datagrams;
   const std::uint64_t allocs_before = alloc_count();
-  for (int i = 0; i < kMeasured; ++i) run_iteration(e, builder, tx, rx, sink);
+  for (int i = 0; i < kMeasured; ++i) run_iteration(e, builder, tx, rx, sink, m);
   const std::uint64_t allocs = alloc_count() - allocs_before;
   const std::uint64_t datagrams = sink.datagrams - datagrams_before;
 
@@ -141,6 +148,10 @@ TEST(NetAllocDiscipline, BatchedSendPathIsAllocationFree) {
 
 TEST(NetAllocDiscipline, SingleSyscallSendPathIsAllocationFree) {
   expect_steady_state_alloc_free(false);
+}
+
+TEST(NetAllocDiscipline, MemoizedBodySendPathIsAllocationFree) {
+  expect_steady_state_alloc_free(true, true);
 }
 
 }  // namespace

@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "baseline/baseline_payload.h"
+#include "common/pool.h"
 #include "common/rng.h"
 #include "congos/fragment.h"
 #include "gossip/continuous_gossip.h"
@@ -784,6 +786,263 @@ TEST(WireFuzz, MutatedFramesWithRepairedChecksums) {
     std::string err;
     ASSERT_TRUE(wire::decode_envelope(again, &d2, &err)) << err;
   }
+}
+
+// -- decode and encode memos ------------------------------------------------
+
+/// Everything a decode yields, flattened for comparison: status, error
+/// text, header fields and the body. Gossip batches are spelled out rumor
+/// by rumor (gid, origin, deadline, destination bits, body kind and body
+/// bytes); any other body by its kind and re-encoded bytes, which the
+/// canonical encoding makes equivalent to its fields.
+std::string decode_outcome(const std::vector<std::uint8_t>& frame,
+                           gossip::RumorDecodeMemo* memo) {
+  wire::DecodedEnvelope d;
+  std::string err;
+  const bool ok =
+      wire::decode_envelope(frame.data(), frame.size(), &d, &err, memo);
+  std::ostringstream out;
+  out << ok << '|' << err;
+  if (!ok) return out.str();
+  const auto body_bytes = [](const sim::PayloadPtr& p) {
+    wire::WriteSink s;
+    if (p != nullptr) {
+      EXPECT_TRUE(wire::encode_payload(s, *p));
+    }
+    std::ostringstream hex;
+    hex << (p ? static_cast<int>(p->kind()) : -1) << ':'
+        << (p ? p->encoded_size() : 0) << ':';
+    for (const std::uint8_t b : s.data()) hex << static_cast<int>(b) << ',';
+    return hex.str();
+  };
+  out << '|' << static_cast<int>(d.version) << '|' << d.round << '|'
+      << d.env.from << '|' << d.env.to << '|'
+      << static_cast<int>(d.env.tag.kind) << '|' << d.env.tag.partition;
+  if (d.env.body != nullptr &&
+      d.env.body->kind() == sim::PayloadKind::kGossipMsg) {
+    const auto& m = static_cast<const gossip::GossipMsg&>(*d.env.body);
+    for (const gossip::GossipRumor& r : m.rumors) {
+      out << "|r" << r.gid << ',' << r.origin << ',' << r.deadline_at << ','
+          << r.dest.size() << ':';
+      for (const std::size_t i : r.dest.to_vector()) out << i << ',';
+      out << body_bytes(r.body);
+    }
+  }
+  out << '|' << body_bytes(d.env.body);
+  return out.str();
+}
+
+/// Gossip frames whose batches overlap, as re-pushed batches do: rumors
+/// drawn from one pool of gids, plus a few same-gid rumors with different
+/// fields (another service's gid space) and frames of every other kind.
+std::vector<std::vector<std::uint8_t>> gossip_corpus(Rng& rng) {
+  std::vector<gossip::GossipRumor> pool;
+  for (std::uint64_t gid = 1000; gid < 1040; ++gid) {
+    pool.push_back(rand_gossip_rumor(rng, gid));
+  }
+  std::vector<std::vector<std::uint8_t>> corpus;
+  for (int f = 0; f < 48; ++f) {
+    auto msg = std::make_shared<gossip::GossipMsg>();
+    for (const gossip::GossipRumor& r : pool) {
+      if (rng.chance(0.3)) msg->rumors.push_back(r);
+    }
+    if (rng.chance(0.25) && !msg->rumors.empty()) {
+      // Same gid, other fields: must miss, then decode fresh.
+      const std::uint64_t gid = msg->rumors.back().gid;
+      msg->rumors.back() = rand_gossip_rumor(rng, gid);
+    }
+    std::vector<std::uint8_t> frame;
+    EXPECT_TRUE(wire::encode_envelope(rand_envelope(rng, msg),
+                                      static_cast<Round>(rng.next_below(64)),
+                                      &frame));
+    corpus.push_back(std::move(frame));
+  }
+  for (std::uint8_t k = 2;
+       k <= static_cast<std::uint8_t>(sim::PayloadKind::kStrongAck); ++k) {
+    std::vector<std::uint8_t> frame;
+    EXPECT_TRUE(wire::encode_envelope(
+        rand_envelope(rng, rand_payload(rng, static_cast<sim::PayloadKind>(k))),
+        7, &frame));
+    corpus.push_back(std::move(frame));
+  }
+  return corpus;
+}
+
+TEST(WireFuzz, MemoDecodeMatchesPlainDecode) {
+  Rng rng(0x3E30);
+  const auto corpus = gossip_corpus(rng);
+  gossip::RumorDecodeMemo memo;
+  // Warm the memo, checking the warm-up decodes too.
+  for (const auto& frame : corpus) {
+    ASSERT_EQ(decode_outcome(frame, &memo), decode_outcome(frame, nullptr));
+  }
+  EXPECT_GT(memo.hits(), 0u);
+  EXPECT_GT(memo.size(), 0u);
+
+  // Checksum-repaired mutants reach the rumor walk with near-miss bytes: a
+  // memoized gid followed by altered fields, altered gids, cut lengths.
+  const int iters = fuzz_iters();
+  for (int i = 0; i < iters; ++i) {
+    auto mutant = corpus[rng.next_below(corpus.size())];
+    const std::size_t mutations = 1 + rng.next_below(3);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      const std::size_t at =
+          rng.next_below(mutant.size() - wire::kChecksumBytes);
+      mutant[at] = static_cast<std::uint8_t>(rng.next_below(256));
+    }
+    mutant = patched(mutant, 0, mutant[0]);  // repair checksum only
+    ASSERT_EQ(decode_outcome(mutant, &memo), decode_outcome(mutant, nullptr))
+        << "mutant " << i;
+    // Checksum-bad frames never reach the memo.
+    auto broken = mutant;
+    broken.back() ^= 0x01;
+    ASSERT_EQ(decode_outcome(broken, &memo), decode_outcome(broken, nullptr));
+  }
+  // Whatever the mutants left in the memo, the real frames decode as ever.
+  for (const auto& frame : corpus) {
+    ASSERT_EQ(decode_outcome(frame, &memo), decode_outcome(frame, nullptr));
+  }
+  EXPECT_GT(memo.misses(), 0u);
+}
+
+/// A one-rumor frame with the given rumor, for the memo unit tests.
+std::vector<std::uint8_t> single_rumor_frame(const gossip::GossipRumor& r,
+                                             PartitionIndex partition = 0) {
+  auto msg = std::make_shared<gossip::GossipMsg>();
+  msg->rumors.push_back(r);
+  sim::Envelope e;
+  e.from = 1;
+  e.to = 2;
+  e.tag.kind = sim::ServiceKind::kGroupGossip;
+  e.tag.partition = partition;
+  e.body = msg;
+  std::vector<std::uint8_t> frame;
+  EXPECT_TRUE(wire::encode_envelope(e, 3, &frame));
+  return frame;
+}
+
+TEST(WireMemo, HitSharesTheBodyAndMissesOnDifferentBytes) {
+  Rng rng(0x4E40);
+  gossip::GossipRumor r = rand_gossip_rumor(rng, 77);
+  r.body = rand_payload(rng, sim::PayloadKind::kFragment);
+  gossip::RumorDecodeMemo memo;
+  const auto frame = single_rumor_frame(r);
+  wire::DecodedEnvelope first;
+  wire::DecodedEnvelope second;
+  ASSERT_TRUE(wire::decode_envelope(frame.data(), frame.size(), &first,
+                                    nullptr, &memo));
+  ASSERT_TRUE(wire::decode_envelope(frame.data(), frame.size(), &second,
+                                    nullptr, &memo));
+  EXPECT_EQ(memo.hits(), 1u);
+  EXPECT_EQ(memo.misses(), 1u);
+  const auto& a = static_cast<const gossip::GossipMsg&>(*first.env.body);
+  const auto& b = static_cast<const gossip::GossipMsg&>(*second.env.body);
+  EXPECT_EQ(a.rumors[0].body.get(), b.rumors[0].body.get());
+
+  // Same gid, one field different: a miss that decodes the new fields.
+  gossip::GossipRumor other = r;
+  other.deadline_at = r.deadline_at + 1;
+  const auto frame2 = single_rumor_frame(other);
+  wire::DecodedEnvelope third;
+  ASSERT_TRUE(wire::decode_envelope(frame2.data(), frame2.size(), &third,
+                                    nullptr, &memo));
+  EXPECT_EQ(memo.misses(), 2u);
+  const auto& c = static_cast<const gossip::GossipMsg&>(*third.env.body);
+  EXPECT_EQ(c.rumors[0].deadline_at, other.deadline_at);
+  EXPECT_NE(c.rumors[0].body.get(), a.rumors[0].body.get());
+
+  // The same gid in another service's frames is another rumor: each
+  // service keeps its own entry, so alternating frames of the two hit.
+  const auto frame3 = single_rumor_frame(r, 1);
+  for (int i = 0; i < 2; ++i) {
+    wire::DecodedEnvelope d;
+    ASSERT_TRUE(wire::decode_envelope(frame2.data(), frame2.size(), &d,
+                                      nullptr, &memo));
+    ASSERT_TRUE(wire::decode_envelope(frame3.data(), frame3.size(), &d,
+                                      nullptr, &memo));
+  }
+  EXPECT_EQ(memo.misses(), 3u);  // frame3's first decode
+  EXPECT_EQ(memo.hits(), 4u);
+  EXPECT_EQ(memo.size(), 2u);
+}
+
+TEST(WireMemo, ExpiresPastDeadlinesAndStaysBounded) {
+  Rng rng(0x5E50);
+  gossip::RumorDecodeMemo memo;
+  for (std::uint64_t gid = 0; gid < 10; ++gid) {
+    gossip::GossipRumor r = rand_gossip_rumor(rng, gid);
+    r.deadline_at = static_cast<Round>(gid);
+    const auto frame = single_rumor_frame(r);
+    wire::DecodedEnvelope d;
+    ASSERT_TRUE(
+        wire::decode_envelope(frame.data(), frame.size(), &d, nullptr, &memo));
+  }
+  EXPECT_EQ(memo.size(), 10u);
+  memo.expire(4);  // deadlines 0..3 have passed; 4 is still live
+  EXPECT_EQ(memo.size(), 6u);
+  memo.expire(10);
+  EXPECT_EQ(memo.size(), 0u);
+
+  // Far-future deadlines cannot grow it past its cap.
+  const gossip::GossipRumor proto = rand_gossip_rumor(rng, 0);
+  const std::uint8_t fields[] = {1, 2, 3};
+  for (std::uint64_t gid = 0; gid < gossip::RumorDecodeMemo::kMaxEntries + 50;
+       ++gid) {
+    gossip::GossipRumor r = proto;
+    r.gid = gid;
+    r.deadline_at = 1 << 30;
+    memo.remember(0, r, fields, sizeof(fields));
+  }
+  EXPECT_EQ(memo.size(), gossip::RumorDecodeMemo::kMaxEntries);
+}
+
+// The send phase encodes a shared body once and copies it into every
+// frame that carries it; the frames must equal plain encodes exactly. The
+// pool case is the one a pointer-keyed memo gets wrong: a batch released
+// inside the phase goes back to its pool, and the next batch acquired can
+// be the same object with new contents. The memo's reference keeps the
+// pool from handing the memoized object out again until release().
+TEST(WireEncodeMemo, FramesMatchPlainEncodesAcrossPoolReuse) {
+  Rng rng(0x6E60);
+  PayloadPool<gossip::GossipMsg> pool;
+  wire::BodyEncodeMemo memo;
+  std::vector<std::uint8_t> with_memo;
+  std::vector<std::uint8_t> plain;
+  const auto send = [&](const sim::PayloadPtr& body, ProcessId to) {
+    sim::Envelope e;
+    e.from = 0;
+    e.to = to;
+    e.tag.kind = sim::ServiceKind::kGroupGossip;
+    e.body = body;
+    ASSERT_TRUE(net::append_frame(e, 9, &with_memo, &memo));
+    ASSERT_TRUE(net::append_frame(e, 9, &plain));
+  };
+  const auto fill = [&](gossip::GossipMsg& m, std::uint64_t first_gid) {
+    for (std::uint64_t g = 0; g < 4; ++g) {
+      m.rumors.push_back(rand_gossip_rumor(rng, first_gid + g));
+    }
+  };
+
+  auto a = pool.acquire();
+  fill(*a, 100);
+  const void* a_addr = a.get();
+  send(a, 1);
+  send(a, 2);
+  a.reset();  // the phase drops its batch; only the memo still holds it
+  auto b = pool.acquire();
+  EXPECT_NE(static_cast<const void*>(b.get()), a_addr);
+  fill(*b, 100);  // same gids and count, new contents
+  send(b, 3);
+  send(b, 4);
+  send(rand_payload(rng, sim::PayloadKind::kFragment), 5);
+  send(b, 6);  // not the last body any more: encoded afresh
+  EXPECT_EQ(with_memo, plain);
+
+  // Once released, the memo no longer pins a payload.
+  b.reset();
+  memo.release();
+  EXPECT_EQ(memo.payload, nullptr);
+  EXPECT_EQ(pool.idle(), 2u);
 }
 
 }  // namespace

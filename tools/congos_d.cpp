@@ -128,6 +128,8 @@ struct RuntimeSink final : net::DatagramSink {
 struct Controller {
   int fd = -1;
   net::NodeRuntime* rt = nullptr;
+  /// Cluster size: an inject whose dest is not n bits wide is refused.
+  std::size_t n = 0;
   net::StartCommand start;
   bool started = false;
   bool stop = false;
@@ -160,7 +162,8 @@ struct Controller {
     } else if (line.verb == "inject") {
       net::InjectCommand cmd;
       std::string err;
-      if (!net::parse_inject(line, &cmd, &err)) {
+      if (!net::parse_inject(line, &cmd, &err) ||
+          !net::validate_inject(cmd, n, &err)) {
         reply(from, "err inject " + err);
         return;
       }
@@ -305,6 +308,7 @@ int main(int argc, char** argv) {
   Controller ctl;
   ctl.fd = control_fd;
   ctl.rt = &runtime;
+  ctl.n = ncfg.n;
   // Control-level idempotence must survive the crash too: a runner retry of
   // an inject the previous incarnation already took has to be re-acked,
   // never re-injected, so the journal's seqs seed the duplicate filter.
