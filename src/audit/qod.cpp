@@ -6,32 +6,34 @@
 
 namespace congos::audit {
 
-DeliveryAuditor::DeliveryAuditor(std::size_t n) : n_(n), life_(n) {}
+DeliveryAuditor::DeliveryAuditor(std::size_t n) : n_(n), life_(n), slots_(n) {}
 
 void DeliveryAuditor::on_inject(const sim::Rumor& rumor, Round /*now*/) {
   injected_.emplace(rumor.uid, InjectedRumor{rumor});
 }
 
-void DeliveryAuditor::on_crash(ProcessId p, Round now) {
+void DeliveryAuditor::on_crash(ProcessId p, Round now, sim::PartialDelivery /*policy*/) {
   life_[p].push_back(LifeEvent{now, true});
 }
 
-void DeliveryAuditor::on_restart(ProcessId p, Round now) {
+void DeliveryAuditor::on_restart(ProcessId p, Round now,
+                                 sim::PartialDelivery /*policy*/) {
   life_[p].push_back(LifeEvent{now, false});
 }
 
 void DeliveryAuditor::on_rumor_delivered(ProcessId at, const RumorUid& uid, Round when,
                                          std::span<const std::uint8_t> data) {
+  CONGOS_ASSERT_MSG(at < n_, "delivery at an unknown process");
+  Slot& slot = slots_[at];
   auto it = injected_.find(uid);
   if (it != injected_.end()) {
     const auto& want = it->second.rumor.data;
     if (want.size() != data.size() ||
         !std::equal(want.begin(), want.end(), data.begin())) {
-      ++data_mismatches_;
+      ++slot.data_mismatches;
     }
   }
-  auto& per = delivered_[uid];
-  per.try_emplace(at, when);  // keep the first delivery
+  slot.first_delivery.try_emplace(uid, when);  // keep the first delivery
 }
 
 bool DeliveryAuditor::continuously_alive(ProcessId p, Round a, Round b) const {
@@ -74,15 +76,15 @@ std::uint64_t DeliveryAuditor::restart_count() const {
 }
 
 Round DeliveryAuditor::delivery_round(const RumorUid& uid, ProcessId p) const {
-  auto it = delivered_.find(uid);
-  if (it == delivered_.end()) return kNoRound;
-  auto pit = it->second.find(p);
-  return pit == it->second.end() ? kNoRound : pit->second;
+  CONGOS_ASSERT(p < n_);
+  const auto& table = slots_[p].first_delivery;
+  auto it = table.find(uid);
+  return it == table.end() ? kNoRound : it->second;
 }
 
 QodReport DeliveryAuditor::finalize(Round now) const {
   QodReport report;
-  report.data_mismatches = data_mismatches_;
+  for (const Slot& slot : slots_) report.data_mismatches += slot.data_mismatches;
   double latency_sum = 0.0;
   std::uint64_t latency_count = 0;
   std::vector<Round> latencies;

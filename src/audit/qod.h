@@ -13,12 +13,22 @@
 //   * admissible + late/missing       -> violation   (protocol bug)
 //   * not admissible + delivered      -> bonus       (allowed, not required)
 // and verifies that delivered bytes equal the injected bytes.
+//
+// Threading. A process reports deliveries only at itself, so everything a
+// report writes lives in the slot of the process it names (`at`): that
+// process's first-delivery table and its mismatch count. injected_ is written
+// only by on_inject, which the engine calls on the driving thread before any
+// phase. So on_rumor_delivered may run concurrently for *different* `at`, with
+// no locks, as it does from the receive shards of a sharded engine (DESIGN.md
+// section 12). Nothing in the report depends on the order in which reports
+// from different processes arrive. Every other member, queries included, must
+// run with no report in flight.
 #pragma once
 
-#include <map>
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "congos/config.h"
 #include "sim/engine.h"
 #include "sim/faults.h"
@@ -64,6 +74,7 @@ struct QodReport {
   Round latency_p95 = 0;
   Round latency_max = 0;
 
+  bool operator==(const QodReport&) const = default;
   bool ok() const { return late == 0 && missing == 0 && data_mismatches == 0; }
 };
 
@@ -74,10 +85,11 @@ class DeliveryAuditor final : public sim::ExecutionObserver,
 
   // -- ExecutionObserver -----------------------------------------------------
   void on_inject(const sim::Rumor& rumor, Round now) override;
-  void on_crash(ProcessId p, Round now) override;
-  void on_restart(ProcessId p, Round now) override;
+  void on_crash(ProcessId p, Round now, sim::PartialDelivery policy) override;
+  void on_restart(ProcessId p, Round now, sim::PartialDelivery policy) override;
 
   // -- DeliveryListener -------------------------------------------------------
+  /// Writes only the slot of `at` (header comment).
   void on_rumor_delivered(ProcessId at, const RumorUid& uid, Round when,
                           std::span<const std::uint8_t> data) override;
 
@@ -106,13 +118,16 @@ class DeliveryAuditor final : public sim::ExecutionObserver,
     Round round = 0;
     bool crash = false;  // false = restart
   };
+  /// Everything a report at one process writes; only that process touches it.
+  struct Slot {
+    FlatMap<RumorUid, Round> first_delivery;
+    std::uint64_t data_mismatches = 0;
+  };
 
   std::size_t n_;
   std::unordered_map<RumorUid, InjectedRumor> injected_;
   std::vector<std::vector<LifeEvent>> life_;  // per process, chronological
-  // first delivery per (uid, process)
-  std::unordered_map<RumorUid, std::unordered_map<ProcessId, Round>> delivered_;
-  std::uint64_t data_mismatches_ = 0;
+  std::vector<Slot> slots_;                   // per process
 };
 
 }  // namespace congos::audit

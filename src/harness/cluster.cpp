@@ -387,11 +387,17 @@ struct LoggedDelivery {
   std::vector<std::uint8_t> data;
 };
 
-/// Replays the daemons' event logs through the simulator's auditors.
-void audit_logs(const ClusterConfig& cfg, ClusterResult* r) {
+}  // namespace
+
+void audit_cluster_logs(const ClusterConfig& cfg, ClusterResult* r) {
   std::vector<std::pair<sim::Rumor, Round>> injects;
   std::vector<LoggedDelivery> deliveries;
   std::vector<std::pair<std::vector<std::uint8_t>, Round>> frames;
+  // The auditors keep per-process state, so a line naming a process outside
+  // [0, n) is a bad line, never an index.
+  const auto is_process = [&cfg](std::int64_t id) {
+    return id >= 0 && static_cast<std::uint64_t>(id) < cfg.n;
+  };
 
   for (std::size_t i = 0; i < cfg.n; ++i) {
     const std::string path = cfg.workdir + "/node" + std::to_string(i) + ".log";
@@ -409,7 +415,8 @@ void audit_logs(const ClusterConfig& cfg, ClusterResult* r) {
         sim::Rumor rumor;
         Round round = 0;
         std::string err;
-        if (!net::parse_inject_event(line, &rumor, &round, &err)) {
+        if (!net::parse_inject_event(line, &rumor, &round, &err) ||
+            !is_process(rumor.uid.source) || rumor.dest.size() != cfg.n) {
           ++r->log_parse_errors;
           continue;
         }
@@ -417,13 +424,16 @@ void audit_logs(const ClusterConfig& cfg, ClusterResult* r) {
       } else if (line.verb == "deliver") {
         LoggedDelivery d;
         d.when = line.get_int("round", &ok);
-        d.at = static_cast<ProcessId>(line.get_int("at", &ok));
-        d.uid.source = static_cast<ProcessId>(line.get_int("src", &ok));
+        const std::int64_t at = line.get_int("at", &ok);
+        const std::int64_t src = line.get_int("src", &ok);
         d.uid.seq = static_cast<std::uint64_t>(line.get_int("seq", &ok));
-        if (!ok || !net::from_hex(line.get("data", &ok), &d.data) || !ok) {
+        if (!ok || !net::from_hex(line.get("data", &ok), &d.data) || !ok ||
+            !is_process(at) || !is_process(src)) {
           ++r->log_parse_errors;
           continue;
         }
+        d.at = static_cast<ProcessId>(at);
+        d.uid.source = static_cast<ProcessId>(src);
         deliveries.push_back(std::move(d));
       } else if (line.verb == "recv") {
         const Round round = line.get_int("round", &ok);
@@ -480,12 +490,13 @@ void audit_logs(const ClusterConfig& cfg, ClusterResult* r) {
       bool ok = true;
       LifeEv e;
       e.round = line.get_int("round", &ok);
-      e.id = static_cast<ProcessId>(line.get_int("id", &ok));
+      const std::int64_t id = line.get_int("id", &ok);
       e.crash = line.verb == "crash";
-      if (!ok || e.id >= cfg.n) {
+      if (!ok || !is_process(id)) {
         ++r->log_parse_errors;
         continue;
       }
+      e.id = static_cast<ProcessId>(id);
       life.push_back(e);
     }
   }
@@ -493,11 +504,13 @@ void audit_logs(const ClusterConfig& cfg, ClusterResult* r) {
                    [](const LifeEv& a, const LifeEv& b) {
                      return a.round < b.round;
                    });
+  // A SIGKILLed daemon delivers nothing, hence kDropAll. The QoD auditor
+  // reads only the event round, so the restart passes the same policy.
   for (const LifeEv& e : life) {
     if (e.crash) {
-      qod.on_crash(e.id, e.round);
+      qod.on_crash(e.id, e.round, sim::PartialDelivery::kDropAll);
     } else {
-      qod.on_restart(e.id, e.round);
+      qod.on_restart(e.id, e.round, sim::PartialDelivery::kDropAll);
     }
   }
 
@@ -506,7 +519,7 @@ void audit_logs(const ClusterConfig& cfg, ClusterResult* r) {
   }
   for (const auto& [frame, round] : frames) {
     wire::DecodedEnvelope dec;
-    if (!wire::decode_envelope(frame, &dec)) {
+    if (!wire::decode_envelope(frame, &dec) || dec.env.to >= cfg.n) {
       ++r->log_parse_errors;
       continue;
     }
@@ -529,7 +542,8 @@ void audit_logs(const ClusterConfig& cfg, ClusterResult* r) {
       for (const net::CheckpointEvent& e : ck.events) {
         if (e.kind != net::CheckpointEvent::Kind::kRecv) continue;
         wire::DecodedEnvelope dec;
-        if (!wire::decode_envelope(e.frame.data(), e.frame.size(), &dec)) {
+        if (!wire::decode_envelope(e.frame.data(), e.frame.size(), &dec) ||
+            dec.env.to >= cfg.n) {
           ++r->state_file_errors;
           continue;
         }
@@ -547,8 +561,6 @@ void audit_logs(const ClusterConfig& cfg, ClusterResult* r) {
   r->deliveries = deliveries.size();
   r->recv_frames = frames.size();
 }
-
-}  // namespace
 
 std::vector<KillEvent> make_kill_schedule(const KillScheduleConfig& gen,
                                           std::size_t n, Round rounds) {
@@ -809,7 +821,7 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
     result.stats_json.push_back(stats_line_of(d.stdout_tail));
   }
 
-  audit_logs(cfg, &result);
+  audit_cluster_logs(cfg, &result);
   return result;
 }
 

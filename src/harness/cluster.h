@@ -186,4 +186,11 @@ struct ClusterResult {
 
 ClusterResult run_cluster(const ClusterConfig& cfg);
 
+/// The offline audit run_cluster() ends with: replays <workdir>/node<i>.log,
+/// lifecycle.log and (when durable) the state files through the auditors and
+/// fills the audit and log-volume fields of `result`. Reads cfg.workdir, n,
+/// tau, no_degenerate, rounds and whether state is durable. A line that does
+/// not parse, or names a process outside [0, n), counts in log_parse_errors.
+void audit_cluster_logs(const ClusterConfig& cfg, ClusterResult* result);
+
 }  // namespace congos::harness

@@ -10,7 +10,6 @@
 #include "common/assert.h"
 #include "common/thread_pool.h"
 #include "congos/congos_process.h"
-#include "sim/delivery_mux.h"
 #include "sim/engine.h"
 
 namespace congos::harness {
@@ -31,14 +30,13 @@ const char* to_string(Protocol p) {
 struct ScenarioRun::Impl {
   explicit Impl(std::size_t n) : qod(n) {}
 
+  // Destroyed in reverse order: the engine goes before the pool it shards on
+  // and the QoD auditor its processes report to. The engine's destructor
+  // calls no observer or adversary, so those may go before it.
   audit::DeliveryAuditor qod;
   std::shared_ptr<const core::CongosConfig> ccfg;
   std::shared_ptr<const partition::PartitionSet> partitions;
-  // Sharded-execution plumbing; both stay null for a serial engine. Declared
-  // before `engine` so the engine (which holds raw pointers to them) is
-  // destroyed first.
-  std::unique_ptr<sim::DeliveryMux> mux;
-  std::unique_ptr<ThreadPool> engine_pool;
+  std::unique_ptr<ThreadPool> engine_pool;  // null for a serial engine
   std::unique_ptr<sim::Engine> engine;
   std::unique_ptr<audit::ConfidentialityAuditor> confidentiality;
   adversary::Composite adversaries;
@@ -62,16 +60,11 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg)
   CONGOS_ASSERT(cfg_.n >= 2);
   Rng seeder(cfg_.seed);
 
-  // With a sharded engine the shared QoD auditor must sit behind a
-  // DeliveryMux (re-serializes per-process delivery reports); processes are
-  // wired to whichever listener the thread count calls for.
   const std::size_t engine_threads =
       cfg_.engine_threads != 0 ? cfg_.engine_threads : default_engine_threads();
+  // The QoD auditor keeps its state per reporting process, so processes
+  // report to it directly at every thread count (DESIGN.md section 12).
   sim::DeliveryListener* listener = &impl_->qod;
-  if (engine_threads > 1) {
-    impl_->mux = std::make_unique<sim::DeliveryMux>(&impl_->qod, cfg_.n);
-    listener = impl_->mux.get();
-  }
 
   // Shared CONGOS inputs (partition family is common knowledge).
   if (cfg_.protocol == Protocol::kCongos) {
@@ -129,8 +122,7 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg)
     // threads means k-1 pool workers. 2x shards over-decomposes for load
     // balance; the partition is fixed, so this stays deterministic.
     impl_->engine_pool = std::make_unique<ThreadPool>(engine_threads - 1);
-    engine.set_parallelism(impl_->engine_pool.get(), 2 * engine_threads,
-                           impl_->mux.get());
+    engine.set_parallelism(impl_->engine_pool.get(), 2 * engine_threads);
   }
 
   impl_->confidentiality = std::make_unique<audit::ConfidentialityAuditor>(

@@ -5,7 +5,6 @@
 
 #include "common/assert.h"
 #include "common/thread_pool.h"
-#include "sim/delivery_mux.h"
 
 namespace congos::sim {
 
@@ -118,18 +117,16 @@ Engine::Engine(std::vector<std::unique_ptr<Process>> processes, std::uint64_t se
   }
 }
 
-void Engine::set_parallelism(ThreadPool* pool, std::size_t shards, DeliveryMux* mux) {
+void Engine::set_parallelism(ThreadPool* pool, std::size_t shards) {
   CONGOS_ASSERT_MSG(phase_ == Phase::kIdle,
                     "parallelism reconfiguration only at round boundaries");
   pool_ = pool;
   if (pool == nullptr) {
     shard_count_ = 1;
-    mux_ = nullptr;
     shard_buffers_.clear();
     return;
   }
   shard_count_ = std::max<std::size_t>(shards, 1);
-  mux_ = mux;
   shard_buffers_.resize(shard_count_);
 }
 
@@ -227,13 +224,8 @@ void Engine::begin_round() {
 }
 
 void Engine::run_phase_sharded(bool receive) {
-  // Processes report deliveries into per-process mux slots during the
-  // parallel phase; flushing after the join re-serializes them in ascending
-  // process id — the serial loop's order.
-  if (mux_ != nullptr) mux_->begin_buffering();
   PhaseTask task(*this, receive);
   pool_->run_shards(task, shard_count_);
-  if (mux_ != nullptr) mux_->flush();
 }
 
 void Engine::merge_shard_sends() {

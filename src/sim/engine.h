@@ -40,7 +40,6 @@ class ThreadPool;
 namespace congos::sim {
 
 class Engine;
-class DeliveryMux;
 
 /// The parts of Engine::step() that Engine::phase_ns() times. Together they
 /// cover the whole step: the boundaries are consecutive clock reads.
@@ -77,24 +76,15 @@ class Adversary {
 
 /// Passive observers of the execution (auditors, tracing).
 ///
-/// Crash/restart events come in two flavours: the legacy two-argument hooks
-/// and policy-carrying overloads whose default implementation forwards to
-/// them. Observers that need the adversary's full decision (the
-/// PartialDelivery policy chosen for the victim's in-flight messages - e.g.
-/// the replay DecisionRecorder) override the three-argument form; everyone
-/// else keeps overriding the two-argument form and is unaffected.
+/// Crash/restart hooks carry the PartialDelivery policy the adversary chose
+/// (for a crash: the victim's in-flight messages; for a restart: the messages
+/// addressed to it this round). Observers that only track liveness ignore it.
 class ExecutionObserver {
  public:
   virtual ~ExecutionObserver() = default;
   virtual void on_envelope_delivered(const Envelope& /*e*/, Round /*now*/) {}
-  virtual void on_crash(ProcessId /*p*/, Round /*now*/) {}
-  virtual void on_restart(ProcessId /*p*/, Round /*now*/) {}
-  virtual void on_crash(ProcessId p, Round now, PartialDelivery /*policy*/) {
-    on_crash(p, now);
-  }
-  virtual void on_restart(ProcessId p, Round now, PartialDelivery /*policy*/) {
-    on_restart(p, now);
-  }
+  virtual void on_crash(ProcessId /*p*/, Round /*now*/, PartialDelivery /*policy*/) {}
+  virtual void on_restart(ProcessId /*p*/, Round /*now*/, PartialDelivery /*policy*/) {}
   virtual void on_inject(const Rumor& /*rumor*/, Round /*now*/) {}
   virtual void on_round_end(Round /*now*/) {}
 };
@@ -187,14 +177,15 @@ class Engine {
   /// Deterministic intra-round parallelism (DESIGN.md section 12): run the
   /// send and receive phases across `pool` workers in `shards` fixed
   /// contiguous chunks of the ascending alive-id list. Results are
-  /// byte-identical to serial execution at any thread/shard count. When the
-  /// processes share a DeliveryListener it MUST be a DeliveryMux passed here
-  /// so delivery reports are re-serialized in process-id order. Adversary
-  /// hooks, the delivery phase and every observer hook except a receiver
-  /// observer's on_envelope_delivered stay on the calling thread. Pass
-  /// pool == nullptr to return to serial execution. Only valid at a round
-  /// boundary.
-  void set_parallelism(ThreadPool* pool, std::size_t shards, DeliveryMux* mux = nullptr);
+  /// byte-identical to serial execution at any thread/shard count. Processes
+  /// then report deliveries from the shard that runs them, so a
+  /// DeliveryListener the processes share is called concurrently: each
+  /// process reports only at itself, and the listener must keep its state
+  /// per `at` (as audit::DeliveryAuditor does). Adversary hooks, the delivery
+  /// phase and every observer hook except a receiver observer's
+  /// on_envelope_delivered stay on the calling thread. Pass pool == nullptr
+  /// to return to serial execution. Only valid at a round boundary.
+  void set_parallelism(ThreadPool* pool, std::size_t shards);
 
   // -- execution ---------------------------------------------------------
 
@@ -253,7 +244,6 @@ class Engine {
   // Sharded execution state (unused while pool_ == nullptr).
   ThreadPool* pool_ = nullptr;
   std::size_t shard_count_ = 1;
-  DeliveryMux* mux_ = nullptr;
   struct ShardBuffer {
     std::vector<Envelope> out;  // send-phase submissions, in submission order
   };

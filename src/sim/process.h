@@ -27,6 +27,11 @@ class Sender {
 /// Sink for application-level rumor deliveries: a protocol process calls this
 /// exactly when it "returns" a rumor to its user (reassembly in CONGOS,
 /// direct receipt in the baselines). The QoD auditor listens here.
+///
+/// Sharding contract: a process reports only at itself (`at` is its own id).
+/// A sharded engine (Engine::set_parallelism) runs processes on several
+/// threads at once, so a listener shared by several processes is called
+/// concurrently for different `at`; it must keep its state per `at`.
 class DeliveryListener {
  public:
   virtual ~DeliveryListener() = default;

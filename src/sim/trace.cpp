@@ -11,11 +11,11 @@ void TraceLog::push(Event e) {
   while (events_.size() > opt_.capacity) events_.pop_front();
 }
 
-void TraceLog::on_crash(ProcessId p, Round now) {
+void TraceLog::on_crash(ProcessId p, Round now, PartialDelivery /*policy*/) {
   push(Event{now, Kind::kCrash, p, {}, 0});
 }
 
-void TraceLog::on_restart(ProcessId p, Round now) {
+void TraceLog::on_restart(ProcessId p, Round now, PartialDelivery /*policy*/) {
   push(Event{now, Kind::kRestart, p, {}, 0});
 }
 

@@ -32,8 +32,8 @@ class TraceLog final : public ExecutionObserver {
   explicit TraceLog(Options opt) : opt_(opt) {}
 
   // -- ExecutionObserver ------------------------------------------------------
-  void on_crash(ProcessId p, Round now) override;
-  void on_restart(ProcessId p, Round now) override;
+  void on_crash(ProcessId p, Round now, PartialDelivery policy) override;
+  void on_restart(ProcessId p, Round now, PartialDelivery policy) override;
   void on_inject(const Rumor& rumor, Round now) override;
   void on_envelope_delivered(const Envelope& e, Round now) override;
   void on_round_end(Round now) override;

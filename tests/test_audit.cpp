@@ -2,6 +2,8 @@
 // feeding them synthetic events with planted violations.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "audit/confidentiality.h"
 #include "audit/qod.h"
 #include "baseline/baseline_payload.h"
@@ -343,6 +345,7 @@ TEST_F(ConfAuditorTest, ViolationsComeInCanonicalOrder) {
 class QodAuditorTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kN = 4;
+  static constexpr auto kDropAll = sim::PartialDelivery::kDropAll;
   DeliveryAuditor auditor{kN};
 };
 
@@ -380,7 +383,7 @@ TEST_F(QodAuditorTest, DataMismatchDetected) {
 TEST_F(QodAuditorTest, CrashedDestinationIsNotAdmissible) {
   auto r = test_rumor(0, 1, kN, {1, 2}, 10);
   auditor.on_inject(r, 0);
-  auditor.on_crash(2, 5);  // destination 2 dies mid-window
+  auditor.on_crash(2, 5, kDropAll);  // destination 2 dies mid-window
   auditor.on_rumor_delivered(1, r.uid, 4, r.data);
   auto rep = auditor.finalize(100);
   EXPECT_EQ(rep.admissible_pairs, 1u);
@@ -390,15 +393,15 @@ TEST_F(QodAuditorTest, CrashedDestinationIsNotAdmissible) {
 TEST_F(QodAuditorTest, CrashedSourceExemptsAllDestinations) {
   auto r = test_rumor(0, 1, kN, {1, 2}, 10);
   auditor.on_inject(r, 0);
-  auditor.on_crash(0, 3);
+  auditor.on_crash(0, 3, kDropAll);
   auto rep = auditor.finalize(100);
   EXPECT_EQ(rep.admissible_pairs, 0u);
   EXPECT_TRUE(rep.ok());
 }
 
 TEST_F(QodAuditorTest, RestartBeforeInjectionDoesNotExempt) {
-  auditor.on_crash(1, 2);
-  auditor.on_restart(1, 5);
+  auditor.on_crash(1, 2, kDropAll);
+  auditor.on_restart(1, 5, kDropAll);
   auto r = test_rumor(0, 1, kN, {1}, 10);
   r.injected_at = 8;  // injected after 1 is back up
   auditor.on_inject(r, 8);
@@ -410,8 +413,8 @@ TEST_F(QodAuditorTest, RestartBeforeInjectionDoesNotExempt) {
 TEST_F(QodAuditorTest, BonusDeliveriesCounted) {
   auto r = test_rumor(0, 1, kN, {1}, 10);
   auditor.on_inject(r, 0);
-  auditor.on_crash(1, 5);
-  auditor.on_restart(1, 6);
+  auditor.on_crash(1, 5, kDropAll);
+  auditor.on_restart(1, 6, kDropAll);
   auditor.on_rumor_delivered(1, r.uid, 8, r.data);  // delivered anyway
   auto rep = auditor.finalize(100);
   EXPECT_EQ(rep.admissible_pairs, 0u);
@@ -420,8 +423,8 @@ TEST_F(QodAuditorTest, BonusDeliveriesCounted) {
 }
 
 TEST_F(QodAuditorTest, ContinuouslyAliveLogic) {
-  auditor.on_crash(1, 10);
-  auditor.on_restart(1, 20);
+  auditor.on_crash(1, 10, kDropAll);
+  auditor.on_restart(1, 20, kDropAll);
   EXPECT_TRUE(auditor.continuously_alive(1, 0, 9));
   EXPECT_FALSE(auditor.continuously_alive(1, 0, 10));
   EXPECT_FALSE(auditor.continuously_alive(1, 10, 15));
@@ -446,6 +449,62 @@ TEST_F(QodAuditorTest, DuplicateDeliveriesKeepFirst) {
   EXPECT_EQ(auditor.delivery_round(r.uid, 1), 3);
   auto rep = auditor.finalize(100);
   EXPECT_EQ(rep.delivered_on_time, 1u);
+}
+
+// The engine's receive shards call on_rumor_delivered concurrently, each
+// process reporting only at itself. Per-process state makes the answers
+// independent of that interleaving: they equal a serial auditor's.
+TEST_F(QodAuditorTest, ConcurrentReportsAtDistinctProcessesMatchSerial) {
+  constexpr std::size_t kProcs = 8;
+  constexpr std::uint64_t kRumors = 64;
+  std::vector<sim::Rumor> rumors;
+  for (std::uint64_t s = 0; s < kRumors; ++s) {
+    std::vector<std::uint32_t> dest;
+    for (std::uint32_t q = 0; q < kProcs; ++q) {
+      if ((q + s) % 3 != 0) dest.push_back(q);
+    }
+    rumors.push_back(test_rumor(static_cast<ProcessId>(s % kProcs), s, kProcs, dest, 16));
+  }
+  const std::vector<std::uint8_t> wrong = {9, 9, 9, 9};
+  // Process p's reports, in its own order: every rumor twice (the repeat
+  // must not move the first round), some late, some with wrong bytes.
+  const auto report_all_at = [&](DeliveryAuditor& a, ProcessId p) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const sim::Rumor& r : rumors) {
+        const Round when = static_cast<Round>((r.uid.seq * 7 + p) % 20 + pass);
+        const bool corrupt = (r.uid.seq + p) % 11 == 0;
+        a.on_rumor_delivered(p, r.uid, when, corrupt ? wrong : r.data);
+      }
+    }
+  };
+  DeliveryAuditor serial(kProcs);
+  DeliveryAuditor concurrent(kProcs);
+  for (const sim::Rumor& r : rumors) {
+    serial.on_inject(r, 0);
+    concurrent.on_inject(r, 0);
+  }
+  serial.on_crash(3, 5, kDropAll);
+  concurrent.on_crash(3, 5, kDropAll);
+  for (ProcessId p = 0; p < kProcs; ++p) report_all_at(serial, p);
+  {
+    std::vector<std::thread> threads;
+    for (ProcessId p = 0; p < kProcs; ++p) {
+      threads.emplace_back([&, p] { report_all_at(concurrent, p); });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+
+  const QodReport want = serial.finalize(100);
+  EXPECT_GT(want.delivered_on_time, 0u);
+  EXPECT_GT(want.late, 0u);
+  EXPECT_GT(want.bonus_deliveries, 0u);
+  EXPECT_GT(want.data_mismatches, 0u);
+  EXPECT_EQ(concurrent.finalize(100), want);
+  for (const sim::Rumor& r : rumors) {
+    for (ProcessId p = 0; p < kProcs; ++p) {
+      EXPECT_EQ(concurrent.delivery_round(r.uid, p), serial.delivery_round(r.uid, p));
+    }
+  }
 }
 
 }  // namespace

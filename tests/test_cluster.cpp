@@ -14,12 +14,16 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "harness/cluster.h"
 #include "net/checkpoint.h"
+#include "net/control.h"
 #include "wire/compress.h"
+#include "wire/envelope.h"
 
 namespace congos {
 namespace {
@@ -320,6 +324,126 @@ TEST(Cluster, ReportsSpawnFailure) {
   const harness::ClusterResult r = harness::run_cluster(cfg);
   EXPECT_FALSE(r.error.empty());
   EXPECT_FALSE(r.ok());
+}
+
+// ---------------------------------------------------------------------------
+// The offline audit on handcrafted logs: no daemon needed.
+
+/// A workdir of hand-written logs for audit_cluster_logs, removed on exit.
+class HandLogs {
+ public:
+  HandLogs(const std::string& tag, std::size_t n)
+      : dir_(fresh_workdir(tag)), logs_(n) {
+    std::filesystem::create_directories(dir_);
+  }
+  ~HandLogs() { std::filesystem::remove_all(dir_); }
+
+  void line(std::size_t node, const std::string& text) {
+    logs_[node] += text + "\n";
+  }
+  void lifecycle(const std::string& text) { lifecycle_ += text + "\n"; }
+  harness::ClusterResult audit() const {
+    for (std::size_t i = 0; i < logs_.size(); ++i) {
+      std::ofstream(dir_ + "/node" + std::to_string(i) + ".log") << logs_[i];
+    }
+    std::ofstream(dir_ + "/lifecycle.log") << lifecycle_;
+    harness::ClusterConfig cfg;
+    cfg.workdir = dir_;
+    cfg.n = logs_.size();
+    cfg.rounds = 32;
+    harness::ClusterResult r;
+    harness::audit_cluster_logs(cfg, &r);
+    return r;
+  }
+
+ private:
+  std::string dir_;
+  std::vector<std::string> logs_;
+  std::string lifecycle_;
+};
+
+std::string inject_line(Round round, const sim::Rumor& rumor) {
+  std::string out;
+  net::append_inject_event(&out, round, rumor);
+  return out;
+}
+
+std::string deliver_line(Round round, ProcessId at, const sim::Rumor& rumor) {
+  std::string out;
+  net::append_deliver_event(&out, round, at, rumor.uid, rumor.data);
+  return out;
+}
+
+sim::Rumor hand_rumor(ProcessId src, std::uint64_t seq, std::size_t n,
+                      std::vector<std::uint32_t> dest) {
+  return sim::make_rumor(src, seq, {7, 8, 9}, /*deadline=*/10,
+                         DynamicBitset::from_indices(n, dest));
+}
+
+TEST(ClusterAudit, WellFormedLogsGiveTheExpectedQod) {
+  constexpr std::size_t kN = 4;
+  HandLogs logs("audit_good", kN);
+  const sim::Rumor r = hand_rumor(0, 1, kN, {1, 2});
+  logs.line(0, inject_line(2, r));
+  logs.line(1, deliver_line(5, 1, r));
+  logs.line(1, deliver_line(9, 1, r));  // a repeat keeps the first round
+  logs.line(2, deliver_line(8, 2, r));
+  // Destination 2 dies inside [2, 12]: its delivery becomes a bonus.
+  logs.lifecycle("crash round=10 id=2 scheduled=1 code=137");
+  logs.lifecycle("restart round=14 id=2");
+  const harness::ClusterResult res = logs.audit();
+
+  EXPECT_EQ(res.log_parse_errors, 0u);
+  EXPECT_EQ(res.injected, 1u);
+  EXPECT_EQ(res.deliveries, 3u);
+  audit::QodReport want;
+  want.rumors = 1;
+  want.admissible_pairs = 1;
+  want.delivered_on_time = 1;
+  want.bonus_deliveries = 1;
+  want.mean_latency = 3.0;
+  want.latency_p50 = 3;
+  want.latency_p95 = 3;
+  want.latency_max = 3;
+  EXPECT_EQ(res.qod, want);
+}
+
+TEST(ClusterAudit, LinesNamingUnknownProcessesAreCountedNotFatal) {
+  constexpr std::size_t kN = 4;
+  HandLogs logs("audit_bad", kN);
+  const sim::Rumor good = hand_rumor(0, 1, kN, {1});
+  logs.line(0, inject_line(2, good));
+  logs.line(1, deliver_line(4, 1, good));
+  // inject from a source >= n.
+  logs.line(0, inject_line(2, hand_rumor(kN, 2, kN, {1})));
+  // inject whose dest is narrower, then wider, than n bits.
+  logs.line(0, inject_line(3, hand_rumor(0, 3, kN - 1, {1})));
+  logs.line(0, inject_line(3, hand_rumor(0, 4, kN + 1, {1})));
+  // deliver at a process >= n, and of a rumor whose source is >= n.
+  logs.line(1, deliver_line(4, kN, good));
+  logs.line(1, "deliver round=4 at=1 src=" + std::to_string(kN) + " seq=1 data=070809");
+  logs.line(1, "deliver round=4 at=-1 src=0 seq=1 data=070809");
+  // recv frame addressed to a process >= n.
+  sim::Envelope e;
+  e.from = 0;
+  e.to = kN;
+  std::vector<std::uint8_t> frame;
+  ASSERT_TRUE(wire::encode_envelope(e, 4, &frame));
+  std::string recv;
+  net::append_recv_event(&recv, 4, frame);
+  logs.line(1, recv);
+  // lifecycle event of a process >= n.
+  logs.lifecycle("crash round=5 id=" + std::to_string(kN) + " scheduled=1 code=137");
+  const harness::ClusterResult res = logs.audit();
+
+  EXPECT_EQ(res.log_parse_errors, 8u);
+  EXPECT_EQ(res.injected, 1u);
+  EXPECT_EQ(res.deliveries, 1u);
+  EXPECT_EQ(res.recv_frames, 1u);  // parsed; rejected only when audited
+  EXPECT_EQ(res.qod.admissible_pairs, 1u);
+  EXPECT_EQ(res.qod.delivered_on_time, 1u);
+  EXPECT_TRUE(res.qod.ok());
+  EXPECT_FALSE(res.ok());
 }
 
 }  // namespace

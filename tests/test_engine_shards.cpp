@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "audit/confidentiality.h"
+#include "audit/qod.h"
 #include "common/fnv.h"
 #include "congos/congos_process.h"
 #include "harness/record.h"
@@ -57,12 +58,26 @@ std::uint64_t fnv1a(const std::vector<std::uint64_t>& counts) {
   return h;
 }
 
+/// The whole QoD report (latency distribution, bonus deliveries and data
+/// mismatches included) must not move with the thread count. The first call
+/// records the reference.
+void expect_same_qod(const audit::QodReport& got,
+                     std::optional<audit::QodReport>* reference) {
+  EXPECT_GT(got.delivered_on_time, 0u);
+  if (*reference) {
+    EXPECT_EQ(got, **reference);
+  } else {
+    *reference = got;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Golden pins: the sharded engine must reproduce the exact constants pinned
 // by test_golden_grid for the serial engine. Any drift at any thread count
 // means sharding changed protocol behaviour, which is a bug by definition.
 
 TEST(ShardEquivalence, GoldenCongosPinAtEveryThreadCount) {
+  std::optional<audit::QodReport> qod;
   for (std::size_t threads : kThreadCounts) {
     SCOPED_TRACE("engine_threads=" + std::to_string(threads));
     ScenarioConfig cfg;
@@ -82,10 +97,12 @@ TEST(ShardEquivalence, GoldenCongosPinAtEveryThreadCount) {
     EXPECT_EQ(r.total_messages, 108233u);
     EXPECT_EQ(r.total_bytes, 170285414u);
     EXPECT_EQ(r.leaks, 0u);
+    expect_same_qod(r.qod, &qod);
   }
 }
 
 TEST(ShardEquivalence, GoldenPlainGossipPinAtEveryThreadCount) {
+  std::optional<audit::QodReport> qod;
   for (std::size_t threads : kThreadCounts) {
     SCOPED_TRACE("engine_threads=" + std::to_string(threads));
     ScenarioConfig cfg;
@@ -103,6 +120,7 @@ TEST(ShardEquivalence, GoldenPlainGossipPinAtEveryThreadCount) {
     EXPECT_EQ(fnv1a(trace.counts()), 1631052094024548409ull);
     EXPECT_EQ(r.total_messages, 24322u);
     EXPECT_EQ(r.total_bytes, 33641671u);
+    expect_same_qod(r.qod, &qod);
   }
 }
 
@@ -194,10 +212,7 @@ TEST(ShardEquivalence, FaultMixesByteIdentical) {
             << "fault kind " << k;
       }
       EXPECT_EQ(sharded.result.leaks, serial.result.leaks);
-      EXPECT_EQ(sharded.result.qod.delivered_on_time,
-                serial.result.qod.delivered_on_time);
-      EXPECT_EQ(sharded.result.qod.late, serial.result.qod.late);
-      EXPECT_EQ(sharded.result.qod.missing, serial.result.qod.missing);
+      EXPECT_EQ(sharded.result.qod, serial.result.qod);
     }
   }
 }

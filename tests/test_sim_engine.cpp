@@ -155,8 +155,8 @@ TEST(Engine, DeterministicAcrossRuns) {
 TEST(Engine, ObserversSeeLifecycleEvents) {
   struct Recorder final : ExecutionObserver {
     int crashes = 0, restarts = 0, injects = 0, rounds = 0, delivered = 0;
-    void on_crash(ProcessId, Round) override { ++crashes; }
-    void on_restart(ProcessId, Round) override { ++restarts; }
+    void on_crash(ProcessId, Round, PartialDelivery) override { ++crashes; }
+    void on_restart(ProcessId, Round, PartialDelivery) override { ++restarts; }
     void on_inject(const Rumor&, Round) override { ++injects; }
     void on_round_end(Round) override { ++rounds; }
     void on_envelope_delivered(const Envelope&, Round) override { ++delivered; }

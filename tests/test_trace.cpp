@@ -41,7 +41,7 @@ TEST(TraceLog, RecordsLifecycleEvents) {
 TEST(TraceLog, RingBufferEvicts) {
   TraceLog trace(TraceLog::Options{.capacity = 3});
   for (Round t = 0; t < 10; ++t) {
-    trace.on_crash(static_cast<ProcessId>(t % 4), t);
+    trace.on_crash(static_cast<ProcessId>(t % 4), t, PartialDelivery::kDropAll);
   }
   EXPECT_EQ(trace.event_count(), 3u);
   EXPECT_EQ(trace.total_events_seen(), 10u);
@@ -53,7 +53,7 @@ TEST(TraceLog, RingBufferEvicts) {
 
 TEST(TraceLog, DumpLimitsToLastN) {
   TraceLog trace;
-  for (Round t = 0; t < 50; ++t) trace.on_crash(0, t);
+  for (Round t = 0; t < 50; ++t) trace.on_crash(0, t, PartialDelivery::kDropAll);
   std::ostringstream os;
   trace.dump(os, 2);
   EXPECT_EQ(os.str().find("[47]"), std::string::npos);
