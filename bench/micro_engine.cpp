@@ -87,7 +87,9 @@ BENCHMARK(BM_HotPathRounds)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// Full CONGOS runs. Besides the time per run, each engine step phase
+// Full CONGOS runs, audit on. `rounds_per_sec` (wall clock, like
+// BM_HotPathRounds) is the gated figure of merit of the /128 and /256 rows,
+// which tools/check_bench.sh records. Besides it, each engine step phase
 // reports its wall time per simulated round (<phase>_us_per_round, from
 // Engine::phase_ns()), so a change in the total can be traced to a phase.
 void BM_CongosRun(benchmark::State& state) {
@@ -112,11 +114,15 @@ void BM_CongosRun(benchmark::State& state) {
     state.counters[std::string(sim::to_string(static_cast<sim::StepPhase>(i))) +
                    "_us_per_round"] = static_cast<double>(phase_ns[i]) / 1e3 / rounds;
   }
+  state.counters["rounds_per_sec"] =
+      benchmark::Counter(rounds, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CongosRun)
     ->Arg(16)
     ->Arg(32)
     ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

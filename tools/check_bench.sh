@@ -66,7 +66,9 @@ TRANSPORT="${CONGOS_BENCH_TRANSPORT:-sim}"
 # CI runs a reduced-scale smoke (e.g. only /256); records made under a
 # non-default filter should set CONGOS_BENCH_SCALE too, so bench_diff.py
 # never compares them against full-scale records.
-FILTER="${CONGOS_BENCH_FILTER:-BM_HotPathRounds}"
+# The default set is the plain-gossip hot path plus the CONGOS headline
+# rows (full pipeline with the confidentiality audit) at n = 128 and 256.
+FILTER="${CONGOS_BENCH_FILTER:-BM_HotPathRounds|BM_CongosRun/(128|256)/}"
 
 TMP_JSON="$(mktemp)"
 trap 'rm -f "$TMP_JSON"' EXIT
