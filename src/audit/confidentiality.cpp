@@ -4,6 +4,7 @@
 
 #include "baseline/baseline_payload.h"
 #include "common/assert.h"
+#include "common/gallop.h"
 #include "gossip/continuous_gossip.h"
 
 namespace congos::audit {
@@ -79,7 +80,7 @@ void ConfidentialityAuditor::saw_full(ProcessId p, const RumorUid& uid, Round no
   if (!already && curious(p, uid)) flag(ViolationKind::kFullLeak, p, uid, now);
 }
 
-void ConfidentialityAuditor::saw_fragment(ProcessId p, const core::Fragment& frag,
+bool ConfidentialityAuditor::saw_fragment(ProcessId p, const core::Fragment& frag,
                                           Round now) {
   const core::FragmentKey& key = frag.meta.key;
   const GroupIndex num_groups = frag.meta.num_groups;
@@ -90,14 +91,24 @@ void ConfidentialityAuditor::saw_fragment(ProcessId p, const core::Fragment& fra
     auto it = slot.sightings.find(key);
     if (it != slot.sightings.end() && it->second.num_groups == num_groups) {
       if (it->second.foreign) flag(ViolationKind::kForeignFragment, p, key.rumor, now);
-      return;
+      return true;
     }
+  }
+
+  // The key came off the wire: a partition or group outside the run's shape
+  // names no fragment of this system, so it is an unknown payload and never
+  // an index.
+  if (partitions_ != nullptr &&
+      (key.partition >= partitions_->count() ||
+       key.group >= (*partitions_)[key.partition].num_groups())) {
+    ++slot.unknown_payloads;
+    return false;
   }
 
   const RumorUid uid = key.rumor;
   const bool could_before = knowledge_.can_reconstruct(p, uid);
   if (knowledge_.note_fragment(p, key, num_groups)) slot.group_counts_vary = true;
-  if (!rumors_.contains(uid)) return;  // not injected yet: judged again later
+  if (!rumors_.contains(uid)) return false;  // not injected yet: judged again later
   const bool is_curious = curious(p, uid);
   const bool foreign = is_curious && partitions_ != nullptr &&
                        (*partitions_)[key.partition].group_of(p) != key.group;
@@ -105,6 +116,89 @@ void ConfidentialityAuditor::saw_fragment(ProcessId p, const core::Fragment& fra
   if (foreign) flag(ViolationKind::kForeignFragment, p, uid, now);
   if (is_curious && !could_before && knowledge_.can_reconstruct(p, uid)) {
     flag(ViolationKind::kFragmentSetLeak, p, uid, now);
+  }
+  return true;
+}
+
+void ConfidentialityAuditor::expire_clean(Slot& slot, Round now) {
+  Round next = std::numeric_limits<Round>::max();
+  for (CleanRun& run : slot.clean) {
+    std::erase_if(run.bodies, [&](const CleanBody& c) { return c.deadline_at < now; });
+    for (const CleanBody& c : run.bodies) next = std::min(next, c.deadline_at);
+  }
+  slot.clean_expiry = next;
+}
+
+void ConfidentialityAuditor::saw_gossip(ProcessId p, const sim::Envelope& e, Round now) {
+  Slot& slot = slots_[p];
+  // The memo run of this envelope's service; none once group counts vary.
+  std::vector<CleanBody>* run = nullptr;
+  if (slot.group_counts_vary) {
+    slot.clean.clear();  // the memo never answers again at p
+  } else {
+    if (slot.clean_expiry < now) expire_clean(slot, now);
+    auto it = std::ranges::find(slot.clean, e.tag, &CleanRun::tag);
+    run = it != slot.clean.end() ? &it->bodies
+                                 : &slot.clean.emplace_back(CleanRun{e.tag, {}}).bodies;
+  }
+
+  std::size_t cursor = 0;
+  for (const auto& r : static_cast<const gossip::GossipMsg&>(*e.body).rumors) {
+    const sim::Payload* inner = r.body.get();
+    if (inner == nullptr) {
+      ++slot.unknown_payloads;
+      continue;
+    }
+    const sim::PayloadKind kind = inner->kind();
+    const bool memo = run != nullptr && !slot.group_counts_vary &&
+                      (kind == sim::PayloadKind::kFragment ||
+                       kind == sim::PayloadKind::kProxyShare);
+    std::vector<CleanBody>::iterator at;
+    if (memo) {
+      at = gallop_lower_bound(
+          run->begin(),
+          run->begin() + static_cast<std::ptrdiff_t>(std::min(cursor, run->size())),
+          run->end(), r.gid, &CleanBody::gid);
+      cursor = static_cast<std::size_t>(at - run->begin());
+      if (at != run->end() && at->gid == r.gid && at->body.get() == inner) {
+        ++cursor;
+        continue;  // judged clean before: no effect
+      }
+    }
+
+    const std::size_t flagged = slot.pending.size();
+    bool settled = true;
+    switch (kind) {
+      case sim::PayloadKind::kFragment:
+        settled = saw_fragment(p, static_cast<const core::FragmentBody*>(inner)->fragment,
+                               now);
+        break;
+      case sim::PayloadKind::kProxyShare:
+        for (const auto& f : static_cast<const core::ProxyShareBody*>(inner)->proxied) {
+          settled = saw_fragment(p, f, now) && settled;
+        }
+        break;
+      case sim::PayloadKind::kHitSetShare:
+      case sim::PayloadKind::kDistributionReport:
+        break;  // metadata only
+      case sim::PayloadKind::kBaselineRumor:
+        saw_full(p, static_cast<const baseline::BaselineRumorPayload*>(inner)->rumor.uid,
+                 now);
+        break;
+      default:
+        ++slot.unknown_payloads;
+    }
+
+    if (!memo || !settled || slot.pending.size() != flagged || slot.group_counts_vary) {
+      continue;
+    }
+    if (at != run->end() && at->gid == r.gid) {
+      *at = CleanBody{r.gid, r.deadline_at, r.body};  // another body, same gid
+    } else {
+      at = run->insert(at, CleanBody{r.gid, r.deadline_at, r.body});
+    }
+    slot.clean_expiry = std::min(slot.clean_expiry, r.deadline_at);
+    cursor = static_cast<std::size_t>(at - run->begin()) + 1;
   }
 }
 
@@ -119,39 +213,9 @@ void ConfidentialityAuditor::on_envelope_delivered(const sim::Envelope& e, Round
   }
 
   switch (body->kind()) {
-    case sim::PayloadKind::kGossipMsg: {
-      const auto& msg = static_cast<const gossip::GossipMsg&>(*body);
-      for (const auto& r : msg.rumors) {
-        const sim::Payload* inner = r.body.get();
-        if (inner == nullptr) {
-          ++unknown_payloads;
-          continue;
-        }
-        switch (inner->kind()) {
-          case sim::PayloadKind::kFragment:
-            saw_fragment(p, static_cast<const core::FragmentBody*>(inner)->fragment,
-                         now);
-            break;
-          case sim::PayloadKind::kProxyShare:
-            for (const auto& f :
-                 static_cast<const core::ProxyShareBody*>(inner)->proxied) {
-              saw_fragment(p, f, now);
-            }
-            break;
-          case sim::PayloadKind::kHitSetShare:
-          case sim::PayloadKind::kDistributionReport:
-            break;  // metadata only
-          case sim::PayloadKind::kBaselineRumor:
-            saw_full(p, static_cast<const baseline::BaselineRumorPayload*>(inner)
-                            ->rumor.uid,
-                     now);
-            break;
-          default:
-            ++unknown_payloads;
-        }
-      }
+    case sim::PayloadKind::kGossipMsg:
+      saw_gossip(p, e, now);
       return;
-    }
     case sim::PayloadKind::kProxyRequest:
       for (const auto& f :
            static_cast<const core::ProxyRequestPayload*>(body)->fragments) {

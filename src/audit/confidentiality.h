@@ -38,6 +38,22 @@
 // the tracker, curious() and the foreign verdict exactly as the full path
 // would. What other processes saw never enters p's verdicts.
 //
+// Gossip repeats whole bodies, too: every holder re-pushes the same rumor
+// body object every round, so most GossipMsg rumors a process receives are
+// bodies it has already judged. Each Slot keeps a memo of the FragmentBody
+// and ProxyShareBody rumors it judged clean: every fragment's rumor was
+// injected by then (so each fragment left a sighting) and the judgment
+// flagged nothing (so no sighting is foreign). The memo is keyed by (service
+// tag, gid), walked in gid order beside the batch, and holds the body's
+// PayloadPtr. A hit needs the same gid and the same body object; payloads
+// are immutable once sent and the held pointer keeps the object from being
+// recycled, so the body is the one that was judged, and every fragment in it
+// would take the repeat path with a clean verdict: no effect at all. The
+// memo obeys the repeat path's rule, so it stops answering, and is dropped,
+// once p has seen two group counts. An entry leaves at p's next gossip
+// delivery in a round past its rumor's deadline_at, so the memo holds only
+// live rumors.
+//
 // Threading. All mutable state of a sighting lives with its receiver: the
 // tracker's per-process entries and one Slot per process (sightings, the
 // repeat flag, pending violations, counters). rumors_ is written only by
@@ -55,6 +71,7 @@
 #pragma once
 
 #include <array>
+#include <limits>
 #include <vector>
 
 #include "audit/knowledge.h"
@@ -139,10 +156,25 @@ class ConfidentialityAuditor final : public sim::ExecutionObserver {
     bool foreign = false;  // pushed kForeignFragment
   };
 
+  /// A GossipMsg rumor body judged clean (header comment).
+  struct CleanBody {
+    std::uint64_t gid = 0;
+    Round deadline_at = 0;
+    sim::PayloadPtr body;  // held: the object cannot be recycled
+  };
+  /// Clean bodies of one gossip service, ascending by gid.
+  struct CleanRun {
+    sim::ServiceTag tag;
+    std::vector<CleanBody> bodies;
+  };
+
   /// Everything a sighting at one process writes; only that process's
   /// receiver touches it.
   struct Slot {
     FlatMap<core::FragmentKey, Sighting, core::FragmentKeyHash> sightings;
+    std::vector<CleanRun> clean;  // one run per gossip service tag
+    /// Earliest deadline_at in `clean` (the largest Round when empty).
+    Round clean_expiry = std::numeric_limits<Round>::max();
     /// Violations flagged here since the last merge, in sighting order.
     /// Mutable so the lazy merge behind violations() can drain it.
     mutable std::vector<Violation> pending;
@@ -161,7 +193,12 @@ class ConfidentialityAuditor final : public sim::ExecutionObserver {
   bool curious(ProcessId p, const RumorUid& uid) const;
   void flag(ViolationKind kind, ProcessId p, const RumorUid& uid, Round now);
   void merge_pending() const;
-  void saw_fragment(ProcessId p, const core::Fragment& frag, Round now);
+  /// True iff the sighting is settled: the fragment's rumor was injected,
+  /// so a verdict for its key is on record.
+  bool saw_fragment(ProcessId p, const core::Fragment& frag, Round now);
+  void saw_gossip(ProcessId p, const sim::Envelope& e, Round now);
+  /// Drops the clean bodies of `slot` whose deadline_at is before `now`.
+  static void expire_clean(Slot& slot, Round now);
   void saw_full(ProcessId p, const RumorUid& uid, Round now);
 };
 

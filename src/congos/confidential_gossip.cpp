@@ -93,6 +93,8 @@ void ConfidentialGossipService::fire_fallback(CacheEntry& entry, Round now) {
 }
 
 void ConfidentialGossipService::inject(Round now, const sim::Rumor& rumor) {
+  // on_report relies on this: cache_ holds only rumors this process sourced.
+  CONGOS_ASSERT_MSG(rumor.uid.source == self_, "injected rumor names another source");
   ++counters_.injected;
   if (rumor.dest.test(self_)) deliver_local(now, rumor.uid, rumor.data, false);
 
@@ -236,6 +238,7 @@ void ConfidentialGossipService::add_fragment_for_reassembly(Round now,
 void ConfidentialGossipService::on_report(Round /*now*/,
                                           const DistributionReportBody& report) {
   for (const auto& hit : report.hits) {
+    if (hit.rumor.source != self_) continue;  // cache_ holds only own rumors
     auto it = cache_.find(hit.rumor);
     if (it == cache_.end() || it->second.confirmed) continue;
     auto& matrix = confirm_[hit.rumor];

@@ -122,7 +122,7 @@ class ConfidentialGossipService {
   sim::DeliveryListener* listener_;
   Hooks hooks_;
 
-  FlatMap<RumorUid, CacheEntry> cache_;
+  FlatMap<RumorUid, CacheEntry> cache_;  // only rumors this process injected
   FlatMap<RumorUid, ConfirmMatrix> confirm_;
   FlatMap<StoreKey, StoreEntry, StoreKeyHash> store_;
   FlatSet<RumorUid> delivered_;

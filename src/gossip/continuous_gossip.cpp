@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/assert.h"
+#include "common/gallop.h"
 #include "common/math.h"
 
 namespace congos::gossip {
@@ -148,24 +149,29 @@ std::uint64_t ContinuousGossipService::inject(Round now, sim::PayloadPtr body,
   r.deadline_at = deadline_at;
   r.dest = std::move(dest);
   r.body = std::move(body);
-  accept(now, r);
+  accept(now, r, sorted_gids_.size());
   return r.gid;
 }
 
-void ContinuousGossipService::accept(Round now, const GossipRumor& r) {
-  if (r.deadline_at < now) return;  // expired in flight
-  auto [it, inserted] = known_.try_emplace(r.gid);
-  if (!inserted) {
+std::size_t ContinuousGossipService::accept(Round now, const GossipRumor& r,
+                                            std::size_t hint) {
+  if (r.deadline_at < now) return hint;  // expired in flight
+  const auto begin = sorted_gids_.begin();
+  const auto at = gallop_lower_bound(
+      begin, begin + static_cast<std::ptrdiff_t>(std::min(hint, sorted_gids_.size())),
+      sorted_gids_.end(), r.gid);
+  const auto idx = static_cast<std::size_t>(at - begin);
+  if (at != sorted_gids_.end() && *at == r.gid) {
     // Already known: re-pushed by a peer, duplicated by the fault layer, or a
     // retransmission. Gids make suppression exact - nothing downstream ever
     // sees the same rumor twice from this service.
     ++duplicates_suppressed_;
-    return;
+    return idx + 1;
   }
+  auto [it, inserted] = known_.try_emplace(r.gid);
+  CONGOS_ASSERT_MSG(inserted, "rumor index out of sync with known set");
   batch_dirty_ = true;
-  const auto pos = std::lower_bound(sorted_gids_.begin(), sorted_gids_.end(), r.gid);
-  const auto idx = static_cast<std::size_t>(pos - sorted_gids_.begin());
-  sorted_gids_.insert(pos, r.gid);
+  sorted_gids_.insert(sorted_gids_.begin() + static_cast<std::ptrdiff_t>(idx), r.gid);
   sorted_deadlines_.insert(sorted_deadlines_.begin() + static_cast<std::ptrdiff_t>(idx),
                            r.deadline_at);
   Tracked& t = it->second;
@@ -180,6 +186,7 @@ void ContinuousGossipService::accept(Round now, const GossipRumor& r) {
       pending_acks_[r.origin].push_back(r.gid);
     }
   }
+  return idx + 1;
 }
 
 void ContinuousGossipService::purge_expired(Round now) {
@@ -334,8 +341,10 @@ void ContinuousGossipService::on_envelope(Round now, const sim::Envelope& e) {
   CONGOS_ASSERT(e.body != nullptr);
   switch (e.body->kind()) {
     case sim::PayloadKind::kGossipMsg: {
+      // One merge walk of the batch against sorted_gids_ (see accept()).
       const auto& msg = static_cast<const GossipMsg&>(*e.body);
-      for (const auto& r : msg.rumors) accept(now, r);
+      std::size_t cursor = 0;
+      for (const auto& r : msg.rumors) cursor = accept(now, r, cursor);
       return;
     }
     case sim::PayloadKind::kGossipPull:

@@ -389,7 +389,16 @@ class ContinuousGossipService {
   std::vector<GossipRumor> batch_scratch_;
 
   std::uint64_t next_gid(Round now);
-  void accept(Round now, const GossipRumor& r);
+  /// Records `r` unless it expired in flight or is already known (then it
+  /// only counts as a duplicate), and delivers a new one locally when this
+  /// process is a destination. `hint` is a cursor into sorted_gids_; the
+  /// return value is the cursor for the next gid of an ascending batch.
+  /// Batches arrive in ascending gid order and mostly repeat what is known,
+  /// so a galloping search from the cursor settles a repeat with one or two
+  /// compares instead of a hash probe, and a gid behind the cursor costs one
+  /// binary search. Any hint gives the exact position, so a deliver_ callback
+  /// that injects mid-walk cannot mislead the walk.
+  std::size_t accept(Round now, const GossipRumor& r, std::size_t hint);
   void purge_expired(Round now);
   const std::shared_ptr<GossipMsg>& active_batch();
 };

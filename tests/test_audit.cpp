@@ -7,6 +7,7 @@
 #include "audit/confidentiality.h"
 #include "audit/qod.h"
 #include "baseline/baseline_payload.h"
+#include "gossip/continuous_gossip.h"
 #include "partition/bit_partition.h"
 
 namespace congos::audit {
@@ -338,6 +339,214 @@ TEST_F(ConfAuditorTest, ViolationsComeInCanonicalOrder) {
                                               {kF, 7, 2},
                                               {kL, 7, 2}}));
   EXPECT_EQ(auditor.count(kF), 5u);
+}
+
+// -- gossip bodies judged clean ----------------------------------------------
+// GossipMsg rumors carry shared body objects that every holder re-pushes;
+// a body judged clean at a process is remembered there by (tag, gid, object).
+// Each test checks a case where remembering must not change a verdict.
+
+sim::PayloadPtr fragment_body(core::Fragment f) {
+  auto b = std::make_shared<core::FragmentBody>();
+  b->fragment = std::move(f);
+  return b;
+}
+
+sim::PayloadPtr share_body(std::vector<core::Fragment> frags) {
+  auto b = std::make_shared<core::ProxyShareBody>();
+  b->proxied = std::move(frags);
+  return b;
+}
+
+struct Pushed {
+  std::uint64_t gid = 0;
+  sim::PayloadPtr body;
+  Round deadline_at = 64;
+};
+
+sim::Envelope gossip_env(ProcessId to, const std::vector<Pushed>& rumors,
+                         PartitionIndex l = 0) {
+  auto m = std::make_shared<gossip::GossipMsg>();
+  for (const Pushed& p : rumors) {
+    gossip::GossipRumor r;
+    r.gid = p.gid;
+    r.origin = 0;
+    r.deadline_at = p.deadline_at;
+    r.body = p.body;
+    m->rumors.push_back(std::move(r));
+  }
+  return sim::Envelope{0, to, sim::ServiceTag{sim::ServiceKind::kGroupGossip, l}, m};
+}
+
+using Judged = std::tuple<ViolationKind, ProcessId, RumorUid, Round>;
+
+std::vector<Judged> judged(const ConfidentialityAuditor& a) {
+  std::vector<Judged> out;
+  for (const auto& v : a.violations()) out.emplace_back(v.kind, v.process, v.rumor, v.when);
+  return out;
+}
+
+TEST_F(ConfAuditorTest, GossipBodySwappedUnderAKnownGidIsJudgedAgain) {
+  // 6 is in group 0 of partition 0: `own` is clean there. The same gid then
+  // arrives with another body object carrying the group-1 fragment.
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_inject(r, 0);
+  const auto own = fragment_body(frag_for(r, 0, 0, 2));
+  for (Round t = 1; t <= 3; ++t) auditor.on_envelope_delivered(gossip_env(6, {{7, own}}), t);
+  EXPECT_TRUE(auditor.violations().empty());
+  const auto swapped = fragment_body(frag_for(r, 0, 1, 2));
+  auditor.on_envelope_delivered(gossip_env(6, {{7, swapped}}), 4);
+  auditor.on_envelope_delivered(gossip_env(6, {{7, own}, {7, swapped}}), 5);
+  constexpr auto kF = ViolationKind::kForeignFragment;
+  constexpr auto kS = ViolationKind::kFragmentSetLeak;
+  EXPECT_EQ(seen(auditor), (std::vector<Seen>{{kF, 6, 4}, {kS, 6, 4}, {kF, 6, 5}}));
+}
+
+TEST_F(ConfAuditorTest, RepeatedForeignGossipBodyIsFlaggedEveryTime) {
+  // 6 is in group 1 of partition 1, so the share's (1, 0) fragment is
+  // foreign; the (0, 0) one is its own. Neither completes a set.
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_inject(r, 0);
+  const auto share = share_body({frag_for(r, 0, 0, 2), frag_for(r, 1, 0, 2)});
+  constexpr int kTimes = 5;
+  for (Round t = 1; t <= kTimes; ++t) {
+    auditor.on_envelope_delivered(gossip_env(6, {{3, share}}), t);
+  }
+  auditor.on_envelope_delivered(gossip_env(6, {{3, share}, {3, share}}), kTimes + 1);
+  EXPECT_EQ(auditor.count(ViolationKind::kForeignFragment), kTimes + 2u);
+  EXPECT_EQ(auditor.leaks(), 0u);
+}
+
+TEST_F(ConfAuditorTest, GossipMemoStopsAnsweringOnceGroupCountsVary) {
+  // RepeatAfterAnotherFragmentMovedTheGroupCount, carried by gossip: after
+  // the (1, 1, 3) fragment moves 6's group count, the clean body `own`
+  // completes the set again and must be judged, not remembered - later in
+  // the same batch, and in a later batch.
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_inject(r, 0);
+  const auto own = fragment_body(frag_for(r, 0, 0, 2));
+  const auto three = fragment_body(frag_for(r, 1, 1, 3));  // 6: group 1 of l=1
+  auditor.on_envelope_delivered(gossip_env(6, {{1, own}}), 1);
+  auditor.on_envelope_delivered(gossip_env(6, {{1, own}}), 1);
+  auditor.on_envelope_delivered(gossip_env(6, {{2, fragment_body(frag_for(r, 0, 1, 2))}}), 2);
+  auditor.on_envelope_delivered(gossip_env(6, {{1, own}}), 2);
+  EXPECT_FALSE(auditor.group_counts_vary(6));
+  auditor.on_envelope_delivered(gossip_env(6, {{3, three}, {1, own}}), 3);
+  EXPECT_TRUE(auditor.group_counts_vary(6));
+  auditor.on_envelope_delivered(gossip_env(6, {{3, three}}), 4);
+  EXPECT_FALSE(auditor.knowledge().can_reconstruct(6, r.uid));
+  auditor.on_envelope_delivered(gossip_env(6, {{1, own}}), 5);
+  EXPECT_TRUE(auditor.knowledge().can_reconstruct(6, r.uid));
+  constexpr auto kF = ViolationKind::kForeignFragment;
+  constexpr auto kS = ViolationKind::kFragmentSetLeak;
+  EXPECT_EQ(seen(auditor),
+            (std::vector<Seen>{{kF, 6, 2}, {kS, 6, 2}, {kS, 6, 3}, {kS, 6, 5}}));
+}
+
+TEST_F(ConfAuditorTest, GossipMemoReleasesBodiesPastTheirDeadline) {
+  // The memo holds each clean body it remembers, and lets go of it at the
+  // receiver's first gossip delivery in a round past the rumor's deadline.
+  // A foreign body is never remembered.
+  auto r = test_rumor(0, 1, kN, {2});
+  auditor.on_inject(r, 0);
+  const auto own = fragment_body(frag_for(r, 0, 0, 2));
+  const auto foreign = fragment_body(frag_for(r, 1, 0, 2));  // 6: group 1 of l=1
+  auditor.on_envelope_delivered(gossip_env(6, {{1, own, 10}, {2, foreign, 10}}), 5);
+  EXPECT_EQ(own.use_count(), 2);
+  EXPECT_EQ(foreign.use_count(), 1);
+  auditor.on_envelope_delivered(gossip_env(6, {{1, own, 10}}), 10);
+  EXPECT_EQ(own.use_count(), 2);  // the deadline round itself still holds it
+  auditor.on_envelope_delivered(gossip_env(6, {}), 11);
+  EXPECT_EQ(own.use_count(), 1);
+  EXPECT_EQ(auditor.count(ViolationKind::kForeignFragment), 1u);
+}
+
+TEST_F(ConfAuditorTest, GossipMemoConcurrentReceiversMatchSerialAndFlatPath) {
+  // Every process gets its own stream of gossip batches over shared bodies:
+  // own-group and foreign fragments, proxy shares, rumors never injected,
+  // and a 3-group variant that makes some processes' group counts vary.
+  // Receivers on their own threads must match a serial auditor, and both
+  // must match the same fragments delivered as partials, which no memo sees.
+  std::vector<sim::Rumor> rumors;
+  for (std::uint64_t seq = 0; seq < 6; ++seq) {
+    rumors.push_back(test_rumor(static_cast<ProcessId>(seq % kN), seq, kN,
+                                {static_cast<std::uint32_t>((seq * 3 + 1) % kN)}));
+  }
+  std::vector<Pushed> pool;
+  for (const sim::Rumor& r : rumors) {
+    for (PartitionIndex l = 0; l < 3; ++l) {
+      for (GroupIndex g = 0; g < 2; ++g) {
+        pool.push_back({pool.size(), fragment_body(frag_for(r, l, g, 2))});
+      }
+    }
+    pool.push_back({pool.size(), share_body({frag_for(r, 0, 0, 2), frag_for(r, 1, 1, 2)})});
+  }
+  pool.push_back({pool.size(), fragment_body(frag_for(rumors[4], 2, 0, 3))});
+  const auto batch = [&](ProcessId p, Round t) {
+    std::vector<Pushed> out;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      const std::size_t h = i * 7 + p * 3 + static_cast<std::size_t>(t) * 5;
+      if (i + 1 == pool.size() && p % 2 == 0) continue;  // odd p only: count varies
+      if (h % 4 < 3) out.push_back(pool[i]);
+      if (h % 13 == 0) out.push_back(pool[i]);  // a repeat within the batch
+    }
+    return out;
+  };
+  constexpr Round kRounds = 10;
+  ConfidentialityAuditor serial{kN, &parts};
+  ConfidentialityAuditor concurrent{kN, &parts};
+  ConfidentialityAuditor flat{kN, &parts};
+  for (std::size_t i = 0; i + 2 < rumors.size(); ++i) {  // the last two stay unknown
+    for (ConfidentialityAuditor* a : {&serial, &concurrent, &flat}) a->on_inject(rumors[i], 0);
+  }
+  for (Round t = 1; t <= kRounds; ++t) {
+    for (ProcessId p = 0; p < kN; ++p) {
+      serial.on_envelope_delivered(gossip_env(p, batch(p, t)), t);
+      std::vector<core::Fragment> frags;
+      for (const Pushed& b : batch(p, t)) {
+        if (b.body->kind() == sim::PayloadKind::kFragment) {
+          frags.push_back(static_cast<const core::FragmentBody&>(*b.body).fragment);
+        } else {
+          for (const auto& f : static_cast<const core::ProxyShareBody&>(*b.body).proxied) {
+            frags.push_back(f);
+          }
+        }
+      }
+      flat.on_envelope_delivered(partials_env(0, p, std::move(frags)), t);
+    }
+  }
+  {
+    std::vector<std::thread> threads;
+    for (ProcessId p = 0; p < kN; ++p) {
+      threads.emplace_back([&, p] {
+        for (Round t = 1; t <= kRounds; ++t) {
+          concurrent.on_envelope_delivered(gossip_env(p, batch(p, t)), t);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+  }
+
+  const std::vector<Judged> want = judged(flat);
+  EXPECT_GT(flat.count(ViolationKind::kForeignFragment), 0u);
+  EXPECT_GT(flat.count(ViolationKind::kFragmentSetLeak), 0u);
+  EXPECT_EQ(judged(serial), want);
+  EXPECT_EQ(judged(concurrent), want);
+  bool some_vary = false;
+  for (ProcessId p = 0; p < kN; ++p) {
+    some_vary = some_vary || flat.group_counts_vary(p);
+    EXPECT_EQ(serial.group_counts_vary(p), flat.group_counts_vary(p)) << p;
+    EXPECT_EQ(concurrent.group_counts_vary(p), flat.group_counts_vary(p)) << p;
+    for (const sim::Rumor& r : rumors) {
+      for (PartitionIndex l = 0; l < 3; ++l) {
+        EXPECT_EQ(concurrent.knowledge().fragment_mask(p, r.uid, l),
+                  flat.knowledge().fragment_mask(p, r.uid, l));
+      }
+    }
+  }
+  EXPECT_TRUE(some_vary);
+  EXPECT_EQ(serial.unknown_payloads(), 0u);
+  EXPECT_EQ(concurrent.unknown_payloads(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "congos/fragment.h"
 #include "harness/cluster.h"
 #include "net/checkpoint.h"
 #include "net/control.h"
@@ -444,6 +445,43 @@ TEST(ClusterAudit, LinesNamingUnknownProcessesAreCountedNotFatal) {
   EXPECT_EQ(res.qod.delivered_on_time, 1u);
   EXPECT_TRUE(res.qod.ok());
   EXPECT_FALSE(res.ok());
+}
+
+TEST(ClusterAudit, FragmentsNamingUnknownPartitionsOrGroupsAreCounted) {
+  // Partition and group indices come off the wire: a recv frame naming
+  // partition 200, or a group past its partition's count, is an unknown
+  // payload of the receiver and is never used as an index.
+  constexpr std::size_t kN = 8;
+  HandLogs logs("audit_partition", kN);
+  const sim::Rumor r = hand_rumor(0, 1, kN, {1});
+  logs.line(0, inject_line(2, r));
+  const auto fragment = [&](PartitionIndex l, GroupIndex g) {
+    core::Fragment f;
+    f.meta.key = core::FragmentKey{r.uid, l, g};
+    f.meta.dest = r.dest;
+    f.meta.expires_at = 12;
+    f.meta.dline = 10;
+    f.meta.num_groups = 2;
+    f.data = {1, 2, 3};
+    return f;
+  };
+  auto partials = std::make_shared<core::PartialsPayload>();
+  partials->fragments = {fragment(200, 0), fragment(0, 63)};
+  const ProcessId curious = 5;  // neither source nor destination
+  const sim::Envelope e{0, curious,
+                        sim::ServiceTag{sim::ServiceKind::kGroupDistribution, 0}, partials};
+  std::vector<std::uint8_t> frame;
+  ASSERT_TRUE(wire::encode_envelope(e, 4, &frame));
+  std::string recv;
+  net::append_recv_event(&recv, 4, frame);
+  logs.line(curious, recv);
+  const harness::ClusterResult res = logs.audit();
+
+  EXPECT_EQ(res.log_parse_errors, 0u);
+  EXPECT_EQ(res.recv_frames, 1u);
+  EXPECT_EQ(res.unknown_payloads, 2u);
+  EXPECT_EQ(res.foreign_fragments, 0u);
+  EXPECT_EQ(res.leaks, 0u);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
+#include "common/gallop.h"
 #include "sim/engine.h"
 #include "test_util.h"
 
@@ -502,6 +504,108 @@ TEST(Gossip, GidPackingAtEpochBoundary) {
   EXPECT_EQ((gid >> 21) & ((1u << 19) - 1),
             static_cast<std::uint64_t>(kMaxEpoch) + 1);
   EXPECT_EQ(gid & ((1u << 21) - 1), 0u);  // first counter value of the epoch
+}
+
+// -- receive-side merge walk ------------------------------------------------
+
+TEST(Gallop, MatchesLowerBoundFromEveryHint) {
+  const std::vector<int> v{1, 3, 3, 3, 5, 8, 13, 21, 21, 34};
+  for (int key = 0; key <= 36; ++key) {
+    const auto want = std::lower_bound(v.begin(), v.end(), key);
+    for (auto hint = v.begin(); hint <= v.end(); ++hint) {
+      EXPECT_EQ(gallop_lower_bound(v.begin(), hint, v.end(), key), want)
+          << "key " << key << " hint " << (hint - v.begin());
+    }
+  }
+  const std::vector<int> empty;
+  EXPECT_EQ(gallop_lower_bound(empty.begin(), empty.begin(), empty.end(), 4), empty.end());
+}
+
+/// Discards everything sent (the property test drives one service alone).
+struct NullSender final : sim::Sender {
+  void send(sim::Envelope) override {}
+};
+
+TEST(Gossip, MergeWalkMatchesSetModel) {
+  // Random batches against a std::map model of the known set: unsorted
+  // gids, a gid repeated inside one batch, rumors expired in flight, one-
+  // rumor batches, own injections and purges in between. Delivery order,
+  // duplicates_suppressed() and known_active() must match the model.
+  constexpr std::size_t kN = 16;
+  constexpr ProcessId kSelf = 5;
+  const auto universe = DynamicBitset::full(kN);
+  GossipConfig cfg;
+  cfg.tag = kTag;
+  cfg.universe = universe;
+  Rng svc_rng(11);
+  std::vector<std::uint64_t> delivered;
+  ContinuousGossipService svc(kSelf, cfg, &svc_rng, [&](Round, const GossipRumor& r) {
+    delivered.push_back(r.gid);
+  });
+
+  std::map<std::uint64_t, Round> model;  // gid -> deadline first accepted
+  std::vector<std::uint64_t> want_delivered;
+  std::uint64_t want_dups = 0;
+  const auto model_accept = [&](Round now, std::uint64_t gid, Round deadline, bool to_self) {
+    if (deadline < now) return;
+    if (!model.emplace(gid, deadline).second) {
+      ++want_dups;
+    } else if (to_self) {
+      want_delivered.push_back(gid);
+    }
+  };
+
+  Rng rng(2024);
+  NullSender sink;
+  std::uint64_t rounds_with_unsorted = 0;
+  for (Round now = 0; now < 400; ++now) {
+    const int batches = static_cast<int>(rng.next_below(4));
+    for (int b = 0; b < batches; ++b) {
+      auto msg = std::make_shared<GossipMsg>();
+      const std::size_t len =
+          rng.next_below(4) == 0 ? 1 : 1 + static_cast<std::size_t>(rng.next_below(24));
+      for (std::size_t i = 0; i < len; ++i) {
+        GossipRumor r;
+        // Sources 0..3 (never kSelf), 64 gids each: repeats are common.
+        r.gid = (rng.next_below(4) << 40) | rng.next_below(64);
+        r.origin = static_cast<ProcessId>(r.gid >> 40);
+        r.deadline_at = now - 3 + static_cast<Round>(rng.next_below(40));
+        r.dest = DynamicBitset(kN);
+        if (rng.next_below(2) == 0) r.dest.set(kSelf);
+        msg->rumors.push_back(std::move(r));
+      }
+      if (len > 2 && rng.next_below(3) == 0) {
+        msg->rumors.push_back(msg->rumors[rng.next_below(len)]);  // repeat in batch
+      }
+      if (rng.next_below(2) == 0) {
+        std::sort(msg->rumors.begin(), msg->rumors.end(),
+                  [](const GossipRumor& a, const GossipRumor& c) { return a.gid < c.gid; });
+      } else {
+        ++rounds_with_unsorted;
+      }
+      for (const auto& r : msg->rumors) {
+        model_accept(now, r.gid, r.deadline_at, r.dest.test(kSelf));
+      }
+      svc.on_envelope(now, sim::Envelope{1, kSelf, kTag, msg});
+    }
+    if (rng.next_below(8) == 0) {
+      const Round deadline = now + static_cast<Round>(rng.next_below(20));
+      const std::uint64_t gid = svc.inject(now, nullptr, DynamicBitset::full(kN), deadline);
+      model_accept(now, gid, deadline, true);
+    }
+    if (rng.next_below(3) == 0) {
+      svc.send_phase(now, sink);
+      std::erase_if(model, [&](const auto& kv) { return kv.second < now; });
+    }
+    std::size_t want_active = 0;
+    for (const auto& [gid, deadline] : model) want_active += deadline >= now ? 1 : 0;
+    ASSERT_EQ(svc.known_active(now), want_active) << "round " << now;
+    ASSERT_EQ(svc.duplicates_suppressed(), want_dups) << "round " << now;
+    ASSERT_EQ(delivered, want_delivered) << "round " << now;
+  }
+  EXPECT_GT(want_dups, 1000u);
+  EXPECT_GT(delivered.size(), 100u);
+  EXPECT_GT(rounds_with_unsorted, 100u);
 }
 
 TEST(GossipDeath, GidEpochOverflowAborts) {
