@@ -21,12 +21,13 @@ ConfidentialGossipService::ConfidentialGossipService(
   CONGOS_ASSERT(cfg_ != nullptr && partitions_ != nullptr && rng_ != nullptr);
 }
 
-void ConfidentialGossipService::reset(Round /*now*/) {
+void ConfidentialGossipService::reset(Round now) {
   cache_.clear();
   confirm_.clear();
   store_.clear();
   delivered_.clear();
   pending_direct_.clear();
+  last_gc_ = now;  // the sweep period restarts with the incarnation
   // counters_ intentionally survive: they describe the experiment, not the
   // protocol state (a restarted process has no memory of them either way;
   // keeping them only affects reporting).

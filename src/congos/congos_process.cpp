@@ -42,25 +42,19 @@ CongosProcess::CongosProcess(ProcessId id, std::shared_ptr<const CongosConfig> c
   CONGOS_ASSERT(cfg_ != nullptr && partitions_ != nullptr);
   CONGOS_ASSERT(partitions_->count() > 0);
   degenerate_ = is_degenerate((*partitions_)[0].n(), *cfg_);
-  build_services();
-}
 
-void CongosProcess::build_services() {
   const std::size_t n = (*partitions_)[0].n();
-  const auto self = id();
-
-  group_gossip_.clear();
   group_gossip_.reserve(partitions_->count());
   for (PartitionIndex l = 0; l < partitions_->count(); ++l) {
     const auto& part = (*partitions_)[l];
     gossip::GossipConfig gcfg;
     gcfg.tag = sim::ServiceTag{sim::ServiceKind::kGroupGossip, l};
-    gcfg.universe = part.members(part.group_of(self));
+    gcfg.universe = part.members(part.group_of(id));
     gcfg.fanout = cfg_->gossip_fanout;
     gcfg.strategy = cfg_->gossip_strategy;
     gcfg.graph_seed = cfg_->partition_seed ^ (static_cast<std::uint64_t>(l) << 8);
     group_gossip_.push_back(std::make_unique<gossip::ContinuousGossipService>(
-        self, std::move(gcfg), &rng_,
+        id, std::move(gcfg), &rng_,
         [this, l](Round now, const gossip::GossipRumor& r) {
           on_group_gossip_deliver(l, now, r);
         }));
@@ -73,24 +67,21 @@ void CongosProcess::build_services() {
   acfg.strategy = cfg_->gossip_strategy;
   acfg.graph_seed = cfg_->partition_seed ^ 0xa11ULL;
   all_gossip_ = std::make_unique<gossip::ContinuousGossipService>(
-      self, std::move(acfg), &rng_,
+      id, std::move(acfg), &rng_,
       [this](Round now, const gossip::GossipRumor& r) { on_all_gossip_deliver(now, r); });
 
   ConfidentialGossipService::Hooks hooks;
-  hooks.gossip_fragment = [this](PartitionIndex l, Round now, sim::PayloadPtr body,
-                                 Round deadline_at) {
+  hooks.gossip_fragment = [this, id](PartitionIndex l, Round now, sim::PayloadPtr body,
+                                     Round deadline_at) {
     const auto& part = (*partitions_)[l];
-    group_gossip_[l]->inject(now, std::move(body), part.members(part.group_of(id())),
+    group_gossip_[l]->inject(now, std::move(body), part.members(part.group_of(id)),
                              deadline_at);
   };
   hooks.proxy = [this](Round dline, PartitionIndex l) { return proxy(dline, l); };
   hooks.gd = [this](Round dline, PartitionIndex l) { return gd(dline, l); };
   cg_ = std::make_unique<ConfidentialGossipService>(
-      self, cfg_.get(), partitions_.get(), degenerate_, &rng_, listener_,
+      id, cfg_.get(), partitions_.get(), degenerate_, &rng_, listener_,
       std::move(hooks));
-
-  instances_.clear();
-  pending_acks_.clear();  // queued acks are volatile state, lost on restart
 }
 
 CongosProcess::Instance& CongosProcess::instance(Round dline) {
@@ -150,10 +141,17 @@ void CongosProcess::on_start(Round now) {
 
 void CongosProcess::on_restart(Round now) {
   // No durable storage: every service restarts from its initial state. The
-  // process re-reads the global clock (`now`).
+  // process re-reads the global clock (`now`). Resetting the gossip services
+  // in place starts a new gid epoch, so the rumors this incarnation injects
+  // never reuse the gids of rumors its peers still hold from the last one.
+  // Counters and filter drops survive: they describe the experiment.
   wakeup_ = now;
   now_ = now;
-  build_services();
+  for (auto& gg : group_gossip_) gg->reset(now);
+  all_gossip_->reset(now);
+  cg_->reset(now);
+  instances_.clear();     // Proxy/GroupDistribution instances are lazy
+  pending_acks_.clear();  // queued acks are volatile state, lost on restart
 }
 
 void CongosProcess::inject(const sim::Rumor& rumor) {

@@ -86,7 +86,6 @@ class CongosProcess final : public sim::Process {
   ProxyService* proxy(Round dline, PartitionIndex l);
   GroupDistributionService* gd(Round dline, PartitionIndex l);
 
-  void build_services();
   void on_group_gossip_deliver(PartitionIndex l, Round now,
                                const gossip::GossipRumor& rumor);
   void on_all_gossip_deliver(Round now, const gossip::GossipRumor& rumor);

@@ -149,6 +149,9 @@ std::uint64_t ContinuousGossipService::inject(Round now, sim::PayloadPtr body,
   r.deadline_at = deadline_at;
   r.dest = std::move(dest);
   r.body = std::move(body);
+  // next_gid() never repeats within an epoch and reset() starts a new one,
+  // so a known gid here means two rumors share an identity.
+  CONGOS_ASSERT_MSG(known_.find(r.gid) == known_.end(), "injected gossip gid is not new");
   accept(now, r, sorted_gids_.size());
   return r.gid;
 }

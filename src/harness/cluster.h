@@ -174,13 +174,14 @@ struct ClusterResult {
   /// The cluster acceptance gate: everything launched, every daemon's
   /// final incarnation exited clean (scheduled mid-run kills are recorded
   /// in lifecycle counters, not here), no unscheduled death or failed
-  /// respawn, QoD held under continuously-alive admissibility, and no
-  /// confidentiality violation was observed on the wire or in state files.
+  /// respawn, QoD held under continuously-alive admissibility, no
+  /// confidentiality violation was observed on the wire or in state files,
+  /// and the auditor understood every payload it was shown.
   bool ok() const {
     return error.empty() && daemons_ok() && qod.ok() && leaks == 0 &&
-           foreign_fragments == 0 && log_parse_errors == 0 &&
-           unexpected_exits == 0 && respawn_failures == 0 &&
-           state_file_errors == 0;
+           foreign_fragments == 0 && unknown_payloads == 0 &&
+           log_parse_errors == 0 && unexpected_exits == 0 &&
+           respawn_failures == 0 && state_file_errors == 0;
   }
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/assert.h"
-#include "sim/trace.h"
 #include "wire/wire.h"
 
 namespace congos::harness {
@@ -31,6 +30,38 @@ void fill_result_summary(replay::ReproFile* file, const ScenarioResult& r) {
   file->wire_codec_version = wire::kWireFormatVersion;
 }
 
+std::vector<std::string> summary_diffs(const replay::ReproFile& file,
+                                       const ScenarioResult& r) {
+  struct Field {
+    const char* name;
+    std::uint64_t recorded;
+    std::uint64_t replayed;
+  };
+  std::vector<Field> fields = {
+      {"total_messages", file.total_messages, r.total_messages},
+      {"injected", file.injected, r.injected},
+      {"crashes", file.crashes, r.crashes},
+      {"restarts", file.restarts, r.restarts},
+      {"leaks", file.leaks, r.leaks},
+      {"foreign_fragments", file.foreign_fragments, r.foreign_fragments},
+      {"qod_delivered_on_time", file.qod_delivered_on_time, r.qod.delivered_on_time},
+      {"qod_late", file.qod_late, r.qod.late},
+      {"qod_missing", file.qod_missing, r.qod.missing},
+      {"qod_data_mismatches", file.qod_data_mismatches, r.qod.data_mismatches},
+  };
+  if (file.wire_codec_version == wire::kWireFormatVersion) {
+    fields.push_back({"total_bytes", file.total_bytes, r.total_bytes});
+  }
+  std::vector<std::string> diffs;
+  for (const Field& f : fields) {
+    if (f.recorded != f.replayed) {
+      diffs.push_back(std::string(f.name) + " recorded=" + std::to_string(f.recorded) +
+                      " replayed=" + std::to_string(f.replayed));
+    }
+  }
+  return diffs;
+}
+
 }  // namespace
 
 RecordedRun run_recorded(const ScenarioConfig& cfg, const std::string& label,
@@ -38,35 +69,31 @@ RecordedRun run_recorded(const ScenarioConfig& cfg, const std::string& label,
   std::string why;
   CONGOS_ASSERT_MSG(replay::is_recordable(cfg, &why), why.c_str());
 
-  replay::DecisionRecorder recorder;
-  sim::TraceLog trace;
-
-  ScenarioConfig copy = cfg;
-  copy.extra_observers.push_back(&recorder);
-  copy.extra_observers.push_back(&trace);
-
   RecordedRun out;
+  ScenarioConfig copy = cfg;
+  copy.extra_observers.push_back(&out.trace);
   out.result = run_scenario(copy);
 
   // The artifact stores the caller's config (without this function's
-  // observers) so a replay re-attaches its own.
+  // observer) so a replay re-attaches its own.
   out.repro.config = cfg;
   out.repro.config.extra_observers.clear();
   out.repro.label = label;
   out.repro.reason = reason;
-  recorder.fill(&out.repro);
+  out.repro.round_deliveries = out.trace.round_deliveries();
+  out.repro.trace_hash = out.trace.trace_hash();
   fill_result_summary(&out.repro, out.result);
-  out.repro.trace_tail = trace.dump_string();
   return out;
 }
 
-ReplayReport replay_file(const replay::ReproFile& file, ReplayOptions opt) {
-  replay::DecisionRecorder recorder;
+ReplayReport replay_file(const replay::ReproFile& file, ReplayOptions opt,
+                         sim::TraceLog* trace) {
+  sim::TraceLog own({.capacity = 0, .record_deliveries = false});
+  if (trace == nullptr) trace = &own;
 
   ScenarioConfig cfg = file.config;
-  cfg.extra_observers.clear();
+  cfg.extra_observers.assign(1, trace);
   cfg.extra_adversaries.clear();
-  cfg.extra_observers.push_back(&recorder);
 
   ScenarioRun run(cfg);
   run.run_until(opt.until_round < 0 ? run.total_rounds() : opt.until_round);
@@ -75,30 +102,23 @@ ReplayReport replay_file(const replay::ReproFile& file, ReplayOptions opt) {
   report.result = run.finalize();
   report.executed_rounds = run.engine().now();
   report.complete = run.finished();
-  report.trace_hash = recorder.trace_hash();
+  report.trace_hash = trace->trace_hash();
   report.hash_match = report.complete && report.trace_hash == file.trace_hash;
 
-  const auto& got = recorder.round_deliveries();
+  const auto& got = trace->round_deliveries();
   const auto& want = file.round_deliveries;
-  const std::size_t common = std::min(got.size(), want.size());
-  report.counts_match = true;
-  for (std::size_t i = 0; i < common; ++i) {
-    if (got[i] != want[i]) {
-      report.counts_match = false;
-      report.first_count_divergence = static_cast<Round>(i);
-      break;
-    }
-  }
-  if (report.counts_match && report.complete && got.size() != want.size()) {
+  const auto [got_end, want_end] =
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end());
+  report.counts_match = got_end == got.end() || want_end == want.end();
+  if (!report.counts_match) {
+    report.first_count_divergence = static_cast<Round>(got_end - got.begin());
+  } else if (report.complete && got.size() != want.size()) {
     // A complete replay must cover exactly the recorded rounds.
     report.counts_match = false;
-    report.first_count_divergence = static_cast<Round>(common);
+    report.first_count_divergence =
+        static_cast<Round>(std::min(got.size(), want.size()));
   }
-
-  report.first_decision_divergence = recorder.first_divergence(file.decisions);
-  report.decisions_match = report.first_decision_divergence == SIZE_MAX &&
-                           (!report.complete ||
-                            recorder.decisions().size() == file.decisions.size());
+  if (report.complete) report.summary_diffs = summary_diffs(file, report.result);
   return report;
 }
 

@@ -1,21 +1,23 @@
 // Recorded scenario execution and deterministic replay.
 //
-// run_recorded() executes a scenario with a replay::DecisionRecorder and a
-// TraceLog attached and returns the result together with a filled
-// replay::ReproFile — the artifact SweepRunner dumps when an auditor flags a
-// scenario, and what `congos replay` consumes. replay_file() re-executes a
-// ReproFile's config from scratch and cross-checks every recorded
-// observation (per-round delivery counts, their FNV-1a golden hash, the
-// adversary decision trace); any mismatch pinpoints the first diverging
-// round/decision. Because the simulator is a pure function of
-// (config, seed), a verified replay is byte-identical, not merely similar.
+// run_recorded() executes a scenario with a sim::TraceLog attached and
+// returns the result together with a filled replay::ReproFile — the artifact
+// SweepRunner dumps when an auditor flags a scenario, and what
+// `congos_replay` consumes. replay_file() re-executes a ReproFile's config
+// from scratch and cross-checks the recorded fingerprints: the per-round
+// delivery counts, their FNV-1a golden hash and the result summary. Any
+// mismatch pinpoints the first diverging round or the differing summary
+// fields. Because the simulator is a pure function of (config, seed), a
+// verified replay is byte-identical, not merely similar.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "harness/scenario.h"
-#include "replay/recorder.h"
 #include "replay/repro.h"
+#include "sim/trace.h"
 
 namespace congos::harness {
 
@@ -29,19 +31,21 @@ inline bool scenario_failed(const ScenarioResult& r) {
 struct RecordedRun {
   ScenarioResult result;
   replay::ReproFile repro;
+  /// The run's recorder: every lifecycle event, no deliveries.
+  sim::TraceLog trace{{.capacity = SIZE_MAX, .record_deliveries = false}};
 };
 
-/// Run `cfg` to completion with recording observers attached (they are
-/// passive: the execution is identical to run_scenario()). The config must
-/// be recordable (replay::is_recordable); CONGOS_ASSERTs otherwise.
-/// `label`/`reason` are stored verbatim in the artifact.
+/// Run `cfg` to completion with a TraceLog attached (it is passive: the
+/// execution is identical to run_scenario()). The config must be recordable
+/// (replay::is_recordable); CONGOS_ASSERTs otherwise. `label`/`reason` are
+/// stored verbatim in the artifact.
 RecordedRun run_recorded(const ScenarioConfig& cfg, const std::string& label = {},
                          const std::string& reason = {});
 
 struct ReplayOptions {
   /// Stop the re-execution at this round (< 0: run to completion). Partial
-  /// replays verify the per-round count prefix; the full-trace hash is only
-  /// checked on complete runs.
+  /// replays verify the per-round count prefix; the full-trace hash and the
+  /// result summary are only checked on complete runs.
   Round until_round = -1;
 };
 
@@ -59,19 +63,22 @@ struct ReplayReport {
   bool counts_match = false;
   /// First differing per-round count, or kNoRound.
   Round first_count_divergence = kNoRound;
-  /// Decision traces agree over the executed prefix.
-  bool decisions_match = false;
-  /// Index of the first differing decision, or SIZE_MAX.
-  std::size_t first_decision_divergence = SIZE_MAX;
+  /// Summary fields that differ from the recording, one
+  /// "name recorded=X replayed=Y" entry each (complete runs only).
+  /// total_bytes is compared only when the file was written by a build
+  /// with this build's wire codec version.
+  std::vector<std::string> summary_diffs;
 
   /// Everything checked agrees with the recording.
   bool verified() const {
-    return counts_match && decisions_match && (!complete || hash_match);
+    return counts_match && (!complete || (hash_match && summary_diffs.empty()));
   }
 };
 
-/// Re-execute `file.config` deterministically and compare against the
-/// recorded observations.
-ReplayReport replay_file(const replay::ReproFile& file, ReplayOptions opt = {});
+/// Re-execute `file.config` deterministically, recording into `trace` (null:
+/// a count-only TraceLog of its own), and compare against the recorded
+/// fingerprints.
+ReplayReport replay_file(const replay::ReproFile& file, ReplayOptions opt = {},
+                         sim::TraceLog* trace = nullptr);
 
 }  // namespace congos::harness

@@ -249,33 +249,10 @@ bool get_config(ByteReader& r, harness::ScenarioConfig* cfg, std::uint32_t versi
   return r.ok();
 }
 
-void put_decision(ByteWriter& w, const Decision& d) {
-  w.i64(d.round);
-  w.u8(static_cast<std::uint8_t>(d.kind));
-  w.u32(d.process);
-  w.u8(static_cast<std::uint8_t>(d.policy));
-  w.u32(d.rumor.source);
-  w.u64(d.rumor.seq);
-  w.u64(d.dest_count);
-  w.i64(d.deadline);
-}
-
-bool get_decision(ByteReader& r, Decision* d) {
-  d->round = r.i64();
-  if (!checked_enum(r, &d->kind, static_cast<std::uint8_t>(Decision::Kind::kInject))) {
-    return false;
-  }
-  d->process = r.u32();
-  if (!checked_enum(r, &d->policy,
-                    static_cast<std::uint8_t>(sim::PartialDelivery::kRandom))) {
-    return false;
-  }
-  d->rumor.source = r.u32();
-  d->rumor.seq = r.u64();
-  d->dest_count = r.u64();
-  d->deadline = r.i64();
-  return r.ok();
-}
+// Size of one version 1-3 decision record: round (i64), kind (u8), process
+// (u32), policy (u8), rumor source (u32) and seq (u64), destination count
+// (u64) and deadline (i64). Version 4 stores none.
+constexpr std::uint64_t kLegacyDecisionBytes = 42;
 
 }  // namespace
 
@@ -300,8 +277,6 @@ std::vector<std::uint8_t> encode(const ReproFile& file) {
   put_config(w, file.config);
   w.str(file.label);
   w.str(file.reason);
-  w.u64(file.decisions.size());
-  for (const auto& d : file.decisions) put_decision(w, d);
   w.vec_u64(file.round_deliveries);
   w.u64(file.trace_hash);
   w.u64(file.total_messages);
@@ -320,7 +295,6 @@ std::vector<std::uint8_t> encode(const ReproFile& file) {
   }
   w.u64(file.duplicates_suppressed);
   w.u32(file.wire_codec_version);  // v3
-  w.str(file.trace_tail);
 
   std::vector<std::uint8_t> bytes = w.take();
   const std::uint64_t checksum = fnv1a(bytes.data(), bytes.size());
@@ -365,16 +339,11 @@ bool decode(const std::vector<std::uint8_t>& bytes, ReproFile* out,
   }
   file.label = r.str();
   file.reason = r.str();
-  const std::uint64_t n_decisions = r.u64();
-  // A decision occupies >= 34 bytes; reject counts the remaining bytes
-  // cannot possibly hold before allocating.
-  if (!r.ok() || n_decisions > r.remaining() / 34) {
-    set_error(error, "malformed decision trace");
-    return false;
-  }
-  file.decisions.resize(n_decisions);
-  for (auto& d : file.decisions) {
-    if (!get_decision(r, &d)) {
+  if (version < 4) {
+    // Skip the decision trace: re-execution regenerates it.
+    const std::uint64_t n_decisions = r.u64();
+    if (!r.ok() || n_decisions > r.remaining() / kLegacyDecisionBytes ||
+        r.raw(n_decisions * kLegacyDecisionBytes) == nullptr) {
       set_error(error, "malformed decision trace");
       return false;
     }
@@ -401,7 +370,7 @@ bool decode(const std::vector<std::uint8_t>& bytes, ReproFile* out,
   if (version >= 3) {
     file.wire_codec_version = r.u32();
   }
-  file.trace_tail = r.str();
+  if (version < 4) (void)r.str();  // the rendered trace tail
   if (!r.ok()) {
     set_error(error, "malformed trailer section");
     return false;

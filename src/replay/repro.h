@@ -1,22 +1,23 @@
 // Self-contained reproduction artifacts (.repro files).
 //
-// A ReproFile captures everything needed to re-execute one scenario
-// deterministically and check the re-execution against the original run:
+// A simulated run is a pure function of its ScenarioConfig, so a ReproFile
+// stores the config and fingerprints of the run to check a re-execution
+// against:
 //
 //   * the full ScenarioConfig (protocol, CONGOS knobs, workload and failure
-//     pattern options, seeds) — the execution is a pure function of this,
-//   * the adversary decision trace actually taken (every crash, restart and
-//     injection, with round, victim and partial-delivery policy),
+//     pattern options, seeds, link faults, retransmission),
 //   * the per-round delivered-envelope counts and their FNV-1a hash (the
-//     same golden-trace hash the regression tests pin),
+//     same golden-trace hash the regression tests pin, recorded by
+//     sim::TraceLog),
 //   * a summary of the original ScenarioResult,
-//   * a human-readable TraceLog tail and a free-form reason string.
+//   * a label and a free-form reason string.
 //
-// The binary layout is versioned ("CGRP" magic + format version) and ends in
-// a whole-file FNV-1a checksum; decode() rejects truncation, corruption and
-// unknown versions. Process state is never serialized: it reaches gigabytes
-// and re-execution from the config is exact, so the file only needs the
-// inputs plus the expected observations. See DESIGN.md section 7.
+// Nothing that re-execution regenerates is stored: not the adversary's
+// crash/restart/inject choices, not a rendered trace, and never process
+// state (it reaches gigabytes). congos_replay re-executes the config to show
+// any of them. The binary layout is versioned ("CGRP" magic + format
+// version) and ends in a whole-file FNV-1a checksum; decode() rejects
+// truncation, corruption and unknown versions. See DESIGN.md section 7.
 #pragma once
 
 #include <cstdint>
@@ -31,28 +32,12 @@ namespace congos::replay {
 inline constexpr std::uint32_t kReproMagic = 0x50524743;  // "CGRP" little-endian
 /// Version 2 added the link-fault config, the retransmission config and the
 /// fault counter totals; version 3 added the wire codec version the original
-/// run's byte accounting used. decode() still accepts version-1 and
-/// version-2 files (their fault fields default to "off"/zero and their
-/// wire_codec_version to 0 = "byte totals predate the wire codec").
-inline constexpr std::uint32_t kReproVersion = 3;
-
-/// One adversary decision, in execution order. Crash/restart decisions carry
-/// the partial-delivery policy; injections carry the rumor identity and its
-/// shape (destination count, deadline) — payload bytes are reproduced by the
-/// workload, not stored.
-struct Decision {
-  enum class Kind : std::uint8_t { kCrash = 0, kRestart = 1, kInject = 2 };
-
-  Round round = 0;
-  Kind kind = Kind::kCrash;
-  ProcessId process = 0;                                        // victim / source
-  sim::PartialDelivery policy = sim::PartialDelivery::kDeliverAll;  // crash/restart
-  RumorUid rumor;                                               // inject
-  std::uint64_t dest_count = 0;                                 // inject
-  Round deadline = 0;                                           // inject
-
-  friend bool operator==(const Decision&, const Decision&) = default;
-};
+/// run's byte accounting used; version 4 dropped the adversary decision
+/// trace and the rendered trace tail, which re-execution regenerates.
+/// decode() still accepts versions 1-3: it skips their decision records and
+/// tail, and defaults the fields they lack (fault plan "off", counters zero,
+/// wire_codec_version 0 = "byte totals predate the wire codec").
+inline constexpr std::uint32_t kReproVersion = 4;
 
 struct ReproFile {
   harness::ScenarioConfig config;
@@ -62,15 +47,13 @@ struct ReproFile {
   std::string label;
   std::string reason;
 
-  /// Adversary decision trace of the original run.
-  std::vector<Decision> decisions;
-
   /// Per-round delivered-envelope counts of the original run, and their
   /// FNV-1a hash (replay must reproduce this hash byte-identically).
   std::vector<std::uint64_t> round_deliveries;
   std::uint64_t trace_hash = 0;
 
-  /// Key aggregates of the original ScenarioResult, for --diff-golden.
+  /// Key aggregates of the original ScenarioResult; a complete replay must
+  /// reproduce them (harness::replay_file).
   std::uint64_t total_messages = 0;
   std::uint64_t total_bytes = 0;
   std::uint64_t injected = 0;
@@ -93,10 +76,6 @@ struct ReproFile {
   /// 0 means the file predates the wire codec (its byte counts came from a
   /// fixed-width estimate, not from encoded frames).
   std::uint32_t wire_codec_version = 0;
-
-  /// Human-readable TraceLog tail of the original run (empty when tracing
-  /// was off). Never parsed — for eyes only.
-  std::string trace_tail;
 };
 
 /// A config is recordable iff the execution is a pure function of its

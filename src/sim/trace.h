@@ -1,17 +1,25 @@
-// TraceLog: a bounded execution event log for debugging and post-mortems.
+// TraceLog: the recorder of a run.
 //
-// Registered as an ExecutionObserver, it keeps the most recent events
-// (crashes, restarts, injections, and envelope deliveries tagged with the
-// service that sent them) in a ring buffer plus a per-round delivery
-// counter, and renders a human-readable tail on demand. Used by the CLI
-// (--trace), embedded in .repro failure artifacts (src/replay), and
-// available to tests; overhead is O(1) per event.
+// Registered as an ExecutionObserver, it keeps
+//   * every completed round's delivered-envelope count (8 bytes per round)
+//     and their incrementally folded FNV-1a hash, the golden trace hash the
+//     regression tests pin and a .repro stores (src/replay);
+//   * the most recent events in a ring buffer: crashes and restarts with
+//     their partial-delivery policy, injections with the rumor's identity,
+//     destination count and deadline, and (optionally) envelope deliveries
+//     tagged with the service that sent them.
+// It renders a human-readable tail and the lifecycle schedule on demand.
+// Used by the CLI (--trace), by .repro recording and replay, and by the
+// tests. It draws no randomness and never touches the engine, so attaching
+// it cannot perturb the run it records; overhead is O(1) per event.
 #pragma once
 
 #include <deque>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
+#include "common/fnv.h"
 #include "sim/engine.h"
 
 namespace congos::sim {
@@ -24,8 +32,25 @@ class TraceLog final : public ExecutionObserver {
     /// Record one kEnvelopeDelivered event per delivery (with its
     /// ServiceKind) in the ring buffer. High-volume: on a busy round these
     /// evict older lifecycle events, which is exactly what a post-mortem of
-    /// the failing round wants; disable for long-lived lifecycle-only logs.
+    /// the failing round wants; disable for lifecycle-only logs. Per-round
+    /// counts are kept either way.
     bool record_deliveries = true;
+  };
+
+  enum class Kind : std::uint8_t { kCrash, kRestart, kInject, kEnvelopeDelivered };
+  struct Event {
+    Round when = 0;
+    Kind kind = Kind::kCrash;
+    ProcessId process = kNoProcess;  // victim / injection source / receiver
+    PartialDelivery policy = PartialDelivery::kDeliverAll;  // kCrash, kRestart
+    RumorUid rumor;         // kInject only
+    std::size_t dest = 0;   // kInject only: |D|
+    Round deadline = 0;     // kInject only: relative deadline
+    // kEnvelopeDelivered only: sending service and sender.
+    ServiceKind service = ServiceKind::kOther;
+    ProcessId from = kNoProcess;
+
+    friend bool operator==(const Event&, const Event&) = default;
   };
 
   TraceLog() = default;
@@ -42,33 +67,34 @@ class TraceLog final : public ExecutionObserver {
   /// counts of the most recent rounds.
   void dump(std::ostream& os, std::size_t last_n = 100) const;
 
-  /// dump() into a string (the form embedded in .repro artifacts).
+  /// dump() into a string.
   std::string dump_string(std::size_t last_n = 100) const;
 
+  /// A count line, then one line per retained crash, restart and injection
+  /// with every field the event holds (what `congos_replay --schedule`
+  /// prints).
+  void write_schedule(std::ostream& os) const;
+
+  const std::deque<Event>& events() const { return events_; }
   std::size_t event_count() const { return events_.size(); }
   std::uint64_t total_events_seen() const { return seen_; }
 
- private:
-  enum class Kind : std::uint8_t { kCrash, kRestart, kInject, kEnvelopeDelivered };
-  struct Event {
-    Round when = 0;
-    Kind kind = Kind::kCrash;
-    ProcessId process = kNoProcess;  // victim / injection target / receiver
-    RumorUid rumor;       // kInject only
-    std::size_t dest = 0; // kInject only: |D|
-    // kEnvelopeDelivered only: sending service and sender.
-    ServiceKind service = ServiceKind::kOther;
-    ProcessId from = kNoProcess;
-  };
+  /// Delivered-envelope count of every completed round, oldest first.
+  const std::vector<std::uint64_t>& round_deliveries() const { return rounds_; }
+  /// FNV-1a fold of round_deliveries().
+  std::uint64_t trace_hash() const { return hash_; }
 
+ private:
   void push(Event e);
+  void push_lifecycle(Kind kind, ProcessId p, Round now, PartialDelivery policy);
 
   Options opt_{};
   std::deque<Event> events_;
   std::uint64_t seen_ = 0;
-  // most recent rounds' delivered-message counts (bounded window)
-  std::deque<std::pair<Round, std::uint64_t>> round_deliveries_;
+  std::vector<std::uint64_t> rounds_;
+  Round first_round_ = 0;  // the round rounds_[0] counts
   std::uint64_t current_round_deliveries_ = 0;
+  std::uint64_t hash_ = kFnvOffset;
 };
 
 }  // namespace congos::sim

@@ -455,6 +455,7 @@ TEST(ClusterAudit, FragmentsNamingUnknownPartitionsOrGroupsAreCounted) {
   HandLogs logs("audit_partition", kN);
   const sim::Rumor r = hand_rumor(0, 1, kN, {1});
   logs.line(0, inject_line(2, r));
+  logs.line(1, deliver_line(4, 1, r));
   const auto fragment = [&](PartitionIndex l, GroupIndex g) {
     core::Fragment f;
     f.meta.key = core::FragmentKey{r.uid, l, g};
@@ -482,6 +483,14 @@ TEST(ClusterAudit, FragmentsNamingUnknownPartitionsOrGroupsAreCounted) {
   EXPECT_EQ(res.unknown_payloads, 2u);
   EXPECT_EQ(res.foreign_fragments, 0u);
   EXPECT_EQ(res.leaks, 0u);
+  EXPECT_TRUE(res.qod.ok());
+  EXPECT_FALSE(res.ok());
+  // With daemons that exited clean, the unknown payloads alone fail the gate.
+  harness::ClusterResult gated = res;
+  gated.exit_codes.assign(kN, 0);
+  EXPECT_FALSE(gated.ok());
+  gated.unknown_payloads = 0;
+  EXPECT_TRUE(gated.ok());
 }
 
 }  // namespace

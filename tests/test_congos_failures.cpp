@@ -4,10 +4,13 @@
 // source-kills right after injection.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "adversary/patterns.h"
 #include "audit/confidentiality.h"
 #include "audit/qod.h"
 #include "congos/congos_process.h"
+#include "gossip/continuous_gossip.h"
 #include "harness/scenario.h"
 #include "sim/engine.h"
 
@@ -226,6 +229,86 @@ TEST(CongosFailures, DestinationChurnsAroundTheDeadline) {
   const auto report = rig.qod->finalize(rig.engine->now());
   EXPECT_EQ(report.admissible_pairs, 1u);  // only p5
   EXPECT_EQ(report.delivered_on_time, 1u);
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(rig.conf->leaks(), 0u);
+}
+
+/// Every gossip rumor originated at `origin` that any process received:
+/// its gid, the first round it was seen, and, for fragment bodies, the
+/// rumor the fragment belongs to.
+class OriginGossipLog final : public sim::ExecutionObserver {
+ public:
+  struct Sighting {
+    Round first_seen = 0;
+    RumorUid fragment_of;
+  };
+
+  explicit OriginGossipLog(ProcessId origin) : origin_(origin) {}
+
+  void on_envelope_delivered(const sim::Envelope& e, Round now) override {
+    if (e.body->kind() != sim::PayloadKind::kGossipMsg) return;
+    for (const auto& r : static_cast<const gossip::GossipMsg&>(*e.body).rumors) {
+      if (r.origin != origin_ || sightings_.count(r.gid) > 0) continue;
+      Sighting s{now, {}};
+      if (r.body->kind() == sim::PayloadKind::kFragment) {
+        const auto& body = static_cast<const core::FragmentBody&>(*r.body);
+        s.fragment_of = body.fragment.meta.key.rumor;
+      }
+      sightings_.emplace(r.gid, s);
+    }
+  }
+
+  const std::map<std::uint64_t, Sighting>& sightings() const { return sightings_; }
+
+ private:
+  ProcessId origin_;
+  std::map<std::uint64_t, Sighting> sightings_;
+};
+
+TEST(CongosFailures, RestartedProcessGossipsUnderFreshGids) {
+  // p3 injects A, crashes while its peers still hold A's fragments, restarts
+  // and injects B. B's fragments must travel under gids no peer saw before
+  // the crash; peers would take a reused gid for A's fragment and drop it.
+  // The log files each gid under its first sighting, so a fragment of B
+  // that reused a gid of A shows up as A's, not B's.
+  const std::size_t n = 32;  // large enough to keep the fragment pipeline
+  const ProcessId src = 3;
+  const Round crash_at = 20;
+  auto rig = make_rig(n, 97);
+  OriginGossipLog log(src);
+  rig.engine->add_observer(&log);
+
+  const auto a = sim::make_rumor(src, 1, adversary::canonical_payload({src, 1}, 16), 64,
+                                 DynamicBitset::from_indices(n, {9, 20}));
+  const auto b = sim::make_rumor(src, 2, adversary::canonical_payload({src, 2}, 16), 64,
+                                 DynamicBitset::from_indices(n, {9, 20}));
+  adversary::Composite adv;
+  std::vector<adversary::OneShot::Item> items;
+  items.push_back({2, a});
+  items.push_back({24, b});
+  adv.add(std::make_unique<adversary::OneShot>(std::move(items)));
+  std::vector<adversary::Scripted::Event> events{
+      {crash_at, adversary::Scripted::Event::Kind::kCrash, src,
+       sim::PartialDelivery::kDropAll},
+      {22, adversary::Scripted::Event::Kind::kRestart, src,
+       sim::PartialDelivery::kDeliverAll},
+  };
+  adv.add(std::make_unique<adversary::Scripted>(std::move(events)));
+  rig.engine->set_adversary(&adv);
+  rig.engine->run(100);
+
+  std::size_t pre_crash = 0;
+  std::size_t of_b = 0;
+  for (const auto& [gid, s] : log.sightings()) {
+    if (s.first_seen < crash_at) ++pre_crash;
+    if (s.fragment_of == b.uid) {
+      ++of_b;
+      EXPECT_GE(s.first_seen, 24) << "gid " << gid << " of B was seen before the crash";
+    }
+  }
+  EXPECT_GT(pre_crash, 0u);
+  EXPECT_GT(of_b, 0u);
+  const auto report = rig.qod->finalize(rig.engine->now());
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(rig.conf->leaks(), 0u);
 }

@@ -1,8 +1,8 @@
 // Shard-count equivalence suite (DESIGN.md section 12): the sharded round
 // engine is a wall-clock knob, never a behaviour knob. Every test here runs
 // the same scenario at engine_threads 1/2/4/8 and requires byte-identical
-// observations — golden trace hashes, per-round delivery counts, adversary
-// decision traces, .repro replay verification and stop-and-resume — under
+// observations — golden trace hashes, per-round delivery counts, TraceLog
+// lifecycle events, .repro replay verification and stop-and-resume — under
 // clean runs, churn, and the PR 5 link-fault mixes (drop/dup/delay/
 // partition x retransmission).
 //
@@ -18,14 +18,12 @@
 
 #include "audit/confidentiality.h"
 #include "audit/qod.h"
-#include "common/fnv.h"
 #include "congos/congos_process.h"
 #include "harness/record.h"
 #include "harness/scenario.h"
-#include "replay/codec.h"
-#include "replay/recorder.h"
 #include "replay/repro.h"
 #include "sim/engine.h"
+#include "sim/trace.h"
 
 namespace congos {
 namespace {
@@ -36,26 +34,9 @@ using harness::ScenarioResult;
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 4, 8};
 
-/// Per-round delivered-envelope counts (same observer as test_golden_grid:
-/// hashing the vector pins ordering and per-round volume, not aggregates).
-class RoundTrace final : public sim::ExecutionObserver {
- public:
-  void on_envelope_delivered(const sim::Envelope&, Round) override { ++current_; }
-  void on_round_end(Round) override {
-    counts_.push_back(current_);
-    current_ = 0;
-  }
-  const std::vector<std::uint64_t>& counts() const { return counts_; }
-
- private:
-  std::uint64_t current_ = 0;
-  std::vector<std::uint64_t> counts_;
-};
-
-std::uint64_t fnv1a(const std::vector<std::uint64_t>& counts) {
-  std::uint64_t h = kFnvOffset;
-  for (auto c : counts) h = fnv1a_u64(h, c);
-  return h;
+/// Lifecycle events and per-round delivery counts, nothing else.
+sim::TraceLog lifecycle_trace() {
+  return sim::TraceLog({.capacity = SIZE_MAX, .record_deliveries = false});
 }
 
 /// The whole QoD report (latency distribution, bonus deliveries and data
@@ -89,11 +70,11 @@ TEST(ShardEquivalence, GoldenCongosPinAtEveryThreadCount) {
     cfg.continuous.inject_prob = 0.02;
     cfg.continuous.deadlines = {48};
     cfg.engine_threads = threads;
-    RoundTrace trace;
+    sim::TraceLog trace = lifecycle_trace();
     cfg.extra_observers.push_back(&trace);
     const ScenarioResult r = harness::run_scenario(cfg);
     // The pins from test_golden_grid's CongosEpidemicPushSeedA.
-    EXPECT_EQ(fnv1a(trace.counts()), 11296553228243308885ull);
+    EXPECT_EQ(trace.trace_hash(), 11296553228243308885ull);
     EXPECT_EQ(r.total_messages, 108233u);
     EXPECT_EQ(r.total_bytes, 170285414u);
     EXPECT_EQ(r.leaks, 0u);
@@ -113,11 +94,11 @@ TEST(ShardEquivalence, GoldenPlainGossipPinAtEveryThreadCount) {
     cfg.continuous.inject_prob = 0.02;
     cfg.continuous.deadlines = {32};
     cfg.engine_threads = threads;
-    RoundTrace trace;
+    sim::TraceLog trace = lifecycle_trace();
     cfg.extra_observers.push_back(&trace);
     const ScenarioResult r = harness::run_scenario(cfg);
     // The pins from test_golden_grid's PlainGossip.
-    EXPECT_EQ(fnv1a(trace.counts()), 1631052094024548409ull);
+    EXPECT_EQ(trace.trace_hash(), 1631052094024548409ull);
     EXPECT_EQ(r.total_messages, 24322u);
     EXPECT_EQ(r.total_bytes, 33641671u);
     expect_same_qod(r.qod, &qod);
@@ -127,7 +108,7 @@ TEST(ShardEquivalence, GoldenPlainGossipPinAtEveryThreadCount) {
 // ---------------------------------------------------------------------------
 // Fault mixes: the PR 5 chaos dimensions, with churn on top. Each mix is
 // recorded serially, then re-recorded at 2/4/8 engine threads; the full
-// observation set (trace hash, per-round counts, decision trace) and the
+// observation set (trace hash, per-round counts, lifecycle events) and the
 // audited result must match field for field.
 
 struct FaultMix {
@@ -199,7 +180,7 @@ TEST(ShardEquivalence, FaultMixesByteIdentical) {
                                                  "shards", "sharded run");
       EXPECT_EQ(sharded.repro.trace_hash, serial.repro.trace_hash);
       EXPECT_EQ(sharded.repro.round_deliveries, serial.repro.round_deliveries);
-      EXPECT_EQ(sharded.repro.decisions, serial.repro.decisions);
+      EXPECT_EQ(sharded.trace.events(), serial.trace.events());
       EXPECT_EQ(sharded.result.total_messages, serial.result.total_messages);
       EXPECT_EQ(sharded.result.total_bytes, serial.result.total_bytes);
       EXPECT_EQ(sharded.result.injected, serial.result.injected);
@@ -254,7 +235,7 @@ TEST(ShardEquivalence, PrefixReplayShardedUnderFaults) {
                                             "shards", "serial reference");
   for (std::size_t threads : kThreadCounts) {
     SCOPED_TRACE("engine_threads=" + std::to_string(threads));
-    replay::DecisionRecorder rec;
+    sim::TraceLog rec = lifecycle_trace();
     ScenarioConfig cfg = faulted_config(fault_mixes()[1], threads);
     cfg.extra_observers.push_back(&rec);
     harness::ScenarioRun run(cfg);
@@ -265,7 +246,7 @@ TEST(ShardEquivalence, PrefixReplayShardedUnderFaults) {
     run.run_all();
     ASSERT_TRUE(run.finished());
     EXPECT_EQ(rec.round_deliveries(), serial.repro.round_deliveries);
-    EXPECT_EQ(rec.decisions(), serial.repro.decisions);
+    EXPECT_EQ(rec.events(), serial.trace.events());
     EXPECT_EQ(rec.trace_hash(), serial.repro.trace_hash);
   }
 }

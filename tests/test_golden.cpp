@@ -5,8 +5,8 @@
 // deliberate: update the constants only after understanding why.
 #include <gtest/gtest.h>
 
-#include "common/fnv.h"
 #include "harness/sweep.h"
+#include "sim/trace.h"
 
 namespace congos {
 namespace {
@@ -63,26 +63,6 @@ TEST(Golden, AggregatesAcrossProtocolsViaSweep) {
 // not just aggregate drift - trips the test. The constants were captured
 // from the per-round rebuild-and-sort implementation; the incremental rumor
 // index and shared push batches must reproduce them bit-for-bit.
-class RoundTrace final : public sim::ExecutionObserver {
- public:
-  void on_envelope_delivered(const sim::Envelope&, Round) override { ++current_; }
-  void on_round_end(Round) override {
-    counts_.push_back(current_);
-    current_ = 0;
-  }
-  const std::vector<std::uint64_t>& counts() const { return counts_; }
-
- private:
-  std::uint64_t current_ = 0;
-  std::vector<std::uint64_t> counts_;
-};
-
-std::uint64_t fnv1a(const std::vector<std::uint64_t>& counts) {
-  std::uint64_t h = kFnvOffset;
-  for (auto c : counts) h = fnv1a_u64(h, c);
-  return h;
-}
-
 harness::ScenarioConfig churn_config() {
   harness::ScenarioConfig cfg;
   cfg.n = 64;
@@ -101,16 +81,16 @@ harness::ScenarioConfig churn_config() {
 
 TEST(Golden, CongosChurnTraceIsPinned) {
   auto cfg = churn_config();
-  RoundTrace trace;
+  sim::TraceLog trace({.record_deliveries = false});
   cfg.extra_observers.push_back(&trace);
   const auto r = harness::run_scenario(cfg);
 
   // 96 workload rounds + 32 drain + 2 engine epilogue rounds.
-  ASSERT_EQ(trace.counts().size(), 130u);
+  ASSERT_EQ(trace.round_deliveries().size(), 130u);
   std::uint64_t delivered_total = 0;
-  for (auto c : trace.counts()) delivered_total += c;
+  for (auto c : trace.round_deliveries()) delivered_total += c;
   EXPECT_EQ(delivered_total, 269790u);
-  EXPECT_EQ(fnv1a(trace.counts()), 17331845611235902561ull);
+  EXPECT_EQ(trace.trace_hash(), 17331845611235902561ull);
 
   EXPECT_EQ(r.injected, 92u);
   EXPECT_EQ(r.total_messages, 281730u);
@@ -124,12 +104,13 @@ TEST(Golden, CongosChurnTraceIsPinned) {
 
 TEST(Golden, CongosChurnRunToRunDeterminism) {
   auto cfg = churn_config();
-  RoundTrace a, b;
+  sim::TraceLog a({.record_deliveries = false});
+  sim::TraceLog b({.record_deliveries = false});
   cfg.extra_observers.assign(1, &a);
   harness::run_scenario(cfg);
   cfg.extra_observers.assign(1, &b);
   harness::run_scenario(cfg);
-  EXPECT_EQ(a.counts(), b.counts());
+  EXPECT_EQ(a.round_deliveries(), b.round_deliveries());
 }
 
 TEST(Golden, IdenticalWorkloadAcrossProtocols) {

@@ -12,33 +12,11 @@
 // changed protocol behaviour, which is a bug by definition.
 #include <gtest/gtest.h>
 
-#include "common/fnv.h"
 #include "harness/scenario.h"
+#include "sim/trace.h"
 
 namespace congos {
 namespace {
-
-/// Per-round delivered-envelope counts; hashing the vector pins message
-/// ordering and per-round volume, not just aggregates.
-class RoundTrace final : public sim::ExecutionObserver {
- public:
-  void on_envelope_delivered(const sim::Envelope&, Round) override { ++current_; }
-  void on_round_end(Round) override {
-    counts_.push_back(current_);
-    current_ = 0;
-  }
-  const std::vector<std::uint64_t>& counts() const { return counts_; }
-
- private:
-  std::uint64_t current_ = 0;
-  std::vector<std::uint64_t> counts_;
-};
-
-std::uint64_t fnv1a(const std::vector<std::uint64_t>& counts) {
-  std::uint64_t h = kFnvOffset;
-  for (auto c : counts) h = fnv1a_u64(h, c);
-  return h;
-}
 
 struct TracePin {
   std::uint64_t delivered_total = 0;
@@ -50,13 +28,13 @@ struct TracePin {
 };
 
 void expect_pinned(harness::ScenarioConfig cfg, const TracePin& pin) {
-  RoundTrace trace;
+  sim::TraceLog trace({.record_deliveries = false});
   cfg.extra_observers.push_back(&trace);
   const auto r = harness::run_scenario(cfg);
   std::uint64_t delivered_total = 0;
-  for (auto c : trace.counts()) delivered_total += c;
+  for (auto c : trace.round_deliveries()) delivered_total += c;
   EXPECT_EQ(delivered_total, pin.delivered_total);
-  EXPECT_EQ(fnv1a(trace.counts()), pin.trace_hash);
+  EXPECT_EQ(trace.trace_hash(), pin.trace_hash);
   EXPECT_EQ(r.total_messages, pin.total_messages);
   EXPECT_EQ(r.total_bytes, pin.total_bytes);
   EXPECT_EQ(r.leaks, 0u);
@@ -105,13 +83,13 @@ TEST(GoldenGrid, PlainGossip) {
   cfg.continuous.deadlines = {32};
   // Plain gossip leaks by design (that is its point of comparison), so pin
   // the trace directly instead of going through expect_pinned's leaks == 0.
-  RoundTrace trace;
+  sim::TraceLog trace({.record_deliveries = false});
   cfg.extra_observers.push_back(&trace);
   const auto r = harness::run_scenario(cfg);
   std::uint64_t delivered_total = 0;
-  for (auto c : trace.counts()) delivered_total += c;
+  for (auto c : trace.round_deliveries()) delivered_total += c;
   EXPECT_EQ(delivered_total, 24322u);
-  EXPECT_EQ(fnv1a(trace.counts()), 1631052094024548409ull);
+  EXPECT_EQ(trace.trace_hash(), 1631052094024548409ull);
   EXPECT_EQ(r.total_messages, 24322u);
   EXPECT_EQ(r.total_bytes, 33641671u);
 }

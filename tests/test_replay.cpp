@@ -7,13 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/scenario.h"
 #include "harness/sweep.h"
 #include "replay/codec.h"
-#include "replay/recorder.h"
 #include "replay/repro.h"
 #include "common/bitset.h"
 #include "sim/engine.h"
@@ -27,8 +27,11 @@ using harness::ScenarioConfig;
 using harness::ScenarioResult;
 using replay::ByteReader;
 using replay::ByteWriter;
-using replay::Decision;
 using replay::ReproFile;
+
+/// Every lifecycle event and no deliveries: what run_recorded keeps.
+constexpr sim::TraceLog::Options kLifecycleOnly{.capacity = SIZE_MAX,
+                                                .record_deliveries = false};
 
 // ---------------------------------------------------------------------------
 // Codec primitives
@@ -113,11 +116,6 @@ ReproFile sample_file() {
   f.config.congos.retransmit.max_link_delay = 2;
   f.label = "unit";
   f.reason = "encode/decode round trip";
-  f.decisions.push_back(
-      {3, Decision::Kind::kCrash, 7, sim::PartialDelivery::kDropAll, {}, 0, 0});
-  f.decisions.push_back({5, Decision::Kind::kInject, 2,
-                         sim::PartialDelivery::kDeliverAll, RumorUid{2, 1}, 4,
-                         48});
   f.round_deliveries = {0, 3, 9, 12};
   f.trace_hash = 0xFEEDFACE;
   f.total_messages = 1000;
@@ -125,7 +123,6 @@ ReproFile sample_file() {
   f.faults_by_kind[0] = 17;
   f.faults_by_kind[2] = 4;
   f.duplicates_suppressed = 9;
-  f.trace_tail = "round 3: crash p7\n";
   return f;
 }
 
@@ -151,7 +148,6 @@ TEST(ReproFile, EncodeDecodeRoundTrip) {
   EXPECT_EQ(g.config.lazy_fraction, f.config.lazy_fraction);
   EXPECT_EQ(g.label, f.label);
   EXPECT_EQ(g.reason, f.reason);
-  EXPECT_EQ(g.decisions, f.decisions);
   EXPECT_EQ(g.round_deliveries, f.round_deliveries);
   EXPECT_EQ(g.trace_hash, f.trace_hash);
   EXPECT_EQ(g.total_messages, f.total_messages);
@@ -163,7 +159,6 @@ TEST(ReproFile, EncodeDecodeRoundTrip) {
   }
   EXPECT_EQ(g.duplicates_suppressed, f.duplicates_suppressed);
   EXPECT_EQ(g.wire_codec_version, f.wire_codec_version);
-  EXPECT_EQ(g.trace_tail, f.trace_tail);
 }
 
 TEST(ReproFile, AcceptsVersion1Artifacts) {
@@ -250,6 +245,146 @@ TEST(ReproFile, AcceptsVersion1Artifacts) {
   EXPECT_EQ(out.duplicates_suppressed, 0u);
   // ...and the v3 field to "pre-codec".
   EXPECT_EQ(out.wire_codec_version, 0u);
+}
+
+/// A byte-exact version 3 artifact, the last layout that stored the
+/// adversary decision trace and a rendered trace tail. `n_decisions`
+/// overrides the stored decision count (the records themselves are always
+/// the two below).
+std::vector<std::uint8_t> version3_artifact(std::uint64_t n_decisions = 2) {
+  ByteWriter w;
+  w.u32(replay::kReproMagic);
+  w.u32(3);  // version 3
+  // config: the v1 fields, then the v2 fault plan and retransmission knobs
+  w.u64(16);              // n
+  w.u64(9);               // seed
+  w.i64(48);              // rounds
+  w.u8(0);                // protocol = kCongos
+  w.u32(2);               // congos.tau
+  w.f64(1.5);             // congos.partition_c
+  w.f64(48.0);            // congos.fanout_exponent
+  w.f64(1.0);             // congos.fanout_c
+  w.u32(3);               // congos.gossip_fanout
+  w.u8(2);                // congos.gossip_strategy = kPushPull
+  w.i64(32);              // congos.direct_threshold
+  w.i64(1024);            // congos.max_effective_deadline
+  w.f64(2.0 / 3.0);       // congos.gd_alive_factor
+  w.boolean(false);       // congos.allow_degenerate
+  w.u64(11);              // congos.partition_seed
+  w.u8(1);                // workload = kContinuous
+  w.f64(0.04);            // continuous.inject_prob
+  w.u64(2);               // continuous.dest_min
+  w.u64(6);               // continuous.dest_max
+  w.vec_i64({40, 80});    // continuous.deadlines
+  w.u64(16);              // continuous.payload_len
+  w.i64(-1);              // continuous.last_injection_round
+  w.boolean(false);       // continuous.opaque_ids
+  w.f64(4.0);             // theorem1.x
+  w.i64(64);              // theorem1.dmax
+  w.u64(16);              // theorem1.payload_len
+  w.boolean(true);        // churn
+  w.f64(0.02);            //   crash_prob
+  w.f64(0.1);             //   restart_prob
+  w.u64(4);               //   min_alive
+  w.vec_u32({0, 1});      //   protected_ids
+  w.boolean(false);       // no crash_on_service
+  w.boolean(false);       // no crash_senders
+  w.i64(16);              // measure_from
+  w.f64(0.25);            // lazy_fraction
+  w.u32(3);               // baseline_fanout
+  w.boolean(true);        // audit_confidentiality
+  w.i64(0);               // min_drain
+  w.f64(0.05);            // faults.drop_rate
+  w.f64(0.0);             // faults.dup_rate
+  w.f64(0.2);             // faults.delay_rate
+  w.i64(2);               // faults.max_delay
+  w.i64(0);               // faults.partition_period
+  w.i64(0);               // faults.partition_duration
+  w.u64(77);              // faults.seed
+  w.boolean(true);        // retransmit.enabled
+  w.u32(4);               // retransmit.budget
+  w.i64(2);               // retransmit.max_link_delay
+  // trailer
+  w.str("v3-artifact");
+  w.str("decision trace pin");
+  w.u64(n_decisions);
+  // decision: round, kind, process, policy, rumor source, seq, |D|, deadline
+  w.i64(3); w.u8(0); w.u32(7); w.u8(1); w.u32(0); w.u64(0); w.u64(0); w.i64(0);
+  w.i64(5); w.u8(2); w.u32(2); w.u8(0); w.u32(2); w.u64(1); w.u64(4); w.i64(40);
+  w.vec_u64({4, 0, 9});   // round_deliveries
+  w.u64(0x1234);          // trace_hash
+  for (std::uint64_t v : {500, 6000, 2, 1, 0, 0, 0, 5, 0, 0, 0}) {
+    w.u64(v);             // total_messages .. qod_data_mismatches
+  }
+  for (std::uint64_t v : {3, 0, 8, 0}) w.u64(v);  // faults_by_kind
+  w.u64(12);              // duplicates_suppressed
+  w.u32(1);               // wire_codec_version
+  w.str("  [3] crash   p7\n  [5] inject  p2 rumor (2,1) |D|=4\n");  // trace tail
+  auto bytes = w.take();
+  const std::uint64_t sum = fnv1a(bytes.data(), bytes.size());
+  for (int b = 0; b < 8; ++b) {
+    bytes.push_back(static_cast<std::uint8_t>(sum >> (8 * b)));
+  }
+  return bytes;
+}
+
+TEST(ReproFile, AcceptsVersion3ArtifactsWithDecisionsAndTail) {
+  ReproFile out;
+  std::string error;
+  ASSERT_TRUE(replay::decode(version3_artifact(), &out, &error)) << error;
+  EXPECT_EQ(out.label, "v3-artifact");
+  EXPECT_EQ(out.reason, "decision trace pin");
+  EXPECT_EQ(out.round_deliveries, (std::vector<std::uint64_t>{4, 0, 9}));
+  EXPECT_EQ(out.trace_hash, 0x1234u);
+  EXPECT_EQ(out.total_bytes, 6000u);
+  EXPECT_EQ(out.crashes, 1u);
+  EXPECT_EQ(out.qod_delivered_on_time, 5u);
+  EXPECT_EQ(out.faults_by_kind[2], 8u);
+  EXPECT_EQ(out.duplicates_suppressed, 12u);
+  EXPECT_EQ(out.wire_codec_version, 1u);
+
+  const ScenarioConfig& c = out.config;
+  EXPECT_EQ(c.n, 16u);
+  EXPECT_EQ(c.seed, 9u);
+  EXPECT_EQ(c.congos.tau, 2u);
+  EXPECT_EQ(c.congos.gossip_strategy, gossip::GossipStrategy::kPushPull);
+  EXPECT_FALSE(c.congos.allow_degenerate);
+  EXPECT_EQ(c.continuous.deadlines, (std::vector<std::int64_t>{40, 80}));
+  ASSERT_TRUE(c.churn.has_value());
+  EXPECT_EQ(c.churn->restart_prob, 0.1);
+  EXPECT_EQ(c.churn->protected_ids, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(c.lazy_fraction, 0.25);
+  EXPECT_EQ(c.faults.delay_rate, 0.2);
+  EXPECT_EQ(c.faults.seed, 77u);
+  EXPECT_TRUE(c.congos.retransmit.enabled);
+  EXPECT_EQ(c.congos.retransmit.budget, 4);
+
+  // Re-encoded, it is a version 4 artifact with the same config and
+  // fingerprints.
+  const auto v4 = replay::encode(out);
+  EXPECT_EQ(v4[4], 4u);
+  ReproFile again;
+  ASSERT_TRUE(replay::decode(v4, &again, &error)) << error;
+  EXPECT_EQ(replay::encode(again), v4);
+  EXPECT_EQ(again.config.continuous.deadlines, c.continuous.deadlines);
+  EXPECT_EQ(again.config.faults, c.faults);
+  EXPECT_EQ(again.config.congos.retransmit, c.congos.retransmit);
+  EXPECT_EQ(again.round_deliveries, out.round_deliveries);
+  EXPECT_EQ(again.trace_hash, out.trace_hash);
+}
+
+TEST(ReproFile, RejectsVersion3DecisionCountsPastTheEnd) {
+  // The skipped records are bounds-checked: a count the file cannot hold is
+  // an error, not an out-of-range read.
+  for (std::uint64_t count : {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    ReproFile out;
+    std::string error;
+    EXPECT_FALSE(replay::decode(version3_artifact(count), &out, &error)) << count;
+    EXPECT_NE(error.find("decision"), std::string::npos) << error;
+  }
+  // One record too many still fits, and shifts the rest out of shape.
+  ReproFile out;
+  EXPECT_FALSE(replay::decode(version3_artifact(3), &out));
 }
 
 TEST(ReproFile, RejectsCorruptionEverywhere) {
@@ -356,7 +491,9 @@ TEST(RecordedRun, ObserversArePassive) {
   EXPECT_EQ(plain.crashes, recorded.result.crashes);
   EXPECT_EQ(plain.qod.delivered_on_time, recorded.result.qod.delivered_on_time);
   EXPECT_EQ(plain.leaks, recorded.result.leaks);
-  EXPECT_FALSE(recorded.repro.trace_tail.empty());
+  EXPECT_GT(recorded.trace.event_count(), 0u);
+  EXPECT_EQ(recorded.trace.round_deliveries(), recorded.repro.round_deliveries);
+  EXPECT_EQ(recorded.trace.trace_hash(), recorded.repro.trace_hash);
 }
 
 // The headline property: write -> read -> re-run reproduces the identical
@@ -403,7 +540,7 @@ TEST(Replay, PrefixReplayVerifiesPrefix) {
   EXPECT_FALSE(report.complete);
   EXPECT_EQ(report.executed_rounds, 24);
   EXPECT_TRUE(report.counts_match);
-  EXPECT_TRUE(report.decisions_match);
+  EXPECT_TRUE(report.summary_diffs.empty());
   EXPECT_TRUE(report.verified());
 }
 
@@ -422,6 +559,99 @@ TEST(Replay, DetectsTamperedObservations) {
   EXPECT_EQ(report.first_count_divergence, 10);
 }
 
+TEST(Replay, DetectsTamperedSummary) {
+  // The per-round counts and their hash are intact; only a stored result
+  // field disagrees with the re-execution.
+  const ScenarioConfig cfg = small_config(13, Protocol::kCongos);
+  const auto recorded = harness::run_recorded(cfg);
+  ASSERT_GT(recorded.repro.crashes, 0u);
+  ASSERT_GT(recorded.repro.injected, 0u);
+  for (const char* field : {"crashes", "injected"}) {
+    SCOPED_TRACE(field);
+    ReproFile tampered = recorded.repro;
+    (std::string(field) == "crashes" ? tampered.crashes : tampered.injected) -= 1;
+    const auto report = harness::replay_file(tampered);
+    EXPECT_TRUE(report.complete);
+    EXPECT_TRUE(report.counts_match);
+    EXPECT_TRUE(report.hash_match);
+    EXPECT_FALSE(report.verified());
+    ASSERT_EQ(report.summary_diffs.size(), 1u);
+    EXPECT_EQ(report.summary_diffs[0].rfind(field, 0), 0u) << report.summary_diffs[0];
+  }
+}
+
+TEST(Replay, TotalBytesComparedOnlyUnderTheSameWireCodec) {
+  const ScenarioConfig cfg = small_config(19, Protocol::kCongos);
+  auto recorded = harness::run_recorded(cfg);
+  recorded.repro.total_bytes += 1;
+  EXPECT_FALSE(harness::replay_file(recorded.repro).verified());
+  // Byte totals of another codec version are not comparable.
+  recorded.repro.wire_codec_version = 0;
+  EXPECT_TRUE(harness::replay_file(recorded.repro).verified());
+}
+
+TEST(Replay, ScheduleListsTheLiveRunsEvents) {
+  // congos_replay --schedule re-executes the artifact into a TraceLog and
+  // prints write_schedule(); every line must carry the fields of the same
+  // event of a live run of the config.
+  const ScenarioConfig cfg = small_config(31, Protocol::kCongos);
+  sim::TraceLog live(kLifecycleOnly);
+  ScenarioConfig observed = cfg;
+  observed.extra_observers.push_back(&live);
+  harness::run_scenario(observed);
+
+  const auto recorded = harness::run_recorded(cfg, "schedule", "schedule test");
+  ReproFile loaded;
+  std::string error;
+  ASSERT_TRUE(replay::decode(replay::encode(recorded.repro), &loaded, &error)) << error;
+  sim::TraceLog trace(kLifecycleOnly);
+  ASSERT_TRUE(harness::replay_file(loaded, {}, &trace).verified());
+  std::ostringstream os;
+  trace.write_schedule(os);
+
+  std::istringstream in(os.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, "# " + std::to_string(live.event_count()) + " lifecycle events");
+  std::size_t i = 0;
+  std::size_t kinds_seen[3] = {};
+  for (; std::getline(in, line); ++i) {
+    SCOPED_TRACE(line);
+    ASSERT_LT(i, live.event_count());
+    const sim::TraceLog::Event& e = live.events()[i];
+    long long round = -1;
+    char kind[8] = {};
+    unsigned process = 0;
+    ASSERT_EQ(std::sscanf(line.c_str(), "round %lld %7s p%u", &round, kind, &process), 3);
+    EXPECT_EQ(round, e.when);
+    EXPECT_EQ(process, e.process);
+    const char* rest = line.c_str() + line.find(' ', line.find(" p") + 1);
+    if (std::string(kind) == "inject") {
+      ASSERT_EQ(e.kind, sim::TraceLog::Kind::kInject);
+      unsigned source = 0;
+      unsigned long long seq = 0, dests = 0;
+      long long deadline = 0;
+      ASSERT_EQ(std::sscanf(rest, " rumor=%u/%llu dests=%llu deadline=%lld", &source,
+                            &seq, &dests, &deadline),
+                4);
+      EXPECT_EQ(source, e.rumor.source);
+      EXPECT_EQ(seq, e.rumor.seq);
+      EXPECT_EQ(dests, e.dest);
+      EXPECT_EQ(deadline, e.deadline);
+      ++kinds_seen[2];
+    } else {
+      ASSERT_EQ(e.kind, std::string(kind) == "crash" ? sim::TraceLog::Kind::kCrash
+                                                     : sim::TraceLog::Kind::kRestart);
+      int policy = -1;
+      ASSERT_EQ(std::sscanf(rest, " policy=%d", &policy), 1);
+      EXPECT_EQ(policy, static_cast<int>(e.policy));
+      ++kinds_seen[e.kind == sim::TraceLog::Kind::kCrash ? 0 : 1];
+    }
+  }
+  EXPECT_EQ(i, live.event_count());
+  for (std::size_t seen : kinds_seen) EXPECT_GT(seen, 0u);
+}
+
 TEST(Replay, FileRoundTripThroughDisk) {
   const ScenarioConfig cfg = small_config(17, Protocol::kCongos);
   const auto recorded = harness::run_recorded(cfg, "disk", "io round trip");
@@ -432,7 +662,8 @@ TEST(Replay, FileRoundTripThroughDisk) {
   std::string error;
   ASSERT_TRUE(replay::read_file(path, &loaded, &error)) << error;
   EXPECT_EQ(loaded.trace_hash, recorded.repro.trace_hash);
-  EXPECT_EQ(loaded.decisions, recorded.repro.decisions);
+  EXPECT_EQ(loaded.round_deliveries, recorded.repro.round_deliveries);
+  EXPECT_EQ(loaded.crashes, recorded.repro.crashes);
   std::remove(path.c_str());
 
   EXPECT_FALSE(replay::read_file(path + ".missing", &loaded, &error));
@@ -503,7 +734,7 @@ TEST(SweepArtifacts, EmptyDirDisablesDumping) {
 /// whole run and a prefix replay to the midpoint against `recorded`.
 void expect_stop_and_resume_matches(const ScenarioConfig& cfg,
                                     const harness::RecordedRun& recorded) {
-  replay::DecisionRecorder rec;
+  sim::TraceLog rec(kLifecycleOnly);
   ScenarioConfig observed = cfg;
   observed.extra_observers.push_back(&rec);
   harness::ScenarioRun run(observed);
@@ -514,7 +745,7 @@ void expect_stop_and_resume_matches(const ScenarioConfig& cfg,
   run.run_all();
   ASSERT_TRUE(run.finished());
   EXPECT_EQ(rec.round_deliveries(), recorded.repro.round_deliveries);
-  EXPECT_EQ(rec.decisions(), recorded.repro.decisions);
+  EXPECT_EQ(rec.events(), recorded.trace.events());
   EXPECT_EQ(rec.trace_hash(), recorded.repro.trace_hash);
   EXPECT_EQ(run.engine().stats().fault_total(), recorded.result.fault_total);
 
@@ -544,7 +775,7 @@ TEST(Checkpoint, RestoreCanRepeat) {
 
   std::vector<std::vector<std::uint64_t>> tails;
   for (int rewind = 0; rewind < 2; ++rewind) {
-    replay::DecisionRecorder rec;
+    sim::TraceLog rec(kLifecycleOnly);
     ScenarioConfig observed = cfg;
     observed.extra_observers.push_back(&rec);
     harness::ScenarioRun run(observed);

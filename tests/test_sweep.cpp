@@ -8,8 +8,8 @@
 
 #include <cstdlib>
 
-#include "common/fnv.h"
 #include "sim/engine.h"
+#include "sim/trace.h"
 
 namespace congos {
 namespace {
@@ -138,28 +138,6 @@ TEST(SweepRunner, MatchesDirectRunScenario) {
   }
 }
 
-/// Per-round delivery counter, as in test_golden.cpp: catches ordering
-/// changes inside a round, not just aggregate drift.
-class RoundTrace final : public sim::ExecutionObserver {
- public:
-  void on_envelope_delivered(const sim::Envelope&, Round) override { ++current_; }
-  void on_round_end(Round) override {
-    counts_.push_back(current_);
-    current_ = 0;
-  }
-  const std::vector<std::uint64_t>& counts() const { return counts_; }
-
- private:
-  std::uint64_t current_ = 0;
-  std::vector<std::uint64_t> counts_;
-};
-
-std::uint64_t fnv1a(const std::vector<std::uint64_t>& counts) {
-  std::uint64_t h = kFnvOffset;
-  for (auto c : counts) h = fnv1a_u64(h, c);
-  return h;
-}
-
 TEST(SweepRunner, GoldenChurnTraceSurvivesThePool) {
   // The exact scenario pinned by Golden.CongosChurnTraceIsPinned, run twice
   // concurrently through the pool with per-entry observers: both traces must
@@ -177,7 +155,8 @@ TEST(SweepRunner, GoldenChurnTraceSurvivesThePool) {
   churn.min_alive = 48;
   cfg.churn = churn;
 
-  RoundTrace traces[2];
+  sim::TraceLog traces[2] = {sim::TraceLog({.record_deliveries = false}),
+                             sim::TraceLog({.record_deliveries = false})};
   std::vector<ScenarioConfig> grid(2, cfg);
   grid[0].extra_observers.push_back(&traces[0]);
   grid[1].extra_observers.push_back(&traces[1]);
@@ -185,13 +164,13 @@ TEST(SweepRunner, GoldenChurnTraceSurvivesThePool) {
   const auto results = harness::run_sweep(grid, quiet(2));
   for (int i = 0; i < 2; ++i) {
     SCOPED_TRACE(i);
-    ASSERT_EQ(traces[i].counts().size(), 130u);
-    EXPECT_EQ(fnv1a(traces[i].counts()), 17331845611235902561ull);
+    ASSERT_EQ(traces[i].round_deliveries().size(), 130u);
+    EXPECT_EQ(traces[i].trace_hash(), 17331845611235902561ull);
     EXPECT_EQ(results[i].injected, 92u);
     EXPECT_EQ(results[i].total_messages, 281730u);
     EXPECT_EQ(results[i].leaks, 0u);
   }
-  EXPECT_EQ(traces[0].counts(), traces[1].counts());
+  EXPECT_EQ(traces[0].round_deliveries(), traces[1].round_deliveries());
 }
 
 TEST(SweepRunner, EmptyGridReturnsEmpty) {

@@ -93,5 +93,56 @@ TEST(TraceLog, CountsDeliveriesPerRound) {
   EXPECT_NE(os.str().find("0:0 1:2 2:0"), std::string::npos);
 }
 
+TEST(TraceLog, FoldsRoundCountsIntoTheGoldenHash) {
+  auto sys = testutil::make_system(3, 2,
+                                   [](Round now, Sender& out,
+                                      testutil::ScriptedProcess& s) {
+                                     if (s.id() == 0 && now % 2 == 1) {
+                                       out.send(testutil::make_msg(0, 1, 1));
+                                       out.send(testutil::make_msg(0, 2, 2));
+                                     }
+                                   });
+  TraceLog trace(TraceLog::Options{.record_deliveries = false});
+  sys.engine->add_observer(&trace);
+  sys.engine->run(5);
+  const std::vector<std::uint64_t> want = {0, 2, 0, 2, 0};
+  EXPECT_EQ(trace.round_deliveries(), want);
+  // The hash of the counts' little-endian bytes, folded as they arrive.
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t c : want) {
+    for (int b = 0; b < 8; ++b) bytes.push_back(static_cast<std::uint8_t>(c >> (8 * b)));
+  }
+  EXPECT_EQ(trace.trace_hash(), fnv1a(bytes.data(), bytes.size()));
+  EXPECT_EQ(trace.event_count(), 0u);  // deliveries counted, not logged
+}
+
+TEST(TraceLog, LifecycleEventsCarryPolicyAndDeadline) {
+  TraceLog trace;
+  trace.on_crash(4, 7, PartialDelivery::kRandom);
+  trace.on_restart(4, 9, PartialDelivery::kDropAll);
+  trace.on_inject(make_rumor(2, 5, {1}, 48, DynamicBitset::from_indices(8, {1, 3, 6})),
+                  11);
+  ASSERT_EQ(trace.event_count(), 3u);
+  const auto& ev = trace.events();
+  EXPECT_EQ(ev[0].kind, TraceLog::Kind::kCrash);
+  EXPECT_EQ(ev[0].policy, PartialDelivery::kRandom);
+  EXPECT_EQ(ev[1].kind, TraceLog::Kind::kRestart);
+  EXPECT_EQ(ev[1].policy, PartialDelivery::kDropAll);
+  EXPECT_EQ(ev[2].kind, TraceLog::Kind::kInject);
+  EXPECT_EQ(ev[2].when, 11);
+  EXPECT_EQ(ev[2].process, 2u);
+  EXPECT_EQ(ev[2].rumor, (RumorUid{2, 5}));
+  EXPECT_EQ(ev[2].dest, 3u);
+  EXPECT_EQ(ev[2].deadline, 48);
+
+  std::ostringstream os;
+  trace.write_schedule(os);
+  EXPECT_EQ(os.str(),
+            "# 3 lifecycle events\n"
+            "round 7      crash   p4     policy=2\n"
+            "round 9      restart p4     policy=1\n"
+            "round 11     inject  p2     rumor=2/5 dests=3 deadline=48\n");
+}
+
 }  // namespace
 }  // namespace congos::sim

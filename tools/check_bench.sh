@@ -17,16 +17,6 @@ if [ ! -x "$BENCH_BIN" ]; then
   exit 1
 fi
 
-# A fault-injected run measures the fault layer, not the hot path, and the
-# timings would silently pollute the trajectory (the env var reaches every
-# child process). Refuse outright.
-if [ -n "${CONGOS_FAULTS:-}" ]; then
-  echo "error: CONGOS_FAULTS is set ('${CONGOS_FAULTS}');" >&2
-  echo "       refusing to record benchmark timings with link faults enabled." >&2
-  echo "       Unset CONGOS_FAULTS and re-run." >&2
-  exit 1
-fi
-
 # Sanitized builds are 2-20x slower: a record from one would pollute the
 # perf trajectory. Detect from the configured cache and refuse.
 CACHE="$BUILD_DIR/CMakeCache.txt"

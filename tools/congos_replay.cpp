@@ -2,19 +2,23 @@
 //
 // The simulator is a pure function of (ScenarioConfig, seed), so a replay
 // must reproduce the recorded run byte-for-byte: the per-round delivered
-// envelope counts, their FNV-1a golden hash, and the full adversary decision
-// trace. Any divergence is reported with the first differing round/decision.
+// envelope counts, their FNV-1a golden hash and the result summary. Any
+// divergence is reported with the first differing round or the differing
+// summary fields. The artifact stores only the config and these
+// fingerprints; --schedule and --show-trace re-execute the config with a
+// TraceLog attached to show the run's events.
 //
 // Examples:
 //   congos_replay sweep-17.repro                  # full verified replay
 //   congos_replay sweep-17.repro --until-round=96 # prefix replay
-//   congos_replay sweep-17.repro --diff-golden    # also diff result summary
 //   congos_replay sweep-17.repro --dump-state --until-round=96
-//   congos_replay sweep-17.repro --schedule       # inspect, don't run
+//   congos_replay sweep-17.repro --schedule       # crash/restart/inject list
+//   congos_replay sweep-17.repro --show-trace     # trace tail
 //
 // Exit codes: 0 verified, 1 divergence detected, 2 usage or load error.
 #include <cinttypes>
 #include <cstdio>
+#include <iostream>
 #include <string>
 #include <vector>
 
@@ -22,6 +26,7 @@
 #include "harness/record.h"
 #include "replay/repro.h"
 #include "sim/engine.h"
+#include "sim/trace.h"
 #include "wire/wire.h"
 
 using namespace congos;
@@ -33,45 +38,19 @@ const char kUsage[] = R"(congos_replay - deterministic .repro re-execution
   congos_replay FILE.repro [flags]
 
   --until-round=R  stop the re-execution at round R (default: run to the end;
-                   prefix replays verify per-round counts up to R only)
-  --diff-golden    diff the replayed ScenarioResult against the recorded
-                   summary field by field
+                   prefix replays verify per-round counts up to R only, and
+                   a complete replay also checks the result summary)
   --dump-state     print an engine state summary at the stop round
-  --schedule       print the recorded adversary decision trace and exit
+  --schedule       print every crash, restart and injection of the
+                   re-execution, then verify it
+  --show-trace     print the re-execution's TraceLog tail, then verify it
   --show-faults    print the recorded link-fault plan and fault counters, exit
-  --show-trace     print the recorded TraceLog tail and exit
   --help           this text
 )";
 
 int fail_usage(const std::string& msg) {
   std::fprintf(stderr, "error: %s\n\n%s", msg.c_str(), kUsage);
   return 2;
-}
-
-const char* kind_name(replay::Decision::Kind k) {
-  switch (k) {
-    case replay::Decision::Kind::kCrash: return "crash";
-    case replay::Decision::Kind::kRestart: return "restart";
-    case replay::Decision::Kind::kInject: return "inject";
-  }
-  return "?";
-}
-
-void print_schedule(const replay::ReproFile& file) {
-  std::printf("# %zu decisions\n", file.decisions.size());
-  for (const auto& d : file.decisions) {
-    if (d.kind == replay::Decision::Kind::kInject) {
-      std::printf("round %-6lld inject  p%-5u rumor=%u/%llu dests=%llu deadline=%lld\n",
-                  static_cast<long long>(d.round), d.process, d.rumor.source,
-                  static_cast<unsigned long long>(d.rumor.seq),
-                  static_cast<unsigned long long>(d.dest_count),
-                  static_cast<long long>(d.deadline));
-    } else {
-      std::printf("round %-6lld %-7s p%-5u policy=%d\n",
-                  static_cast<long long>(d.round), kind_name(d.kind), d.process,
-                  static_cast<int>(d.policy));
-    }
-  }
 }
 
 void print_faults(const replay::ReproFile& file) {
@@ -121,39 +100,6 @@ void dump_state(const replay::ReproFile& file, Round stop) {
               static_cast<unsigned long long>(stats.total_bytes()));
 }
 
-int diff_golden(const replay::ReproFile& file, const harness::ScenarioResult& r) {
-  struct Field {
-    const char* name;
-    std::uint64_t recorded;
-    std::uint64_t replayed;
-  };
-  const Field fields[] = {
-      {"total_messages", file.total_messages, r.total_messages},
-      {"total_bytes", file.total_bytes, r.total_bytes},
-      {"injected", file.injected, r.injected},
-      {"crashes", file.crashes, r.crashes},
-      {"restarts", file.restarts, r.restarts},
-      {"leaks", file.leaks, r.leaks},
-      {"foreign_fragments", file.foreign_fragments, r.foreign_fragments},
-      {"qod_delivered_on_time", file.qod_delivered_on_time, r.qod.delivered_on_time},
-      {"qod_late", file.qod_late, r.qod.late},
-      {"qod_missing", file.qod_missing, r.qod.missing},
-      {"qod_data_mismatches", file.qod_data_mismatches, r.qod.data_mismatches},
-  };
-  int diffs = 0;
-  for (const auto& f : fields) {
-    if (f.recorded != f.replayed) {
-      std::printf("golden diff      : %s recorded=%llu replayed=%llu\n", f.name,
-                  static_cast<unsigned long long>(f.recorded),
-                  static_cast<unsigned long long>(f.replayed));
-      ++diffs;
-    }
-  }
-  if (diffs == 0) std::printf("golden diff      : all %zu fields match\n",
-                              std::size(fields));
-  return diffs == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,8 +109,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto unknown = flags.unknown_keys(
-      {"until-round", "diff-golden", "dump-state", "schedule", "show-faults",
-       "show-trace", "help"});
+      {"until-round", "dump-state", "schedule", "show-faults", "show-trace",
+       "help"});
   if (!unknown.empty()) return fail_usage("unknown flag --" + unknown.front());
   if (flags.positional().size() != 1) {
     return fail_usage("expected exactly one FILE.repro argument");
@@ -186,10 +132,8 @@ int main(int argc, char** argv) {
               harness::to_string(file.config.protocol), file.config.n,
               static_cast<unsigned long long>(file.config.seed),
               static_cast<long long>(file.config.rounds));
-  std::printf("recorded         : %zu decisions, %zu rounds, trace hash "
-              "%016" PRIx64 "\n",
-              file.decisions.size(), file.round_deliveries.size(),
-              file.trace_hash);
+  std::printf("recorded         : %zu rounds, trace hash %016" PRIx64 "\n",
+              file.round_deliveries.size(), file.trace_hash);
   if (file.wire_codec_version == 0) {
     std::printf("wire codec       : pre-codec (byte totals use the old "
                 "fixed-width model)\n");
@@ -200,25 +144,24 @@ int main(int argc, char** argv) {
                     : " (DIFFERS from this build - byte totals not comparable)");
   }
 
-  if (flags.get_bool("schedule", false)) {
-    print_schedule(file);
-    return 0;
-  }
   if (flags.get_bool("show-faults", false)) {
     print_faults(file);
-    return 0;
-  }
-  if (flags.get_bool("show-trace", false)) {
-    std::fputs(file.trace_tail.empty() ? "(no trace tail recorded)\n"
-                                       : file.trace_tail.c_str(),
-               stdout);
     return 0;
   }
 
   harness::ReplayOptions opt;
   opt.until_round = flags.get_int("until-round", -1);
+  const bool schedule = flags.get_bool("schedule", false);
+  const bool show_trace = flags.get_bool("show-trace", false);
+  // --show-trace wants the deliveries of the last rounds; the schedule wants
+  // every lifecycle event and no deliveries.
+  sim::TraceLog trace(show_trace ? sim::TraceLog::Options{}
+                                 : sim::TraceLog::Options{.capacity = SIZE_MAX,
+                                                          .record_deliveries = false});
 
-  const harness::ReplayReport report = harness::replay_file(file, opt);
+  const harness::ReplayReport report = harness::replay_file(file, opt, &trace);
+  if (schedule) trace.write_schedule(std::cout);
+  if (show_trace) trace.dump(std::cout);
   std::printf("replayed         : %lld rounds (%s), trace hash %016" PRIx64 "\n",
               static_cast<long long>(report.executed_rounds),
               report.complete ? "complete" : "prefix", report.trace_hash);
@@ -228,22 +171,19 @@ int main(int argc, char** argv) {
   } else {
     std::printf("counts           : match over the executed prefix\n");
   }
-  if (!report.decisions_match) {
-    std::printf("decisions        : DIVERGED at decision #%zu\n",
-                report.first_decision_divergence);
-  } else {
-    std::printf("decisions        : match (%zu recorded)\n",
-                file.decisions.size());
-  }
   if (report.complete) {
     std::printf("hash             : %s\n",
                 report.hash_match ? "match" : "MISMATCH");
   }
 
-  int rc = report.verified() ? 0 : 1;
-  if (flags.get_bool("diff-golden", false) && report.complete) {
-    rc |= diff_golden(file, report.result);
+  for (const std::string& diff : report.summary_diffs) {
+    std::printf("summary          : DIFFERS %s\n", diff.c_str());
   }
+  if (report.complete && report.summary_diffs.empty()) {
+    std::printf("summary          : match\n");
+  }
+
+  const int rc = report.verified() ? 0 : 1;
   if (flags.get_bool("dump-state", false)) {
     dump_state(file, opt.until_round);
   }

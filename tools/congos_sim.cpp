@@ -12,7 +12,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -44,7 +43,7 @@ const char kUsage[] = R"(congos_sim - confidential continuous gossip simulator
   --faults=SPEC    link-fault plan: comma-separated key:value pairs, e.g.
                    drop:0.05,delay:2 - keys: drop/dup (probabilities),
                    delay:K (max lateness), delay-rate:P, partition:PERIOD/DUR,
-                   seed:S. CONGOS_FAULTS env is the fallback when unset.
+                   seed:S
   --retransmit     deadline-aware ack/retransmit hardening (congos only);
                    --retransmit-budget=B (default 3) and
                    --max-link-delay=K (default: the fault plan's delay bound)
@@ -139,11 +138,7 @@ int main(int argc, char** argv) {
     cfg.churn->min_alive = std::max<std::size_t>(2, cfg.n / 8);
   }
 
-  std::string fault_spec = flags.get("faults", "");
-  if (fault_spec.empty()) {
-    const char* env = std::getenv("CONGOS_FAULTS");
-    if (env != nullptr) fault_spec = env;
-  }
+  const std::string fault_spec = flags.get("faults", "");
   if (!fault_spec.empty()) {
     std::string err;
     if (!sim::parse_fault_spec(fault_spec, &cfg.faults, &err)) {
@@ -182,8 +177,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: cannot write %s\n", repro_path.c_str());
       return 2;
     }
-    std::fprintf(stderr, "wrote %s (%zu decisions, %zu rounds)\n",
-                 repro_path.c_str(), recorded.repro.decisions.size(),
+    std::fprintf(stderr, "wrote %s (%zu lifecycle events, %zu rounds)\n",
+                 repro_path.c_str(), recorded.trace.event_count(),
                  recorded.repro.round_deliveries.size());
   } else {
     r = harness::run_scenario(cfg);
