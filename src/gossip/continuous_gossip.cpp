@@ -109,13 +109,12 @@ ContinuousGossipService::ContinuousGossipService(ProcessId self, GossipConfig cf
 }
 
 void ContinuousGossipService::reset(Round now) {
-  known_.clear();
-  sorted_gids_.clear();
-  sorted_deadlines_.clear();
   pending_acks_.clear();
   pending_pulls_.clear();
-  batch_.reset();
-  batch_dirty_ = true;
+  batch_.reset();  // readers may still hold it; the next merge draws anew
+  batch_min_deadline_ = kNeverExpires;
+  fresh_.clear();
+  originated_.clear();
   epoch_start_ = now;
   counter_ = 0;
 }
@@ -151,111 +150,90 @@ std::uint64_t ContinuousGossipService::inject(Round now, sim::PayloadPtr body,
   r.body = std::move(body);
   // next_gid() never repeats within an epoch and reset() starts a new one,
   // so a known gid here means two rumors share an identity.
-  CONGOS_ASSERT_MSG(known_.find(r.gid) == known_.end(), "injected gossip gid is not new");
-  accept(now, r, sorted_gids_.size());
+  const std::uint64_t dups = duplicates_suppressed_;
+  accept(now, r, batch_rumors().size());
+  CONGOS_ASSERT_MSG(duplicates_suppressed_ == dups, "injected gossip gid is not new");
   return r.gid;
 }
 
 std::size_t ContinuousGossipService::accept(Round now, const GossipRumor& r,
                                             std::size_t hint) {
   if (r.deadline_at < now) return hint;  // expired in flight
-  const auto begin = sorted_gids_.begin();
+  const auto batch = batch_rumors();
+  const auto begin = batch.begin();
   const auto at = gallop_lower_bound(
-      begin, begin + static_cast<std::ptrdiff_t>(std::min(hint, sorted_gids_.size())),
-      sorted_gids_.end(), r.gid);
+      begin, begin + static_cast<std::ptrdiff_t>(std::min(hint, batch.size())),
+      batch.end(), r.gid, &GossipRumor::gid);
   const auto idx = static_cast<std::size_t>(at - begin);
-  if (at != sorted_gids_.end() && *at == r.gid) {
+  const bool in_batch = at != batch.end() && at->gid == r.gid;
+  const auto fresh_at =
+      in_batch ? fresh_.end()
+               : std::ranges::lower_bound(fresh_, r.gid, {}, &GossipRumor::gid);
+  if (in_batch || (fresh_at != fresh_.end() && fresh_at->gid == r.gid)) {
     // Already known: re-pushed by a peer, duplicated by the fault layer, or a
     // retransmission. Gids make suppression exact - nothing downstream ever
     // sees the same rumor twice from this service.
     ++duplicates_suppressed_;
-    return idx + 1;
+    return in_batch ? idx + 1 : idx;
   }
-  auto [it, inserted] = known_.try_emplace(r.gid);
-  CONGOS_ASSERT_MSG(inserted, "rumor index out of sync with known set");
-  batch_dirty_ = true;
-  sorted_gids_.insert(sorted_gids_.begin() + static_cast<std::ptrdiff_t>(idx), r.gid);
-  sorted_deadlines_.insert(sorted_deadlines_.begin() + static_cast<std::ptrdiff_t>(idx),
-                           r.deadline_at);
-  Tracked& t = it->second;
-  t.rumor = r;
+  fresh_.insert(fresh_at, r);
   if (cfg_.guaranteed && r.origin == self_) {
-    t.acked = DynamicBitset(cfg_.universe.size());
+    const auto o = std::ranges::lower_bound(originated_, r.gid, {}, &Originated::gid);
+    originated_.insert(o, Originated{r.gid, r.deadline_at,
+                                     DynamicBitset(cfg_.universe.size()), false});
   }
-  if (r.dest.test(self_) && !t.delivered_locally) {
-    t.delivered_locally = true;
-    if (deliver_) deliver_(now, t.rumor);
+  if (r.dest.test(self_)) {
+    // `r` rather than the stored copy: a callback that injects moves fresh_.
+    if (deliver_) deliver_(now, r);
     if (cfg_.guaranteed && r.origin != self_) {
       pending_acks_[r.origin].push_back(r.gid);
     }
   }
-  return idx + 1;
+  return idx;
 }
 
-void ContinuousGossipService::purge_expired(Round now) {
-  // One pass over the dense deadline array, preserving order (so no re-sort
-  // is ever needed); the map is only touched for entries that actually
-  // expire, so the common nothing-expires round is a pure sequential scan.
-  std::size_t keep = 0;
-  for (std::size_t i = 0; i < sorted_gids_.size(); ++i) {
-    if (sorted_deadlines_[i] < now) {
-      auto it = known_.find(sorted_gids_[i]);
-      CONGOS_ASSERT_MSG(it != known_.end(), "rumor index out of sync with known set");
-      known_.erase(it);
-      batch_dirty_ = true;
+void ContinuousGossipService::merge_fresh(Round now) {
+  if (fresh_.empty() && batch_min_deadline_ >= now) return;
+  if (!batch_) batch_ = msg_pool_.acquire();
+  // A reader (a delayed or duplicated envelope, a recorder) may still hold
+  // the batch; then its survivors are copied, and it stays as it was sent.
+  const bool shared = batch_.use_count() > 1;
+  auto& old = batch_->rumors;
+  merge_scratch_.clear();
+  merge_scratch_.reserve(old.size() + fresh_.size());
+  Round min_deadline = kNeverExpires;
+  const auto keep = [&](GossipRumor& r, bool copy) {
+    if (r.deadline_at < now) return;
+    min_deadline = std::min(min_deadline, r.deadline_at);
+    if (copy) {
+      merge_scratch_.push_back(r);
     } else {
-      sorted_gids_[keep] = sorted_gids_[i];
-      sorted_deadlines_[keep] = sorted_deadlines_[i];
-      ++keep;
+      merge_scratch_.push_back(std::move(r));
     }
+  };
+  std::size_t j = 0;
+  for (auto& r : old) {
+    for (; j < fresh_.size() && fresh_[j].gid < r.gid; ++j) keep(fresh_[j], false);
+    keep(r, shared);
   }
-  sorted_gids_.resize(keep);
-  sorted_deadlines_.resize(keep);
-}
-
-const std::shared_ptr<GossipMsg>& ContinuousGossipService::active_batch() {
-  if (batch_dirty_ || !batch_) {
-    if (!batch_ || batch_.use_count() > 1) {
-      // Someone (an inbox mid-round, a recorder) still reads the
-      // old object: leave it alone and draw a fresh one; the old batch
-      // returns to the pool when its last reader drops it.
-      batch_ = msg_pool_.acquire();
-    }
-    // Merge-sync against the previous contents: both sides are ascending by
-    // gid and rumors are immutable once accepted, so every surviving rumor
-    // is *moved* through the scratch buffer (O(1), no dest/body copies) and
-    // only genuinely new gids are copied out of known_. When the old object
-    // went to a fresh reader-shared one above, `rumors` is empty and every
-    // entry is a fresh copy — the plain full rebuild.
-    auto& rumors = batch_->rumors;
-    batch_scratch_.clear();
-    batch_scratch_.reserve(sorted_gids_.size());
-    std::size_t j = 0;
-    for (const std::uint64_t gid : sorted_gids_) {
-      while (j < rumors.size() && rumors[j].gid < gid) ++j;  // dropped rumor
-      if (j < rumors.size() && rumors[j].gid == gid) {
-        batch_scratch_.push_back(std::move(rumors[j]));
-        ++j;
-      } else {
-        batch_scratch_.push_back(known_.find(gid)->second.rumor);
-      }
-    }
-    rumors.swap(batch_scratch_);
-    // The memo is keyed on the rumor count, which an in-place rebuild can
-    // leave unchanged while contents differ.
-    batch_->reset_wire_memo();
-    batch_dirty_ = false;
-  }
-  return batch_;
+  for (; j < fresh_.size(); ++j) keep(fresh_[j], false);
+  fresh_.clear();
+  if (shared) batch_ = msg_pool_.acquire();
+  batch_->rumors.swap(merge_scratch_);
+  // The memo is keyed on the rumor count, which an in-place merge can leave
+  // unchanged while contents differ.
+  batch_->reset_wire_memo();
+  batch_min_deadline_ = min_deadline;
+  std::erase_if(originated_, [&](const Originated& o) { return o.deadline_at < now; });
 }
 
 void ContinuousGossipService::send_phase(Round now, sim::Sender& out) {
-  purge_expired(now);
+  merge_fresh(now);
 
   // All same-round recipients (pull repliers, push targets, expander
-  // neighbors) share one batch of active rumors in gid order (see
-  // active_batch(): the payload object itself persists across rounds and is
-  // only rebuilt when the active set changed).
+  // neighbors) share the one batch of active rumors in gid order; the
+  // payload object itself persists across rounds while nothing changes.
+  const bool holding = !batch_rumors().empty();
 
   // Guaranteed mode: flush receipt acks accumulated since the last round.
   if (cfg_.guaranteed && !pending_acks_.empty()) {
@@ -278,15 +256,14 @@ void ContinuousGossipService::send_phase(Round now, sim::Sender& out) {
   // we hold nothing - that is what lets late joiners and restarted processes
   // catch up without waiting to be pushed at.
   if (cfg_.strategy == GossipStrategy::kPushPull && peer_count_ > 0) {
-    if (!known_.empty() && !pending_pulls_.empty()) {
-      const auto& reply = active_batch();
+    if (holding && !pending_pulls_.empty()) {
       std::sort(pending_pulls_.begin(), pending_pulls_.end());
       pending_pulls_.erase(
           std::unique(pending_pulls_.begin(), pending_pulls_.end()),
           pending_pulls_.end());
       for (ProcessId requester : pending_pulls_) {
         if (!filter_.allows(requester)) continue;
-        out.send(sim::Envelope{self_, requester, cfg_.tag, reply});
+        out.send(sim::Envelope{self_, requester, cfg_.tag, batch_});
       }
     }
     pending_pulls_.clear();
@@ -296,14 +273,14 @@ void ContinuousGossipService::send_phase(Round now, sim::Sender& out) {
     }
   }
 
-  if (known_.empty() || peer_count_ == 0) return;
+  if (!holding || peer_count_ == 0) return;
 
   // Epidemic push: all active rumors to `fanout` random universe peers.
   if (cfg_.strategy == GossipStrategy::kExpander) {
     // Deterministic push along the expander out-edges.
     for (ProcessId target : neighbors_) {
       if (!filter_.allows(target)) continue;
-      out.send(sim::Envelope{self_, target, cfg_.tag, active_batch()});
+      out.send(sim::Envelope{self_, target, cfg_.tag, batch_});
     }
   } else {
     // kEpidemicPush and the push half of kPushPull.
@@ -314,27 +291,30 @@ void ContinuousGossipService::send_phase(Round now, sim::Sender& out) {
     for (auto idx : pick_scratch_) {
       const ProcessId target = peer_at(idx);
       if (!filter_.allows(target)) continue;
-      out.send(sim::Envelope{self_, target, cfg_.tag, active_batch()});
+      out.send(sim::Envelope{self_, target, cfg_.tag, batch_});
     }
   }
 
-  // Guaranteed mode: origin fallback in the round before each deadline. The
-  // dense deadline array screens out not-yet-imminent rumors (the vast
-  // majority every round) before any map lookup.
-  if (cfg_.guaranteed) {
-    for (std::size_t i = 0; i < sorted_gids_.size(); ++i) {
-      if (now < sorted_deadlines_[i] - 1) continue;
-      Tracked& t = known_.find(sorted_gids_[i])->second;
-      if (t.rumor.origin != self_ || t.fallback_sent) continue;
-      t.fallback_sent = true;
-      auto single = msg_pool_.acquire();
-      single->rumors.push_back(t.rumor);
-      t.rumor.dest.for_each([&](std::uint32_t q) {
-        if (q == self_ || t.acked.test(q)) return;
-        if (!filter_.allows(q)) return;
-        out.send(sim::Envelope{self_, static_cast<ProcessId>(q), cfg_.tag, single});
-      });
-    }
+  if (cfg_.guaranteed) send_fallbacks(now, out);
+}
+
+void ContinuousGossipService::send_fallbacks(Round now, sim::Sender& out) {
+  // Every entry is live and in the batch: merge_fresh() dropped the rest.
+  const auto& batch = batch_->rumors;
+  auto at = batch.begin();
+  for (Originated& o : originated_) {
+    if (now < o.deadline_at - 1 || o.fallback_sent) continue;
+    o.fallback_sent = true;
+    at = gallop_lower_bound(batch.begin(), at, batch.end(), o.gid, &GossipRumor::gid);
+    CONGOS_ASSERT_MSG(at != batch.end() && at->gid == o.gid,
+                      "own rumor missing from the batch");
+    auto single = msg_pool_.acquire();
+    single->rumors.push_back(*at);
+    at->dest.for_each([&](std::uint32_t q) {
+      if (q == self_ || o.acked.test(q)) return;
+      if (!filter_.allows(q)) return;
+      out.send(sim::Envelope{self_, static_cast<ProcessId>(q), cfg_.tag, single});
+    });
   }
 }
 
@@ -344,7 +324,7 @@ void ContinuousGossipService::on_envelope(Round now, const sim::Envelope& e) {
   CONGOS_ASSERT(e.body != nullptr);
   switch (e.body->kind()) {
     case sim::PayloadKind::kGossipMsg: {
-      // One merge walk of the batch against sorted_gids_ (see accept()).
+      // One merge walk of the incoming batch against ours (see accept()).
       const auto& msg = static_cast<const GossipMsg&>(*e.body);
       std::size_t cursor = 0;
       for (const auto& r : msg.rumors) cursor = accept(now, r, cursor);
@@ -358,11 +338,8 @@ void ContinuousGossipService::on_envelope(Round now, const sim::Envelope& e) {
     case sim::PayloadKind::kGossipAck: {
       const auto& ack = static_cast<const GossipAck&>(*e.body);
       for (auto gid : ack.gids) {
-        auto it = known_.find(gid);
-        if (it != known_.end() && it->second.rumor.origin == self_ &&
-            it->second.acked.size() != 0) {
-          it->second.acked.set(e.from);
-        }
+        const auto o = std::ranges::lower_bound(originated_, gid, {}, &Originated::gid);
+        if (o != originated_.end() && o->gid == gid) o->acked.set(e.from);
       }
       return;
     }
@@ -372,11 +349,9 @@ void ContinuousGossipService::on_envelope(Round now, const sim::Envelope& e) {
 }
 
 std::size_t ContinuousGossipService::known_active(Round now) const {
-  std::size_t c = 0;
-  for (const Round d : sorted_deadlines_) {
-    if (d >= now) ++c;
-  }
-  return c;
+  const auto live = [now](const GossipRumor& r) { return r.deadline_at >= now; };
+  return static_cast<std::size_t>(std::ranges::count_if(batch_rumors(), live) +
+                                  std::ranges::count_if(fresh_, live));
 }
 
 }  // namespace congos::gossip

@@ -27,6 +27,8 @@
 #pragma once
 
 #include <functional>
+#include <limits>
+#include <span>
 #include <vector>
 
 #include "common/bitset.h"
@@ -69,8 +71,8 @@ struct GossipMsg final : sim::Payload {
     reset_wire_memo();
   }
 
-  /// Must be called after any in-place mutation of `rumors` (the batch
-  /// rebuild reuses one message object across rounds): the count-keyed memo
+  /// Must be called after any in-place mutation of `rumors` (the merge pass
+  /// reuses one message object across rounds): the count-keyed memo
   /// cannot see content changes that keep the rumor count constant.
   void reset_wire_memo() const { cached_for_count_ = SIZE_MAX; }
 
@@ -121,9 +123,9 @@ struct GossipPull final : sim::Payload {
 };
 
 // ---------------------------------------------------------------------------
-// Codec field walks (src/wire/wire.h). Batches delta-encode their gids: the
-// sorted_gids_ invariant keeps batch rumors in ascending gid order, so the
-// per-rumor gid shrinks from a fixed 8 bytes to (usually) 1 byte.
+// Codec field walks (src/wire/wire.h). Batches delta-encode their gids: a
+// service keeps its push batch in ascending gid order, so the per-rumor gid
+// shrinks from a fixed 8 bytes to (usually) 1 byte.
 // ---------------------------------------------------------------------------
 
 /// Fields of one rumor record, gid excluded (the containing batch encodes
@@ -314,10 +316,11 @@ class ContinuousGossipService {
   const DynamicBitset& universe() const { return cfg_.universe; }
 
  private:
-  struct Tracked {
-    GossipRumor rumor;
-    bool delivered_locally = false;
-    // guaranteed mode, origin side:
+  /// Guaranteed mode: the ack state of a rumor whose origin is this process
+  /// (injected here, or injected by an earlier incarnation and heard back).
+  struct Originated {
+    std::uint64_t gid = 0;
+    Round deadline_at = 0;
     DynamicBitset acked;
     bool fallback_sent = false;
   };
@@ -346,20 +349,6 @@ class ContinuousGossipService {
                           : sparse_peers_[i];
   }
   std::vector<ProcessId> neighbors_;  // expander out-neighbors (kExpander)
-  FlatMap<std::uint64_t, Tracked> known_;
-  /// Sorted gids of `known_`, maintained incrementally by accept() /
-  /// purge_expired() / reset(). Invariant: `sorted_gids_` holds exactly the
-  /// keys of `known_`, in ascending order. This replaces the per-round
-  /// rebuild-and-sort of the rumor list in send_phase(), which dominated the
-  /// hot path at large n; the sorted order is what keeps batch contents (and
-  /// hence traces) deterministic.
-  std::vector<std::uint64_t> sorted_gids_;
-  /// Deadlines parallel to `sorted_gids_` (struct-of-arrays view of the
-  /// tracked rumors): the per-round expiry scan and the guaranteed-mode
-  /// fallback check walk this dense array and only touch the map for the
-  /// few entries that actually fire. Invariant: sorted_deadlines_[i] is the
-  /// deadline of sorted_gids_[i].
-  std::vector<Round> sorted_deadlines_;
   // acks to emit next send phase: origin -> gids (guaranteed mode)
   FlatMap<ProcessId, std::vector<std::uint64_t>> pending_acks_;
   // pull requests to answer next send phase (kPushPull)
@@ -368,39 +357,53 @@ class ContinuousGossipService {
   std::uint64_t counter_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
 
-  // -- allocation-free round machinery (DESIGN.md section 9) ----------------
-  // The push batch persists across rounds. While the active rumor set is
-  // unchanged (batch_dirty_ == false) the very same payload object is
-  // re-sent; when it changes, the batch is rebuilt *in place* if this
-  // service holds the only reference (use_count() == 1, guaranteed in steady
-  // state because Network::end_round() drops every inbox reference), else a
-  // fresh object is drawn from the pool and the old one recycles itself once
-  // the last reader lets go.
+  // -- the rumor store (DESIGN.md sections 5 and 9) -------------------------
+  // Each accepted rumor is held exactly once: in `fresh_` until the next send
+  // phase, then in the push batch until its deadline passes. The batch is
+  // pushed whole every round, so ascending gid order in it is what keeps
+  // batch contents (and hence traces) deterministic.
   PayloadPool<GossipMsg> msg_pool_;
   PayloadPool<GossipAck> ack_pool_;
   PayloadPool<GossipPull> pull_pool_;
+  /// Every rumor known at the last send phase, ascending by gid (expired ones
+  /// leave at the next send phase). Null until the first rumor arrives, so
+  /// building a system allocates no batches.
   std::shared_ptr<GossipMsg> batch_;
-  bool batch_dirty_ = true;
+  std::span<const GossipRumor> batch_rumors() const {
+    return batch_ ? std::span<const GossipRumor>(batch_->rumors)
+                  : std::span<const GossipRumor>();
+  }
+  static constexpr Round kNeverExpires = std::numeric_limits<Round>::max();
+  /// Earliest deadline in the batch: no rumor expires before it.
+  Round batch_min_deadline_ = kNeverExpires;
+  /// Rumors accepted since the last send phase, ascending by gid. They wait
+  /// here because the batch is shared with the inboxes it was pushed to
+  /// until Network::end_round(), and a payload is immutable once sent.
+  std::vector<GossipRumor> fresh_;
+  /// The merge pass's output buffer, swapped with the batch's rumors.
+  std::vector<GossipRumor> merge_scratch_;
+  std::vector<Originated> originated_;       // ascending by gid
   std::vector<std::uint32_t> pick_scratch_;  // push-target sample buffer
-  /// Rebuild staging for active_batch(): surviving rumors are moved (not
-  /// copied) from the exclusively-owned previous batch into this buffer,
-  /// which is then swapped in — a rebuild costs O(active) pointer moves
-  /// plus a real copy only per genuinely new rumor.
-  std::vector<GossipRumor> batch_scratch_;
 
   std::uint64_t next_gid(Round now);
-  /// Records `r` unless it expired in flight or is already known (then it
-  /// only counts as a duplicate), and delivers a new one locally when this
-  /// process is a destination. `hint` is a cursor into sorted_gids_; the
-  /// return value is the cursor for the next gid of an ascending batch.
+  /// Records `r` in `fresh_` unless it expired in flight or is already known
+  /// (then it only counts as a duplicate), and delivers a new one locally
+  /// when this process is a destination. `hint` is a cursor into the batch;
+  /// the return value is the cursor for the next gid of an ascending batch.
   /// Batches arrive in ascending gid order and mostly repeat what is known,
   /// so a galloping search from the cursor settles a repeat with one or two
-  /// compares instead of a hash probe, and a gid behind the cursor costs one
-  /// binary search. Any hint gives the exact position, so a deliver_ callback
-  /// that injects mid-walk cannot mislead the walk.
+  /// compares, and a gid behind the cursor costs one binary search. The
+  /// batch does not change between send phases, so a deliver_ callback that
+  /// injects mid-walk cannot invalidate the cursor.
   std::size_t accept(Round now, const GossipRumor& r, std::size_t hint);
-  void purge_expired(Round now);
-  const std::shared_ptr<GossipMsg>& active_batch();
+  /// Start of each send phase: drops expired rumors and merges `fresh_` into
+  /// the batch, in place when this service holds the only reference and
+  /// into a fresh pooled batch otherwise. Skipped when nothing is new and
+  /// nothing expires.
+  void merge_fresh(Round now);
+  /// Guaranteed mode: direct-sends each own rumor whose deadline is next
+  /// round to every destination that has not acked it.
+  void send_fallbacks(Round now, sim::Sender& out);
 };
 
 }  // namespace congos::gossip

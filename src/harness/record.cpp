@@ -102,6 +102,9 @@ ReplayReport replay_file(const replay::ReproFile& file, ReplayOptions opt,
   report.result = run.finalize();
   report.executed_rounds = run.engine().now();
   report.complete = run.finished();
+  for (ProcessId p = 0; p < run.engine().n(); ++p) {
+    if (!run.engine().alive(p)) report.crashed.push_back(p);
+  }
   report.trace_hash = trace->trace_hash();
   report.hash_match = report.complete && report.trace_hash == file.trace_hash;
 

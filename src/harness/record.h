@@ -54,6 +54,9 @@ struct ReplayReport {
   Round executed_rounds = 0;
   bool complete = false;
 
+  /// Processes down at the stop round, ascending.
+  std::vector<ProcessId> crashed;
+
   /// FNV-1a hash of the re-executed per-round delivery counts.
   std::uint64_t trace_hash = 0;
   /// Full-run hash equals the recorded hash (complete runs only).

@@ -1,7 +1,5 @@
 #include "net/fault_shim.h"
 
-#include <algorithm>
-
 namespace congos::net {
 
 FaultShim::FaultShim(Transport* inner, const sim::FaultConfig& cfg,
@@ -17,75 +15,31 @@ std::uint64_t FaultShim::fault_total() const {
   return total;
 }
 
-// Mirrors sim::Network::apply_faults decision order (partition, drop,
-// delay, dup) so the shim's fault mix matches the simulator's for the same
-// config - only the randomness stream differs.
-FaultShim::Decision FaultShim::decide(ProcessId to, Round* lateness) {
-  if (sim::partition_cuts(cfg_, now_, self_, to)) {
-    ++counters_[static_cast<std::size_t>(sim::FaultKind::kPartitioned)];
-    return Decision::kAbsorbed;
-  }
-  if (cfg_.drop_rate > 0.0 && rng_.chance(cfg_.drop_rate)) {
-    ++counters_[static_cast<std::size_t>(sim::FaultKind::kDropped)];
-    return Decision::kAbsorbed;
-  }
-  const auto span = static_cast<std::uint64_t>(std::max<Round>(cfg_.max_delay, 1));
-  if (cfg_.delay_rate > 0.0 && rng_.chance(cfg_.delay_rate)) {
-    *lateness = 1 + static_cast<Round>(rng_.next_below(span));
-    ++counters_[static_cast<std::size_t>(sim::FaultKind::kDelayed)];
-    return Decision::kHold;
-  }
-  if (cfg_.dup_rate > 0.0 && rng_.chance(cfg_.dup_rate)) {
-    *lateness = 1 + static_cast<Round>(rng_.next_below(span));
-    ++counters_[static_cast<std::size_t>(sim::FaultKind::kDuplicated)];
-    return Decision::kDupHold;
-  }
-  return Decision::kPass;
+sim::LinkFault FaultShim::draw(ProcessId to) {
+  const sim::LinkFault f = sim::draw_link_fault(cfg_, rng_, now_, self_, to);
+  if (f.kind) ++counters_[static_cast<std::size_t>(*f.kind)];
+  return f;
 }
 
 bool FaultShim::send(ProcessId to, std::span<const std::uint8_t> datagram) {
   if (!cfg_.enabled()) return inner_->send(to, datagram);
-  Round lateness = 0;
-  switch (decide(to, &lateness)) {
-    case Decision::kAbsorbed:
-      return true;
-    case Decision::kHold: {
-      DatagramHandle d = pool_.acquire();
-      d->bytes.assign(datagram.begin(), datagram.end());
-      held_.push_back(Held{now_ + lateness, to, std::move(d)});
-      return true;
-    }
-    case Decision::kDupHold: {
-      DatagramHandle d = pool_.acquire();
-      d->bytes.assign(datagram.begin(), datagram.end());
-      held_.push_back(Held{now_ + lateness, to, std::move(d)});
-      return inner_->send(to, datagram);
-    }
-    case Decision::kPass:
-      break;
+  const sim::LinkFault f = draw(to);
+  if (f.lateness > 0) {
+    DatagramHandle d = pool_.acquire();
+    d->bytes.assign(datagram.begin(), datagram.end());
+    held_.push_back(Held{now_ + f.lateness, to, std::move(d)});
   }
-  return inner_->send(to, datagram);
+  return f.on_time() ? inner_->send(to, datagram) : true;
 }
 
 bool FaultShim::send(ProcessId to, DatagramHandle datagram) {
   if (!cfg_.enabled()) return inner_->send(to, std::move(datagram));
-  Round lateness = 0;
-  switch (decide(to, &lateness)) {
-    case Decision::kAbsorbed:
-      return true;
-    case Decision::kHold:
-      held_.push_back(Held{now_ + lateness, to, std::move(datagram)});
-      return true;
-    case Decision::kDupHold:
-      // The held copy shares the buffer with the datagram sent now; neither
-      // path mutates the bytes, and the pool only reclaims the buffer once
-      // the last handle dies.
-      held_.push_back(Held{now_ + lateness, to, datagram});
-      return inner_->send(to, std::move(datagram));
-    case Decision::kPass:
-      break;
-  }
-  return inner_->send(to, std::move(datagram));
+  const sim::LinkFault f = draw(to);
+  // A duplicate's held copy shares the buffer with the datagram sent now;
+  // neither path mutates the bytes, and the pool only reclaims the buffer
+  // once the last handle dies.
+  if (f.lateness > 0) held_.push_back(Held{now_ + f.lateness, to, datagram});
+  return f.on_time() ? inner_->send(to, std::move(datagram)) : true;
 }
 
 void FaultShim::release_due() {

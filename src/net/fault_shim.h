@@ -1,12 +1,13 @@
 // Socket-level fault shim: the PR 5 link-fault plan applied to real
 // datagrams (DESIGN.md section 13).
 //
-// A Transport decorator that re-implements sim::FaultConfig's per-envelope
+// A Transport decorator that applies sim::FaultConfig's per-envelope
 // distribution at datagram granularity on the SEND side: drop, duplicate
 // (the copy arrives 1..max_delay rounds late), delay, and the transient
-// hash-scheduled partitions (partition_cuts is the exact same pure
-// function the simulator uses, so both runtimes cut the same pairs in the
-// same rounds). Randomness comes from a dedicated Rng seeded from
+// hash-scheduled partitions. Each datagram takes one sim::draw_link_fault(),
+// the draw the simulator's Network makes per envelope, so both runtimes
+// cut the same pairs in the same rounds and share one decision order.
+// Randomness comes from a dedicated Rng seeded from
 // (cfg.seed, self) - per-daemon deterministic given its send sequence,
 // which is as strong as determinism gets once real sockets and wall
 // clocks are involved; the chaos the shim adds is bounded and seeded
@@ -53,12 +54,6 @@ class FaultShim final : public Transport {
   const TransportStats& stats() const override { return inner_->stats(); }
 
  private:
-  /// What the seeded distribution decided for one outgoing datagram. Both
-  /// send() overloads share one decide() so the randomness stream - and
-  /// therefore the fault mix - is identical whether callers pass spans or
-  /// pooled handles.
-  enum class Decision : std::uint8_t { kPass, kAbsorbed, kHold, kDupHold };
-
   /// A held datagram keeps its pooled buffer alive via the handle; the
   /// pool simply does not get the buffer back until the due round ships it.
   struct Held {
@@ -67,7 +62,10 @@ class FaultShim final : public Transport {
     DatagramHandle datagram;
   };
 
-  Decision decide(ProcessId to, Round* lateness);
+  /// sim::draw_link_fault() for one outgoing datagram, counted. Both send()
+  /// overloads draw here, so the randomness stream - and therefore the
+  /// fault mix - is the same whether callers pass spans or pooled handles.
+  sim::LinkFault draw(ProcessId to);
   void release_due();
 
   Transport* inner_;

@@ -1,5 +1,6 @@
 #include "sim/faults.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -124,6 +125,23 @@ std::string describe(const FaultConfig& cfg) {
   }
   os << sep << "seed:" << cfg.seed;
   return os.str();
+}
+
+LinkFault draw_link_fault(const FaultConfig& cfg, Rng& rng, Round round, ProcessId from,
+                          ProcessId to) {
+  if (partition_cuts(cfg, round, from, to)) return {FaultKind::kPartitioned};
+  if (cfg.drop_rate > 0.0 && rng.chance(cfg.drop_rate)) return {FaultKind::kDropped};
+  const auto lateness = [&] {
+    const auto span = static_cast<std::uint64_t>(std::max<Round>(cfg.max_delay, 1));
+    return 1 + static_cast<Round>(rng.next_below(span));
+  };
+  if (cfg.delay_rate > 0.0 && rng.chance(cfg.delay_rate)) {
+    return {FaultKind::kDelayed, lateness()};
+  }
+  if (cfg.dup_rate > 0.0 && rng.chance(cfg.dup_rate)) {
+    return {FaultKind::kDuplicated, lateness()};
+  }
+  return {};
 }
 
 }  // namespace congos::sim

@@ -17,9 +17,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
+#include "common/rng.h"
 #include "common/types.h"
+#include "sim/stats.h"
 
 namespace congos::sim {
 
@@ -96,5 +99,24 @@ inline bool partition_cuts(const FaultConfig& cfg, Round round, ProcessId from,
   const auto epoch = static_cast<std::uint64_t>(round / cfg.partition_period);
   return partition_side(cfg.seed, epoch, from) != partition_side(cfg.seed, epoch, to);
 }
+
+/// What the fault plan does to one message.
+struct LinkFault {
+  std::optional<FaultKind> kind;  // none: delivered on time, once
+  /// Rounds after the send round that a held copy arrives (delayed and
+  /// duplicated messages), else 0.
+  Round lateness = 0;
+
+  /// Whether the message also arrives in its own round.
+  bool on_time() const { return !kind || *kind == FaultKind::kDuplicated; }
+};
+
+/// One draw of the fault plan for a message from -> to sent in `round`: the
+/// transient cut, then drop, delay and duplicate, each drawn from `rng` only
+/// when its rate is positive, and a lateness of 1..max(1, max_delay) for a
+/// held copy. The simulator's Network and the real wire's FaultShim both
+/// call this, so one config yields the same fault mix in both runtimes.
+LinkFault draw_link_fault(const FaultConfig& cfg, Rng& rng, Round round, ProcessId from,
+                          ProcessId to);
 
 }  // namespace congos::sim

@@ -30,30 +30,13 @@ void Network::submit(Envelope e) {
 }
 
 bool Network::apply_faults(const Envelope& e) {
-  if (partition_cuts(faults_, round_, e.from, e.to)) {
-    if (stats_ != nullptr) stats_->note_fault(FaultKind::kPartitioned, e.tag.kind);
-    return false;
-  }
-  if (faults_.drop_rate > 0.0 && fault_rng_.chance(faults_.drop_rate)) {
-    if (stats_ != nullptr) stats_->note_fault(FaultKind::kDropped, e.tag.kind);
-    return false;
-  }
-  if (faults_.delay_rate > 0.0 && fault_rng_.chance(faults_.delay_rate)) {
-    const auto span = static_cast<std::uint64_t>(std::max<Round>(faults_.max_delay, 1));
-    const Round lateness = 1 + static_cast<Round>(fault_rng_.next_below(span));
-    delayed_.push_back(DelayedEnvelope{e, round_ + lateness});
-    if (stats_ != nullptr) stats_->note_fault(FaultKind::kDelayed, e.tag.kind);
-    return false;
-  }
-  if (faults_.dup_rate > 0.0 && fault_rng_.chance(faults_.dup_rate)) {
-    // The duplicate is a late copy: same body (shared), due 1..max_delay
-    // rounds from now, on top of the on-time delivery below.
-    const auto span = static_cast<std::uint64_t>(std::max<Round>(faults_.max_delay, 1));
-    const Round lateness = 1 + static_cast<Round>(fault_rng_.next_below(span));
-    delayed_.push_back(DelayedEnvelope{e, round_ + lateness});
-    if (stats_ != nullptr) stats_->note_fault(FaultKind::kDuplicated, e.tag.kind);
-  }
-  return true;
+  const LinkFault f = draw_link_fault(faults_, fault_rng_, round_, e.from, e.to);
+  if (!f.kind) return true;
+  // A delayed envelope, or the late copy of a duplicated one: same body
+  // (shared), due `lateness` rounds from now.
+  if (f.lateness > 0) delayed_.push_back(DelayedEnvelope{e, round_ + f.lateness});
+  if (stats_ != nullptr) stats_->note_fault(*f.kind, e.tag.kind);
+  return f.on_time();
 }
 
 void Network::release_delayed(const std::vector<PartialDelivery>& in_policy,

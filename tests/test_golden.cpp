@@ -113,6 +113,49 @@ TEST(Golden, CongosChurnRunToRunDeterminism) {
   EXPECT_EQ(a.round_deliveries(), b.round_deliveries());
 }
 
+// Golden pin under link faults: CONGOS over lossy, duplicating and delaying
+// links with retransmission on, plus churn. Delayed and duplicated
+// envelopes hold gossip batches across rounds, so this run also covers the
+// gossip service's copy-on-shared path. The constants were captured before
+// the gossip store and the fault draw were rewritten.
+TEST(Golden, CongosFaultMixTraceIsPinned) {
+  harness::ScenarioConfig cfg;
+  cfg.n = 32;
+  cfg.seed = 777;
+  cfg.rounds = 96;
+  cfg.protocol = harness::Protocol::kCongos;
+  cfg.continuous.inject_prob = 0.03;
+  cfg.continuous.deadlines = {32};
+  cfg.faults.drop_rate = 0.05;
+  cfg.faults.dup_rate = 0.1;
+  cfg.faults.delay_rate = 0.15;
+  cfg.faults.max_delay = 3;
+  cfg.faults.seed = 31;
+  cfg.congos.retransmit.enabled = true;
+  cfg.congos.retransmit.budget = 3;
+  cfg.congos.retransmit.max_link_delay = cfg.faults.max_delay;
+  adversary::RandomChurn::Options churn;
+  churn.crash_prob = 0.01;
+  churn.restart_prob = 0.2;
+  churn.min_alive = 24;
+  cfg.churn = churn;
+  sim::TraceLog trace({.record_deliveries = false});
+  cfg.extra_observers.push_back(&trace);
+  const auto r = harness::run_scenario(cfg);
+
+  EXPECT_EQ(trace.trace_hash(), 5978542440070202172ull);
+  EXPECT_EQ(r.injected, 93u);
+  EXPECT_EQ(r.total_messages, 134383u);
+  EXPECT_EQ(r.faults_by_kind[static_cast<std::size_t>(sim::FaultKind::kDropped)], 6450u);
+  EXPECT_EQ(r.faults_by_kind[static_cast<std::size_t>(sim::FaultKind::kDuplicated)], 10382u);
+  EXPECT_EQ(r.faults_by_kind[static_cast<std::size_t>(sim::FaultKind::kDelayed)], 18407u);
+  EXPECT_EQ(r.faults_by_kind[static_cast<std::size_t>(sim::FaultKind::kPartitioned)], 0u);
+  EXPECT_EQ(r.duplicates_suppressed, 936029u);
+  EXPECT_EQ(r.crashes, 43u);
+  EXPECT_EQ(r.qod.delivered_on_time, 202u);
+  EXPECT_EQ(r.leaks, 0u);
+}
+
 TEST(Golden, IdenticalWorkloadAcrossProtocols) {
   // The injection schedule depends only on (seed, n, rounds), never on the
   // protocol under test - the comparisons in the benches rely on this.

@@ -522,15 +522,26 @@ TEST(Gallop, MatchesLowerBoundFromEveryHint) {
 }
 
 /// Discards everything sent (the property test drives one service alone).
-struct NullSender final : sim::Sender {
-  void send(sim::Envelope) override {}
+/// Keeps every envelope of the current send phase.
+struct RecordingSender final : sim::Sender {
+  std::vector<sim::Envelope> sent;
+  void send(sim::Envelope e) override { sent.push_back(std::move(e)); }
 };
+
+std::vector<std::pair<std::uint64_t, Round>> gids_and_deadlines(const GossipMsg& m) {
+  std::vector<std::pair<std::uint64_t, Round>> out;
+  for (const auto& r : m.rumors) out.emplace_back(r.gid, r.deadline_at);
+  return out;
+}
 
 TEST(Gossip, MergeWalkMatchesSetModel) {
   // Random batches against a std::map model of the known set: unsorted
   // gids, a gid repeated inside one batch, rumors expired in flight, one-
-  // rumor batches, own injections and purges in between. Delivery order,
-  // duplicates_suppressed() and known_active() must match the model.
+  // rumor batches, own injections and send phases in between. Delivery
+  // order, duplicates_suppressed(), known_active() and every pushed batch
+  // must match the model. Some rounds keep the last pushed batch alive
+  // across the next send phase, as a delayed envelope does: the service
+  // must then build a new batch and leave the held one as it was.
   constexpr std::size_t kN = 16;
   constexpr ProcessId kSelf = 5;
   const auto universe = DynamicBitset::full(kN);
@@ -556,8 +567,12 @@ TEST(Gossip, MergeWalkMatchesSetModel) {
   };
 
   Rng rng(2024);
-  NullSender sink;
+  Rng hold_rng(7);  // separate stream: the batch draws above stay as they were
+  std::shared_ptr<const sim::Payload> held;
+  std::vector<std::pair<std::uint64_t, Round>> held_contents;
   std::uint64_t rounds_with_unsorted = 0;
+  std::uint64_t pushes = 0;
+  std::uint64_t copies_while_held = 0;
   for (Round now = 0; now < 400; ++now) {
     const int batches = static_cast<int>(rng.next_below(4));
     for (int b = 0; b < batches; ++b) {
@@ -594,8 +609,32 @@ TEST(Gossip, MergeWalkMatchesSetModel) {
       model_accept(now, gid, deadline, true);
     }
     if (rng.next_below(3) == 0) {
-      svc.send_phase(now, sink);
+      RecordingSender out;
+      svc.send_phase(now, out);
       std::erase_if(model, [&](const auto& kv) { return kv.second < now; });
+      const std::vector<std::pair<std::uint64_t, Round>> live(model.begin(), model.end());
+      const sim::Payload* pushed = nullptr;
+      for (const auto& e : out.sent) {
+        ASSERT_EQ(e.body->kind(), sim::PayloadKind::kGossipMsg);
+        ASSERT_EQ(gids_and_deadlines(static_cast<const GossipMsg&>(*e.body)), live)
+            << "round " << now;
+        pushed = e.body.get();
+        ++pushes;
+      }
+      ASSERT_EQ(pushed == nullptr, live.empty()) << "round " << now;
+      if (held != nullptr) {
+        EXPECT_EQ(gids_and_deadlines(static_cast<const GossipMsg&>(*held)), held_contents)
+            << "held batch changed, round " << now;
+        if (pushed != nullptr && held_contents != live) {
+          EXPECT_NE(pushed, held.get()) << "round " << now;
+          ++copies_while_held;
+        }
+        held.reset();
+      }
+      if (pushed != nullptr && hold_rng.next_below(2) == 0) {
+        held = out.sent.back().body;
+        held_contents = live;
+      }
     }
     std::size_t want_active = 0;
     for (const auto& [gid, deadline] : model) want_active += deadline >= now ? 1 : 0;
@@ -606,6 +645,58 @@ TEST(Gossip, MergeWalkMatchesSetModel) {
   EXPECT_GT(want_dups, 1000u);
   EXPECT_GT(delivered.size(), 100u);
   EXPECT_GT(rounds_with_unsorted, 100u);
+  EXPECT_GT(pushes, 200u);
+  EXPECT_GT(copies_while_held, 20u);
+}
+
+TEST(Gossip, RestartedOriginStillFallsBackForItsOldRumor) {
+  // Guaranteed mode: process 0 injects a rumor, restarts, and then hears
+  // its previous incarnation's rumor back from a peer. It is still the
+  // rumor's origin, so it tracks acks for it and direct-sends to every
+  // unacked destination in the round before the deadline.
+  constexpr std::size_t kN = 6;
+  const auto universe = DynamicBitset::full(kN);
+  GossipConfig cfg;
+  cfg.tag = kTag;
+  cfg.universe = universe;
+  cfg.fanout = 1;
+  cfg.guaranteed = true;
+  const auto run = [&](bool hears_it_back) {
+    Rng svc_rng(3);
+    ContinuousGossipService svc(0, cfg, &svc_rng, {});
+    constexpr Round kDeadline = 10;
+    auto body = std::make_shared<testutil::IntPayload>(4);
+    const std::uint64_t gid = svc.inject(0, body, universe, kDeadline);
+    svc.reset(1);
+    if (hears_it_back) {
+      auto msg = std::make_shared<GossipMsg>();
+      msg->rumors.push_back(GossipRumor{gid, 0, kDeadline, universe, body});
+      svc.on_envelope(2, sim::Envelope{1, 0, kTag, msg});
+      auto ack = std::make_shared<GossipAck>();
+      ack->gids.push_back(gid);
+      svc.on_envelope(2, sim::Envelope{2, 0, kTag, ack});
+    }
+    std::vector<std::size_t> sends;  // per round 3..kDeadline
+    std::set<ProcessId> last_round_targets;
+    for (Round now = 3; now <= kDeadline; ++now) {
+      RecordingSender out;
+      svc.send_phase(now, out);
+      sends.push_back(out.sent.size());
+      for (const auto& e : out.sent) {
+        const auto& m = static_cast<const GossipMsg&>(*e.body);
+        EXPECT_EQ(m.rumors.size(), 1u);
+        EXPECT_EQ(m.rumors.front().gid, gid);
+        if (now == kDeadline - 1) last_round_targets.insert(e.to);
+      }
+    }
+    return std::make_pair(sends, last_round_targets);
+  };
+  const auto [sends, targets] = run(true);
+  // One push per round; in round 9, the fallback adds 1, 3, 4 and 5 (2 acked).
+  EXPECT_EQ(sends, (std::vector<std::size_t>{1, 1, 1, 1, 1, 1, 5, 1}));
+  for (ProcessId q : {1, 3, 4, 5}) EXPECT_EQ(targets.count(q), 1u) << "q=" << q;
+  // Without the rumor coming back, the restarted process holds nothing.
+  EXPECT_EQ(run(false).first, (std::vector<std::size_t>(8, 0)));
 }
 
 TEST(GossipDeath, GidEpochOverflowAborts) {

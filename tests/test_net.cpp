@@ -552,6 +552,51 @@ TEST(FaultShim, DeterministicPerSeedAndSelf) {
   EXPECT_NE(run(1, 0), run(1, 1));
 }
 
+// Pins the shim's whole decision stream: which datagrams go out, when, and in
+// what order, under every fault kind at once, through both send overloads.
+// The values were computed before the shim and sim::Network shared one fault
+// draw; they must not move.
+TEST(FaultShim, DecisionStreamIsPinned) {
+  RecordingTransport inner;
+  sim::FaultConfig cfg;
+  cfg.drop_rate = 0.1;
+  cfg.dup_rate = 0.15;
+  cfg.delay_rate = 0.2;
+  cfg.max_delay = 3;
+  cfg.partition_period = 16;
+  cfg.partition_duration = 3;
+  cfg.seed = 99;
+  net::FaultShim shim(&inner, cfg, 3);
+  net::DatagramPool pool;
+  std::uint64_t h = kFnvOffset;
+  std::size_t seen = 0;
+  for (Round r = 0; r < 64; ++r) {
+    shim.set_round(r);
+    for (std::uint8_t i = 0; i < 6; ++i) {
+      const auto to = static_cast<ProcessId>((r + i) % 7);
+      const std::vector<std::uint8_t> bytes{static_cast<std::uint8_t>(r), i};
+      if (i % 2 == 0) {
+        shim.send(to, bytes);
+      } else {
+        net::DatagramHandle d = pool.acquire();
+        d->bytes = bytes;
+        shim.send(to, std::move(d));
+      }
+    }
+    for (; seen < inner.sent.size(); ++seen) {
+      h = fnv1a_u64(h, static_cast<std::uint64_t>(r));
+      h = fnv1a_u64(h, inner.sent[seen].first);
+      h = fnv1a(inner.sent[seen].second.data(), inner.sent[seen].second.size(), h);
+    }
+  }
+  EXPECT_EQ(inner.sent.size(), 359u);
+  EXPECT_EQ(h, 17043328582255991629ull);
+  EXPECT_EQ(shim.faults(sim::FaultKind::kDropped), 31u);
+  EXPECT_EQ(shim.faults(sim::FaultKind::kDuplicated), 32u);
+  EXPECT_EQ(shim.faults(sim::FaultKind::kDelayed), 70u);
+  EXPECT_EQ(shim.faults(sim::FaultKind::kPartitioned), 25u);
+}
+
 // -- sim transport ------------------------------------------------------------
 
 struct CollectSink final : net::DatagramSink {

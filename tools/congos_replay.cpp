@@ -25,7 +25,6 @@
 #include "common/flags.h"
 #include "harness/record.h"
 #include "replay/repro.h"
-#include "sim/engine.h"
 #include "sim/trace.h"
 #include "wire/wire.h"
 
@@ -76,28 +75,17 @@ void print_faults(const replay::ReproFile& file) {
   }
 }
 
-void dump_state(const replay::ReproFile& file, Round stop) {
-  // A separate, unrecorded execution: determinism makes it land in exactly
-  // the state the verified replay reached at `stop`.
-  harness::ScenarioConfig cfg = file.config;
-  cfg.extra_observers.clear();
-  cfg.extra_adversaries.clear();
-  harness::ScenarioRun run(cfg);
-  run.run_until(stop < 0 ? run.total_rounds() : stop);
-
-  sim::Engine& eng = run.engine();
+void dump_state(const replay::ReproFile& file, const harness::ReplayReport& report) {
   std::printf("-- engine state at round %lld --\n",
-              static_cast<long long>(eng.now()));
-  std::printf("processes        : %zu (%zu alive)\n", eng.n(), eng.alive_count());
+              static_cast<long long>(report.executed_rounds));
+  std::printf("processes        : %zu (%zu alive)\n", file.config.n,
+              file.config.n - report.crashed.size());
   std::string dead;
-  for (ProcessId p = 0; p < eng.n(); ++p) {
-    if (!eng.alive(p)) dead += " p" + std::to_string(p);
-  }
+  for (const ProcessId p : report.crashed) dead += " p" + std::to_string(p);
   std::printf("crashed          :%s\n", dead.empty() ? " (none)" : dead.c_str());
-  const auto& stats = eng.stats();
   std::printf("messages         : %llu total, %llu bytes\n",
-              static_cast<unsigned long long>(stats.total_sent()),
-              static_cast<unsigned long long>(stats.total_bytes()));
+              static_cast<unsigned long long>(report.result.total_messages),
+              static_cast<unsigned long long>(report.result.total_bytes));
 }
 
 }  // namespace
@@ -185,7 +173,7 @@ int main(int argc, char** argv) {
 
   const int rc = report.verified() ? 0 : 1;
   if (flags.get_bool("dump-state", false)) {
-    dump_state(file, opt.until_round);
+    dump_state(file, report);
   }
   std::printf("verdict          : %s\n", rc == 0 ? "REPLAY VERIFIED"
                                                  : "REPLAY DIVERGED");
