@@ -1,12 +1,12 @@
 // Galloping (exponential) search over an ascending random-access range.
 //
-// Merge walks of one sorted batch against a sorted index (the gossip
-// service's known gids, the confidentiality auditor's clean-body memo) keep
-// a cursor into the index and ask for the next key's position from there.
-// Batches mostly repeat the index in order, so the answer is usually at the
+// Merge walks of one sorted batch against another sorted run (the gossip
+// service's own push batch, the confidentiality auditor's clean-body memo)
+// keep a cursor into that run and ask for the next key's position from there.
+// Batches mostly repeat that run in order, so the answer is usually at the
 // cursor itself: one compare. Galloping keeps a far jump at O(log distance)
 // and a key behind the cursor at one binary search, so no batch shape costs
-// more than a lower_bound over the whole index.
+// more than a lower_bound over the whole run.
 #pragma once
 
 #include <algorithm>
