@@ -10,6 +10,7 @@
 #include "common/assert.h"
 #include "common/fnv.h"
 #include "replay/codec.h"
+#include "wire/wire.h"
 
 namespace congos::net {
 
@@ -23,34 +24,68 @@ constexpr std::size_t kBatchFieldBytes = 8 + 4 + 8;
 static_assert(kCheckpointBatchOverhead ==
               kBatchLengthBytes + kBatchFieldBytes + kBatchTrailerBytes);
 
-void put_bitset(replay::ByteWriter& w, const DynamicBitset& b) {
-  w.u64(b.size());
-  w.vec_u32(b.to_vector());
-}
+// Field walks (replay/codec.h): each record lists its fields once, for
+// both ByteWriter and ByteReader.
 
-DynamicBitset get_bitset(replay::ByteReader& r) {
-  const std::uint64_t universe = r.u64();
-  const std::vector<std::uint32_t> idx = r.vec_u32();
-  if (!r.ok()) return {};
-  for (std::uint32_t i : idx) {
-    if (i >= universe) {
-      r.fail();
-      return {};
+/// A bitset as its universe and its sorted member indices.
+template <class S, wire::SameBase<DynamicBitset> B>
+void fields(S& s, B& b) {
+  std::uint64_t universe = b.size();
+  std::vector<std::uint32_t> idx;
+  if constexpr (!S::kReading) idx = b.to_vector();
+  s.u64(universe);
+  s.vec_u32(idx);
+  if constexpr (S::kReading) {
+    for (std::uint32_t i : idx) {
+      if (i >= universe) s.fail();
     }
+    if (s.ok()) b = DynamicBitset::from_indices(universe, idx);
   }
-  return DynamicBitset::from_indices(universe, idx);
 }
 
-void put_bytes(replay::ByteWriter& w, const std::vector<std::uint8_t>& v) {
-  w.u64(v.size());
-  w.raw(v.data(), v.size());
+template <class S, wire::SameBase<CheckpointEvent> E>
+void fields(S& s, E& e) {
+  s.i64(e.round);
+  s.enum8(e.kind, CheckpointEvent::Kind::kRecv);
+  if (e.kind == CheckpointEvent::Kind::kInject) {
+    s.u64(e.seq);
+    s.i64(e.deadline);
+    fields(s, e.dest);
+    s.bytes(e.data);
+  } else {
+    s.bytes(e.frame);
+  }
 }
 
-std::vector<std::uint8_t> get_bytes(replay::ByteReader& r) {
-  const std::uint64_t n = r.u64();
-  const std::uint8_t* p = r.raw(n);
-  if (!r.ok()) return {};
-  return std::vector<std::uint8_t>(p, p + n);
+/// The header behind magic and version: the config and clock binding.
+/// Progress (round, resume_count, events) lives in the batches.
+template <class S, wire::SameBase<NodeCheckpoint> C>
+void fields(S& s, C& ck) {
+  s.u32(ck.id);
+  s.u64(ck.n);
+  s.u64(ck.seed);
+  s.u32(ck.tau);
+  s.boolean(ck.allow_degenerate);
+  s.boolean(ck.retransmit.enabled);
+  s.i32(ck.retransmit.budget);
+  s.i64(ck.retransmit.max_link_delay);
+  s.i64(ck.max_rounds);
+  s.i64(ck.epoch_ms);
+  s.i64(ck.round_ms);
+}
+
+/// The body fields of a batch ahead of its events.
+struct BatchHead {
+  Round round = 0;
+  std::uint32_t resume_count = 0;
+  std::uint64_t events = 0;
+};
+
+template <class S, wire::SameBase<BatchHead> H>
+void fields(S& s, H& h) {
+  s.i64(h.round);
+  s.u32(h.resume_count);
+  s.u64(h.events);
 }
 
 /// Encoded size of one event, so a batch is reserved in one allocation.
@@ -65,52 +100,26 @@ std::size_t event_bytes(const CheckpointEvent& e) {
   return bytes;
 }
 
-void put_event(replay::ByteWriter& w, const CheckpointEvent& e) {
-  w.i64(e.round);
-  w.u8(static_cast<std::uint8_t>(e.kind));
-  if (e.kind == CheckpointEvent::Kind::kInject) {
-    w.u64(e.seq);
-    w.i64(e.deadline);
-    put_bitset(w, e.dest);
-    put_bytes(w, e.data);
-  } else {
-    put_bytes(w, e.frame);
-  }
-}
-
-void put_header(replay::ByteWriter& w, const NodeCheckpoint& ck) {
+void append_header(replay::ByteWriter& w, const NodeCheckpoint& ck) {
   w.u64(kCheckpointMagic);
   w.u32(kCheckpointVersion);
-
-  w.u32(ck.id);
-  w.u64(ck.n);
-  w.u64(ck.seed);
-  w.u32(ck.tau);
-  w.boolean(ck.allow_degenerate);
-  w.boolean(ck.retransmit.enabled);
-  w.u32(static_cast<std::uint32_t>(ck.retransmit.budget));
-  w.i64(ck.retransmit.max_link_delay);
-  w.i64(ck.max_rounds);
-
-  w.u64(static_cast<std::uint64_t>(ck.epoch_ms));
-  w.i64(ck.round_ms);
+  fields(w, ck);
   CONGOS_ASSERT(w.bytes().size() == kCheckpointHeaderBytes);
 }
 
 /// Appends one batch to `w`; its trailer continues `header_fnv`, which
 /// binds every batch to the header it was written under.
-void put_batch(replay::ByteWriter& w, std::uint64_t header_fnv, Round round,
-               std::uint32_t resume_count, std::span<const CheckpointEvent> events) {
+void append_batch(replay::ByteWriter& w, std::uint64_t header_fnv, Round round,
+                  std::uint32_t resume_count, std::span<const CheckpointEvent> events) {
   std::size_t body = kBatchFieldBytes;
   for (const CheckpointEvent& e : events) body += event_bytes(e);
   const std::size_t start = w.bytes().size();
   w.reserve(start + kBatchLengthBytes + body + kBatchTrailerBytes);
   w.u64(body);
   w.u64(~static_cast<std::uint64_t>(body));
-  w.i64(round);
-  w.u32(resume_count);
-  w.u64(events.size());
-  for (const CheckpointEvent& e : events) put_event(w, e);
+  const BatchHead head{round, resume_count, events.size()};
+  fields(w, head);
+  for (const CheckpointEvent& e : events) fields(w, e);
   CONGOS_ASSERT(w.bytes().size() == start + kBatchLengthBytes + body);
   w.u64(fnv1a(w.bytes().data() + start, kBatchLengthBytes + body, header_fnv));
 }
@@ -119,9 +128,9 @@ void put_batch(replay::ByteWriter& w, std::uint64_t header_fnv, Round round,
 std::vector<std::uint8_t> encode_whole(const NodeCheckpoint& at,
                                        std::span<const CheckpointEvent> events) {
   replay::ByteWriter w;
-  put_header(w, at);
+  append_header(w, at);
   const std::uint64_t header_fnv = fnv1a(w.bytes().data(), w.bytes().size());
-  put_batch(w, header_fnv, at.round, at.resume_count, events);
+  append_batch(w, header_fnv, at.round, at.resume_count, events);
   return w.take();
 }
 
@@ -214,18 +223,7 @@ bool decode_checkpoint(const std::uint8_t* data, std::size_t len,
   // The binding is read here but trusted only once a batch checksum - which
   // covers the header - has verified it.
   NodeCheckpoint ck;
-  ck.id = h.u32();
-  ck.n = h.u64();
-  ck.seed = h.u64();
-  ck.tau = h.u32();
-  ck.allow_degenerate = h.boolean();
-  ck.retransmit.enabled = h.boolean();
-  ck.retransmit.budget = static_cast<int>(h.u32());
-  ck.retransmit.max_link_delay = h.i64();
-  ck.max_rounds = h.i64();
-
-  ck.epoch_ms = static_cast<std::int64_t>(h.u64());
-  ck.round_ms = h.i64();
+  fields(h, ck);
   CONGOS_ASSERT(h.ok() && h.remaining() == 0);
   const std::uint64_t header_fnv = fnv1a(data, kCheckpointHeaderBytes);
 
@@ -252,28 +250,15 @@ bool decode_checkpoint(const std::uint8_t* data, std::size_t len,
 
     // The batch is sealed; now validate what it says.
     replay::ByteReader r(data + off + kBatchLengthBytes, static_cast<std::size_t>(body));
-    const Round round = r.i64();
-    const std::uint32_t resume_count = r.u32();
-    if (batches > 0 && (round < ck.round || resume_count < ck.resume_count)) {
+    BatchHead head;
+    fields(r, head);
+    const Round round = head.round;
+    if (batches > 0 && (round < ck.round || head.resume_count < ck.resume_count)) {
       return set_error(error, "state file batch rounds not monotone");
     }
-    const std::uint64_t count = r.u64();
-    for (std::uint64_t i = 0; i < count && r.ok(); ++i) {
+    for (std::uint64_t i = 0; i < head.events && r.ok(); ++i) {
       CheckpointEvent e;
-      e.round = r.i64();
-      const std::uint8_t kind = r.u8();
-      if (kind > static_cast<std::uint8_t>(CheckpointEvent::Kind::kRecv)) {
-        return set_error(error, "state file has unknown event kind");
-      }
-      e.kind = static_cast<CheckpointEvent::Kind>(kind);
-      if (e.kind == CheckpointEvent::Kind::kInject) {
-        e.seq = r.u64();
-        e.deadline = r.i64();
-        e.dest = get_bitset(r);
-        e.data = get_bytes(r);
-      } else {
-        e.frame = get_bytes(r);
-      }
+      fields(r, e);
       if (!r.ok()) break;
       // Semantic validation: the journal is an ordered history of one run.
       if (e.round < prev || e.round < 0) {
@@ -291,7 +276,7 @@ bool decode_checkpoint(const std::uint8_t* data, std::size_t len,
     // Later events may not predate this save: it was taken at `round`.
     prev = round;
     ck.round = round;
-    ck.resume_count = resume_count;
+    ck.resume_count = head.resume_count;
     ++batches;
     off = end;
   }
@@ -320,22 +305,9 @@ bool write_checkpoint_file(const std::string& path, const NodeCheckpoint& ck,
 
 bool read_checkpoint_file(const std::string& path, NodeCheckpoint* out,
                           std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return set_error(error, "cannot open state file '" + path + "'");
-  }
   std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + n);
-  }
-  const bool read_ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!read_ok) {
-    return set_error(error, "cannot read state file '" + path + "'");
-  }
-  return decode_checkpoint(bytes, out, error);
+  return replay::read_whole_file(path, &bytes, error) &&
+         decode_checkpoint(bytes, out, error);
 }
 
 CheckpointLog::~CheckpointLog() {
@@ -378,10 +350,10 @@ bool CheckpointLog::append(const NodeCheckpoint& at,
   }
   replay::ByteWriter w;
   if (size_ == 0) {
-    put_header(w, at);
+    append_header(w, at);
     header_fnv_ = fnv1a(w.bytes().data(), w.bytes().size());
   }
-  put_batch(w, header_fnv_, at.round, at.resume_count, events);
+  append_batch(w, header_fnv_, at.round, at.resume_count, events);
   const std::vector<std::uint8_t>& bytes = w.bytes();
   // The batch counts as saved only once fsync returns: a crash before that
   // leaves at worst a torn tail, which readers drop.

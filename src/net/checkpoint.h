@@ -23,8 +23,10 @@
 // through the confidentiality auditor (harness/cluster.cpp).
 //
 // File layout (replay/codec.h conventions: little-endian, length-prefixed,
-// fully bounds-checked reader). The file is an append-only journal: each
-// save appends one batch holding only the events since the previous save.
+// fully bounds-checked reader; the binding, batch head and event records
+// are each one field walk in checkpoint.cpp). The file is an append-only
+// journal: each save appends one batch holding only the events since the
+// previous save.
 //
 //   header (kCheckpointHeaderBytes):
 //     u64 magic "CGDSTATE", u32 version (kCheckpointVersion),

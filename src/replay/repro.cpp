@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "replay/codec.h"
+#include "wire/wire.h"
 
 namespace congos::replay {
 
@@ -12,241 +13,146 @@ void set_error(std::string* error, const char* msg) {
   if (error != nullptr) *error = msg;
 }
 
-template <typename Enum>
-bool checked_enum(ByteReader& r, Enum* out, std::uint8_t max_value) {
-  const std::uint8_t v = r.u8();
-  if (!r.ok() || v > max_value) {
-    r.fail();
-    return false;
-  }
-  *out = static_cast<Enum>(v);
-  return true;
+// --------------------------------------------------------------- field walks
+// One walk per record drives both ByteWriter (encode) and ByteReader
+// (decode); see replay/codec.h.
+
+template <class S, wire::SameBase<core::CongosConfig> C>
+void fields(S& s, C& c) {
+  s.u32(c.tau);
+  s.f64(c.partition_c);
+  s.f64(c.fanout_exponent);
+  s.f64(c.fanout_c);
+  s.i32(c.gossip_fanout);
+  s.enum8(c.gossip_strategy, gossip::GossipStrategy::kPushPull);
+  s.i64(c.direct_threshold);
+  s.i64(c.max_effective_deadline);
+  s.f64(c.gd_alive_factor);
+  s.boolean(c.allow_degenerate);
+  s.u64(c.partition_seed);
 }
 
-// --------------------------------------------------------------- sub-configs
-
-void put_congos(ByteWriter& w, const core::CongosConfig& c) {
-  w.u32(c.tau);
-  w.f64(c.partition_c);
-  w.f64(c.fanout_exponent);
-  w.f64(c.fanout_c);
-  w.u32(static_cast<std::uint32_t>(c.gossip_fanout));
-  w.u8(static_cast<std::uint8_t>(c.gossip_strategy));
-  w.i64(c.direct_threshold);
-  w.i64(c.max_effective_deadline);
-  w.f64(c.gd_alive_factor);
-  w.boolean(c.allow_degenerate);
-  w.u64(c.partition_seed);
+template <class S, wire::SameBase<adversary::Continuous::Options> O>
+void fields(S& s, O& o) {
+  s.f64(o.inject_prob);
+  s.u64(o.dest_min);
+  s.u64(o.dest_max);
+  s.vec_i64(o.deadlines);
+  s.u64(o.payload_len);
+  s.i64(o.last_injection_round);
+  s.boolean(o.opaque_ids);
 }
 
-bool get_congos(ByteReader& r, core::CongosConfig* c) {
-  c->tau = r.u32();
-  c->partition_c = r.f64();
-  c->fanout_exponent = r.f64();
-  c->fanout_c = r.f64();
-  c->gossip_fanout = static_cast<int>(r.u32());
-  if (!checked_enum(r, &c->gossip_strategy,
-                    static_cast<std::uint8_t>(gossip::GossipStrategy::kPushPull))) {
-    return false;
-  }
-  c->direct_threshold = r.i64();
-  c->max_effective_deadline = r.i64();
-  c->gd_alive_factor = r.f64();
-  c->allow_degenerate = r.boolean();
-  c->partition_seed = r.u64();
-  return r.ok();
+template <class S, wire::SameBase<adversary::Theorem1::Options> O>
+void fields(S& s, O& o) {
+  s.f64(o.x);
+  s.i64(o.dmax);
+  s.u64(o.payload_len);
 }
 
-void put_continuous(ByteWriter& w, const adversary::Continuous::Options& o) {
-  w.f64(o.inject_prob);
-  w.u64(o.dest_min);
-  w.u64(o.dest_max);
-  w.vec_i64(o.deadlines);
-  w.u64(o.payload_len);
-  w.i64(o.last_injection_round);
-  w.boolean(o.opaque_ids);
+template <class S, wire::SameBase<adversary::RandomChurn::Options> O>
+void fields(S& s, O& o) {
+  s.f64(o.crash_prob);
+  s.f64(o.restart_prob);
+  s.u64(o.min_alive);
+  s.vec_u32(o.protected_ids);
 }
 
-bool get_continuous(ByteReader& r, adversary::Continuous::Options* o) {
-  o->inject_prob = r.f64();
-  o->dest_min = r.u64();
-  o->dest_max = r.u64();
-  o->deadlines = r.vec_i64();
-  o->payload_len = r.u64();
-  o->last_injection_round = r.i64();
-  o->opaque_ids = r.boolean();
-  return r.ok();
+template <class S, wire::SameBase<adversary::CrashOnService::Options> O>
+void fields(S& s, O& o) {
+  s.enum8(o.target, sim::ServiceKind::kOther);
+  s.u64(o.per_round_budget);
+  s.u64(o.total_budget);
+  s.u64(o.min_alive);
+  s.vec_u32(o.protected_ids);
+  s.i64(o.restart_after);
 }
 
-void put_theorem1(ByteWriter& w, const adversary::Theorem1::Options& o) {
-  w.f64(o.x);
-  w.i64(o.dmax);
-  w.u64(o.payload_len);
-}
-
-bool get_theorem1(ByteReader& r, adversary::Theorem1::Options* o) {
-  o->x = r.f64();
-  o->dmax = r.i64();
-  o->payload_len = r.u64();
-  return r.ok();
-}
-
-void put_churn(ByteWriter& w, const adversary::RandomChurn::Options& o) {
-  w.f64(o.crash_prob);
-  w.f64(o.restart_prob);
-  w.u64(o.min_alive);
-  w.vec_u32(o.protected_ids);
-}
-
-bool get_churn(ByteReader& r, adversary::RandomChurn::Options* o) {
-  o->crash_prob = r.f64();
-  o->restart_prob = r.f64();
-  o->min_alive = r.u64();
-  o->protected_ids = r.vec_u32();
-  return r.ok();
-}
-
-void put_crash_on_service(ByteWriter& w, const adversary::CrashOnService::Options& o) {
-  w.u8(static_cast<std::uint8_t>(o.target));
-  w.u64(o.per_round_budget);
-  w.u64(o.total_budget);
-  w.u64(o.min_alive);
-  w.vec_u32(o.protected_ids);
-  w.i64(o.restart_after);
-}
-
-bool get_crash_on_service(ByteReader& r, adversary::CrashOnService::Options* o) {
-  if (!checked_enum(r, &o->target, static_cast<std::uint8_t>(sim::ServiceKind::kOther))) {
-    return false;
-  }
-  o->per_round_budget = r.u64();
-  o->total_budget = r.u64();
-  o->min_alive = r.u64();
-  o->protected_ids = r.vec_u32();
-  o->restart_after = r.i64();
-  return r.ok();
-}
-
-void put_crash_senders(ByteWriter& w, const adversary::CrashSenders::Options& o) {
-  w.u8(static_cast<std::uint8_t>(o.target));
-  w.u64(o.per_round_budget);
-  w.u64(o.total_budget);
-  w.u64(o.min_alive);
-  w.vec_u32(o.protected_ids);
-  w.u8(static_cast<std::uint8_t>(o.delivery));
-}
-
-bool get_crash_senders(ByteReader& r, adversary::CrashSenders::Options* o) {
-  if (!checked_enum(r, &o->target, static_cast<std::uint8_t>(sim::ServiceKind::kOther))) {
-    return false;
-  }
-  o->per_round_budget = r.u64();
-  o->total_budget = r.u64();
-  o->min_alive = r.u64();
-  o->protected_ids = r.vec_u32();
-  return checked_enum(r, &o->delivery,
-                      static_cast<std::uint8_t>(sim::PartialDelivery::kRandom));
+template <class S, wire::SameBase<adversary::CrashSenders::Options> O>
+void fields(S& s, O& o) {
+  s.enum8(o.target, sim::ServiceKind::kOther);
+  s.u64(o.per_round_budget);
+  s.u64(o.total_budget);
+  s.u64(o.min_alive);
+  s.vec_u32(o.protected_ids);
+  s.enum8(o.delivery, sim::PartialDelivery::kRandom);
 }
 
 // v2 additions: the link-fault plan and the retransmission knobs are part of
 // the execution's pure-function inputs, so replay must restore both.
-void put_faults(ByteWriter& w, const sim::FaultConfig& f) {
-  w.f64(f.drop_rate);
-  w.f64(f.dup_rate);
-  w.f64(f.delay_rate);
-  w.i64(f.max_delay);
-  w.i64(f.partition_period);
-  w.i64(f.partition_duration);
-  w.u64(f.seed);
+template <class S, wire::SameBase<sim::FaultConfig> F>
+void fields(S& s, F& f) {
+  s.f64(f.drop_rate);
+  s.f64(f.dup_rate);
+  s.f64(f.delay_rate);
+  s.i64(f.max_delay);
+  s.i64(f.partition_period);
+  s.i64(f.partition_duration);
+  s.u64(f.seed);
 }
 
-bool get_faults(ByteReader& r, sim::FaultConfig* f) {
-  f->drop_rate = r.f64();
-  f->dup_rate = r.f64();
-  f->delay_rate = r.f64();
-  f->max_delay = r.i64();
-  f->partition_period = r.i64();
-  f->partition_duration = r.i64();
-  f->seed = r.u64();
-  return r.ok();
+template <class S, wire::SameBase<core::RetransmitConfig> R>
+void fields(S& s, R& rt) {
+  s.boolean(rt.enabled);
+  s.i32(rt.budget);
+  s.i64(rt.max_link_delay);
 }
 
-void put_retransmit(ByteWriter& w, const core::RetransmitConfig& rt) {
-  w.boolean(rt.enabled);
-  w.u32(static_cast<std::uint32_t>(rt.budget));
-  w.i64(rt.max_link_delay);
-}
-
-bool get_retransmit(ByteReader& r, core::RetransmitConfig* rt) {
-  rt->enabled = r.boolean();
-  rt->budget = static_cast<int>(r.u32());
-  rt->max_link_delay = r.i64();
-  return r.ok();
-}
-
-void put_config(ByteWriter& w, const harness::ScenarioConfig& cfg) {
-  w.u64(cfg.n);
-  w.u64(cfg.seed);
-  w.i64(cfg.rounds);
-  w.u8(static_cast<std::uint8_t>(cfg.protocol));
-  put_congos(w, cfg.congos);
-  w.u8(static_cast<std::uint8_t>(cfg.workload));
-  put_continuous(w, cfg.continuous);
-  put_theorem1(w, cfg.theorem1);
-  w.boolean(cfg.churn.has_value());
-  if (cfg.churn) put_churn(w, *cfg.churn);
-  w.boolean(cfg.crash_on_service.has_value());
-  if (cfg.crash_on_service) put_crash_on_service(w, *cfg.crash_on_service);
-  w.boolean(cfg.crash_senders.has_value());
-  if (cfg.crash_senders) put_crash_senders(w, *cfg.crash_senders);
-  w.i64(cfg.measure_from);
-  w.f64(cfg.lazy_fraction);
-  w.u32(static_cast<std::uint32_t>(cfg.baseline_fanout));
-  w.boolean(cfg.audit_confidentiality);
-  w.i64(cfg.min_drain);
+/// The whole config as `version` laid it out (encode() always writes
+/// kReproVersion).
+template <class S, wire::SameBase<harness::ScenarioConfig> C>
+void fields(S& s, C& cfg, std::uint32_t version) {
+  const auto walk = [&s](auto& record) { fields(s, record); };
+  s.u64(cfg.n);
+  s.u64(cfg.seed);
+  s.i64(cfg.rounds);
+  s.enum8(cfg.protocol, harness::Protocol::kPlainGossip);
+  fields(s, cfg.congos);
+  s.enum8(cfg.workload, harness::WorkloadKind::kTheorem1);
+  fields(s, cfg.continuous);
+  fields(s, cfg.theorem1);
+  s.optional(cfg.churn, walk);
+  s.optional(cfg.crash_on_service, walk);
+  s.optional(cfg.crash_senders, walk);
+  s.i64(cfg.measure_from);
+  s.f64(cfg.lazy_fraction);
+  s.i32(cfg.baseline_fanout);
+  s.boolean(cfg.audit_confidentiality);
+  s.i64(cfg.min_drain);
   // v2 extension (after every v1 field, so v1 readers of old files and this
   // reader of v1 files agree on the prefix).
-  put_faults(w, cfg.faults);
-  put_retransmit(w, cfg.congos.retransmit);
+  if (version >= 2) {
+    fields(s, cfg.faults);
+    fields(s, cfg.congos.retransmit);
+  }
 }
 
-bool get_config(ByteReader& r, harness::ScenarioConfig* cfg, std::uint32_t version) {
-  cfg->n = r.u64();
-  cfg->seed = r.u64();
-  cfg->rounds = r.i64();
-  if (!checked_enum(r, &cfg->protocol,
-                    static_cast<std::uint8_t>(harness::Protocol::kPlainGossip))) {
-    return false;
-  }
-  if (!get_congos(r, &cfg->congos)) return false;
-  if (!checked_enum(r, &cfg->workload,
-                    static_cast<std::uint8_t>(harness::WorkloadKind::kTheorem1))) {
-    return false;
-  }
-  if (!get_continuous(r, &cfg->continuous)) return false;
-  if (!get_theorem1(r, &cfg->theorem1)) return false;
-  if (r.boolean()) {
-    cfg->churn.emplace();
-    if (!get_churn(r, &*cfg->churn)) return false;
-  }
-  if (r.boolean()) {
-    cfg->crash_on_service.emplace();
-    if (!get_crash_on_service(r, &*cfg->crash_on_service)) return false;
-  }
-  if (r.boolean()) {
-    cfg->crash_senders.emplace();
-    if (!get_crash_senders(r, &*cfg->crash_senders)) return false;
-  }
-  cfg->measure_from = r.i64();
-  cfg->lazy_fraction = r.f64();
-  cfg->baseline_fanout = static_cast<int>(r.u32());
-  cfg->audit_confidentiality = r.boolean();
-  cfg->min_drain = r.i64();
+/// Everything after the config. Versions 1-3 kept an adversary decision
+/// trace between `reason` and `round_deliveries`; `skip_decisions` runs
+/// there for them (decode() passes the skip, encode() never needs it).
+template <class S, wire::SameBase<ReproFile> F, class Skip>
+void fields(S& s, F& file, std::uint32_t version, Skip&& skip_decisions) {
+  s.str(file.label);
+  s.str(file.reason);
+  if (version < 4) skip_decisions();
+  s.vec_u64(file.round_deliveries);
+  s.u64(file.trace_hash);
+  s.u64(file.total_messages);
+  s.u64(file.total_bytes);
+  s.u64(file.injected);
+  s.u64(file.crashes);
+  s.u64(file.restarts);
+  s.u64(file.leaks);
+  s.u64(file.foreign_fragments);
+  s.u64(file.qod_delivered_on_time);
+  s.u64(file.qod_late);
+  s.u64(file.qod_missing);
+  s.u64(file.qod_data_mismatches);
   if (version >= 2) {
-    if (!get_faults(r, &cfg->faults)) return false;
-    if (!get_retransmit(r, &cfg->congos.retransmit)) return false;
+    for (auto& count : file.faults_by_kind) s.u64(count);
+    s.u64(file.duplicates_suppressed);
   }
-  return r.ok();
+  if (version >= 3) s.u32(file.wire_codec_version);
 }
 
 // Size of one version 1-3 decision record: round (i64), kind (u8), process
@@ -274,28 +180,8 @@ std::vector<std::uint8_t> encode(const ReproFile& file) {
   ByteWriter w;
   w.u32(kReproMagic);
   w.u32(kReproVersion);
-  put_config(w, file.config);
-  w.str(file.label);
-  w.str(file.reason);
-  w.vec_u64(file.round_deliveries);
-  w.u64(file.trace_hash);
-  w.u64(file.total_messages);
-  w.u64(file.total_bytes);
-  w.u64(file.injected);
-  w.u64(file.crashes);
-  w.u64(file.restarts);
-  w.u64(file.leaks);
-  w.u64(file.foreign_fragments);
-  w.u64(file.qod_delivered_on_time);
-  w.u64(file.qod_late);
-  w.u64(file.qod_missing);
-  w.u64(file.qod_data_mismatches);
-  for (std::size_t f = 0; f < sim::kNumFaultKinds; ++f) {
-    w.u64(file.faults_by_kind[f]);
-  }
-  w.u64(file.duplicates_suppressed);
-  w.u32(file.wire_codec_version);  // v3
-
+  fields(w, file.config, kReproVersion);
+  fields(w, file, kReproVersion, [] {});
   std::vector<std::uint8_t> bytes = w.take();
   const std::uint64_t checksum = fnv1a(bytes.data(), bytes.size());
   for (int b = 0; b < 8; ++b) {
@@ -333,42 +219,22 @@ bool decode(const std::vector<std::uint8_t>& bytes, ReproFile* out,
   }
 
   ReproFile file;
-  if (!get_config(r, &file.config, version)) {
+  fields(r, file.config, version);
+  if (!r.ok()) {
     set_error(error, "malformed scenario config section");
     return false;
   }
-  file.label = r.str();
-  file.reason = r.str();
-  if (version < 4) {
+  bool decisions_ok = true;
+  fields(r, file, version, [&] {
     // Skip the decision trace: re-execution regenerates it.
     const std::uint64_t n_decisions = r.u64();
-    if (!r.ok() || n_decisions > r.remaining() / kLegacyDecisionBytes ||
-        r.raw(n_decisions * kLegacyDecisionBytes) == nullptr) {
-      set_error(error, "malformed decision trace");
-      return false;
-    }
-  }
-  file.round_deliveries = r.vec_u64();
-  file.trace_hash = r.u64();
-  file.total_messages = r.u64();
-  file.total_bytes = r.u64();
-  file.injected = r.u64();
-  file.crashes = r.u64();
-  file.restarts = r.u64();
-  file.leaks = r.u64();
-  file.foreign_fragments = r.u64();
-  file.qod_delivered_on_time = r.u64();
-  file.qod_late = r.u64();
-  file.qod_missing = r.u64();
-  file.qod_data_mismatches = r.u64();
-  if (version >= 2) {
-    for (std::size_t f = 0; f < sim::kNumFaultKinds; ++f) {
-      file.faults_by_kind[f] = r.u64();
-    }
-    file.duplicates_suppressed = r.u64();
-  }
-  if (version >= 3) {
-    file.wire_codec_version = r.u32();
+    decisions_ok = r.ok() && n_decisions <= r.remaining() / kLegacyDecisionBytes &&
+                   r.raw(n_decisions * kLegacyDecisionBytes) != nullptr;
+    if (!decisions_ok) r.fail();
+  });
+  if (!decisions_ok) {
+    set_error(error, "malformed decision trace");
+    return false;
   }
   if (version < 4) (void)r.str();  // the rendered trace tail
   if (!r.ok()) {
@@ -393,19 +259,8 @@ bool write_file(const std::string& path, const ReproFile& file) {
 }
 
 bool read_file(const std::string& path, ReproFile* out, std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    set_error(error, "cannot open file");
-    return false;
-  }
   std::vector<std::uint8_t> bytes;
-  std::uint8_t buf[1 << 16];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
-    bytes.insert(bytes.end(), buf, buf + got);
-  }
-  std::fclose(f);
-  return decode(bytes, out, error);
+  return read_whole_file(path, &bytes, error) && decode(bytes, out, error);
 }
 
 }  // namespace congos::replay

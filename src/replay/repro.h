@@ -17,7 +17,9 @@
 // state (it reaches gigabytes). congos_replay re-executes the config to show
 // any of them. The binary layout is versioned ("CGRP" magic + format
 // version) and ends in a whole-file FNV-1a checksum; decode() rejects
-// truncation, corruption and unknown versions. See DESIGN.md section 7.
+// truncation, corruption and unknown versions. Each record is one field
+// walk in repro.cpp that encode() and decode() both drive. See DESIGN.md
+// section 7.
 #pragma once
 
 #include <cstdint>

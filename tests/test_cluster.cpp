@@ -160,7 +160,9 @@ TEST(KillSchedule, ReproducibleFromSeedAndRespectsProtectedIds) {
     EXPECT_LE(a[i].kill_round + a[i].down_rounds, 64 - 8);
     EXPECT_GE(a[i].down_rounds, gen.down_min);
     EXPECT_LE(a[i].down_rounds, gen.down_max);
-    if (i > 0) EXPECT_GE(a[i].kill_round, a[i - 1].kill_round);
+    if (i > 0) {
+      EXPECT_GE(a[i].kill_round, a[i - 1].kill_round);
+    }
   }
   // A different seed draws a different schedule.
   gen.seed = 100;
