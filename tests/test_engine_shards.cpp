@@ -105,6 +105,40 @@ TEST(ShardEquivalence, GoldenPlainGossipPinAtEveryThreadCount) {
   }
 }
 
+// GroupDistribution's partials messages share their fragments with the
+// sender's block state, so one fragment is referenced from envelopes that
+// different receive shards read while the sender's shard moves on. The
+// GD-heavy config of test_golden's GroupDistributionHeavyTraceIsPinned must
+// give the same results, and its pins, at every thread count.
+TEST(ShardEquivalence, SharedPartialsAtEveryThreadCount) {
+  constexpr auto kGd = static_cast<std::size_t>(sim::ServiceKind::kGroupDistribution);
+  std::optional<audit::QodReport> qod;
+  for (std::size_t threads : kThreadCounts) {
+    SCOPED_TRACE("engine_threads=" + std::to_string(threads));
+    ScenarioConfig cfg;
+    cfg.n = 64;
+    cfg.seed = 6464;
+    cfg.rounds = 160;
+    cfg.protocol = Protocol::kCongos;
+    cfg.continuous.inject_prob = 0.02;
+    cfg.continuous.deadlines = {64};
+    cfg.engine_threads = threads;
+    sim::TraceLog trace = lifecycle_trace();
+    cfg.extra_observers.push_back(&trace);
+    const ScenarioResult r = harness::run_scenario(cfg);
+    EXPECT_EQ(trace.trace_hash(), 10295818942784333619ull);
+    EXPECT_EQ(r.total_messages, 508831u);
+    EXPECT_EQ(r.total_bytes, 5633778792u);
+    EXPECT_GT(r.total_bytes_by_kind[kGd], 0u);
+    EXPECT_EQ(r.total_bytes_by_kind[kGd], 19305672u);
+    EXPECT_EQ(r.cg_confirmed, 221u);
+    EXPECT_EQ(r.cg_shoots, 0u);
+    EXPECT_EQ(r.duplicates_suppressed, 13814715u);
+    EXPECT_EQ(r.leaks, 0u);
+    expect_same_qod(r.qod, &qod);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Fault mixes: the PR 5 chaos dimensions, with churn on top. Each mix is
 // recorded serially, then re-recorded at 2/4/8 engine threads; the full

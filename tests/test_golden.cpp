@@ -156,6 +156,66 @@ TEST(Golden, CongosFaultMixTraceIsPinned) {
   EXPECT_EQ(r.leaks, 0u);
 }
 
+// GroupDistribution-heavy pins: at dline 64 every rumor runs the whole
+// Proxy -> GroupDistribution -> AllGossip report pipeline, so the partials
+// burst, the hit-set shares and the report confirmations all carry traffic.
+// The lossy twin adds retransmission, so partials are ack-gated and the
+// acked-hits merge runs too. The constants were captured before the hit set
+// became one sorted run and partials began sharing their fragments.
+harness::ScenarioConfig gd_heavy_config() {
+  harness::ScenarioConfig cfg;
+  cfg.n = 64;
+  cfg.seed = 6464;
+  cfg.rounds = 160;
+  cfg.protocol = harness::Protocol::kCongos;
+  cfg.continuous.inject_prob = 0.02;
+  cfg.continuous.deadlines = {64};
+  cfg.engine_threads = 1;
+  return cfg;
+}
+
+constexpr auto kGdKind = static_cast<std::size_t>(sim::ServiceKind::kGroupDistribution);
+
+TEST(Golden, GroupDistributionHeavyTraceIsPinned) {
+  auto cfg = gd_heavy_config();
+  sim::TraceLog trace({.record_deliveries = false});
+  cfg.extra_observers.push_back(&trace);
+  const auto r = harness::run_scenario(cfg);
+
+  EXPECT_EQ(trace.trace_hash(), 10295818942784333619ull);
+  EXPECT_EQ(r.total_messages, 508831u);
+  EXPECT_EQ(r.total_bytes, 5633778792u);
+  EXPECT_GT(r.total_bytes_by_kind[kGdKind], 0u);
+  EXPECT_EQ(r.total_bytes_by_kind[kGdKind], 19305672u);
+  EXPECT_EQ(r.cg_confirmed, 221u);
+  EXPECT_EQ(r.cg_shoots, 0u);
+  EXPECT_EQ(r.duplicates_suppressed, 13814715u);
+  EXPECT_EQ(r.qod.delivered_on_time, 1134u);
+  EXPECT_EQ(r.leaks, 0u);
+}
+
+TEST(Golden, GroupDistributionLossyAckedTraceIsPinned) {
+  auto cfg = gd_heavy_config();
+  cfg.faults.drop_rate = 0.05;
+  cfg.faults.seed = 65;
+  cfg.congos.retransmit.enabled = true;
+  sim::TraceLog trace({.record_deliveries = false});
+  cfg.extra_observers.push_back(&trace);
+  const auto r = harness::run_scenario(cfg);
+
+  EXPECT_EQ(trace.trace_hash(), 1801488637857728765ull);
+  EXPECT_EQ(r.total_messages, 718015u);
+  EXPECT_EQ(r.total_bytes, 4140847126u);
+  EXPECT_GT(r.total_bytes_by_kind[kGdKind], 0u);
+  EXPECT_EQ(r.total_bytes_by_kind[kGdKind], 22548292u);
+  EXPECT_EQ(r.faults_by_kind[static_cast<std::size_t>(sim::FaultKind::kDropped)], 35852u);
+  EXPECT_EQ(r.cg_confirmed, 220u);
+  EXPECT_EQ(r.cg_shoots, 15u);
+  EXPECT_EQ(r.duplicates_suppressed, 12997587u);
+  EXPECT_EQ(r.qod.delivered_on_time, 1134u);
+  EXPECT_EQ(r.leaks, 0u);
+}
+
 TEST(Golden, IdenticalWorkloadAcrossProtocols) {
   // The injection schedule depends only on (seed, n, rounds), never on the
   // protocol under test - the comparisons in the benches rely on this.
