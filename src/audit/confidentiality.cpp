@@ -224,7 +224,7 @@ void ConfidentialityAuditor::on_envelope_delivered(const sim::Envelope& e, Round
       return;
     case sim::PayloadKind::kPartials:
       for (const auto& f : static_cast<const core::PartialsPayload*>(body)->fragments) {
-        saw_fragment(p, f, now);
+        saw_fragment(p, *f, now);
       }
       return;
     case sim::PayloadKind::kDirectRumor:

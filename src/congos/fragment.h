@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "coding/xor_share.h"
@@ -81,38 +83,56 @@ void wire_fields(S& s, F& f) {
 /// data) are re-encoded. Proxy requests and partials batches are mostly runs
 /// of same-rumor fragments, which is where the real bytes shrink. Flag
 /// values > 1, or flag 1 on the first fragment, are decode errors.
+template <class S, class F>
+void wire_batched_fragment(S& s, F& f, const Fragment* prev) {
+  std::uint8_t share = 0;
+  if constexpr (!S::kReading) {
+    share = (prev != nullptr && f.meta.key.rumor == prev->meta.key.rumor &&
+             f.meta.dest == prev->meta.dest &&
+             f.meta.expires_at == prev->meta.expires_at &&
+             f.meta.dline == prev->meta.dline &&
+             f.meta.num_groups == prev->meta.num_groups)
+                ? 1
+                : 0;
+  }
+  s.u8(share);
+  if constexpr (S::kReading) {
+    if (!s.ok() || share > 1 || (share == 1 && prev == nullptr)) {
+      s.fail();
+      return;
+    }
+    if (share == 1) f.meta = prev->meta;
+  }
+  if (share == 1) {
+    s.varint32(f.meta.key.partition);
+    s.varint32(f.meta.key.group);
+  } else {
+    wire_fields(s, f.meta);
+  }
+  s.bytes(f.data);
+}
+
+/// A batch holds its fragments by value (proxy requests and shares) or by
+/// shared handle (partials, which share them with the sender's block
+/// state); the reader builds each handle's fragment once, in place.
 template <class S, class V>
 void wire_fragment_batch(S& s, V& fragments) {
   s.seq(fragments);
   const Fragment* prev = nullptr;
-  for (auto& f : fragments) {
+  for (auto& slot : fragments) {
     if (!s.ok()) return;
-    std::uint8_t share = 0;
-    if constexpr (!S::kReading) {
-      share = (prev != nullptr && f.meta.key.rumor == prev->meta.key.rumor &&
-               f.meta.dest == prev->meta.dest &&
-               f.meta.expires_at == prev->meta.expires_at &&
-               f.meta.dline == prev->meta.dline &&
-               f.meta.num_groups == prev->meta.num_groups)
-                  ? 1
-                  : 0;
-    }
-    s.u8(share);
-    if constexpr (S::kReading) {
-      if (!s.ok() || share > 1 || (share == 1 && prev == nullptr)) {
-        s.fail();
-        return;
-      }
-      if (share == 1) f.meta = prev->meta;
-    }
-    if (share == 1) {
-      s.varint32(f.meta.key.partition);
-      s.varint32(f.meta.key.group);
+    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(slot)>, Fragment>) {
+      wire_batched_fragment(s, slot, prev);
+      prev = &slot;
+    } else if constexpr (S::kReading) {
+      auto f = std::make_shared<Fragment>();
+      wire_batched_fragment(s, *f, prev);
+      prev = f.get();
+      slot = std::move(f);
     } else {
-      wire_fields(s, f.meta);
+      wire_batched_fragment(s, *slot, prev);
+      prev = slot.get();
     }
-    s.bytes(f.data);
-    prev = &f;
   }
 }
 
@@ -148,12 +168,14 @@ struct ProxyAckPayload final : sim::Payload {
 /// GroupDistribution[l] "partials": fragments sent to a process in their
 /// destination set (Fig. 10 round 2). Receiver reassembles via
 /// ConfidentialGossip - [GD:CONFIDENTIAL] guarantees receiver is in every
-/// fragment's destination set.
+/// fragment's destination set. One distribution round sends each fragment
+/// to many targets, so the messages share immutable handles rather than
+/// copies (DESIGN.md section 9).
 struct PartialsPayload final : sim::Payload {
   PartialsPayload() : sim::Payload(sim::PayloadKind::kPartials) {}
 
   Round dline = 0;
-  std::vector<Fragment> fragments;
+  std::vector<std::shared_ptr<const Fragment>> fragments;
 
   std::uint64_t encoded_size() const override;
 
@@ -256,7 +278,7 @@ struct HitSetShareBody final : sim::Payload {
   Round dline = 0;
   std::uint64_t block = 0;
   ProcessId from = kNoProcess;
-  std::vector<Hit> hits;
+  std::vector<Hit> hits;  // ascending when sent by an honest process
 
   std::uint64_t encoded_size() const override;
 
@@ -274,7 +296,7 @@ struct DistributionReportBody final : sim::Payload {
   PartitionIndex partition = 0;
   GroupIndex group = 0;  // reporter's group in `partition`
   Round dline = 0;
-  std::vector<Hit> hits;
+  std::vector<Hit> hits;  // ascending when sent by an honest process
 
   std::uint64_t encoded_size() const override;
 

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -31,16 +32,6 @@
 #include "sim/process.h"
 
 namespace congos::core {
-
-struct HitHash {
-  std::size_t operator()(const Hit& h) const noexcept {
-    std::uint64_t x = pack(h.rumor) ^ (static_cast<std::uint64_t>(h.target) << 37);
-    x ^= x >> 33;
-    x *= 0xc4ceb9fe1a85ec53ull;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
-  }
-};
 
 class GroupDistributionService {
  public:
@@ -90,10 +81,14 @@ class GroupDistributionService {
   Hooks hooks_;
   GroupIndex my_group_;
 
-  std::vector<Fragment> waiting_;   // enqueued, not yet collected
-  std::vector<Fragment> partials_;  // this block's fragments to distribute
+  std::vector<Fragment> waiting_;  // enqueued, not yet collected
+  /// This block's fragments to distribute. Every partials message pushes
+  /// these handles instead of copying the fragment (DESIGN.md section 9).
+  std::vector<std::shared_ptr<const Fragment>> partials_;
   FlatSet<FragmentKey, FragmentKeyHash> partial_keys_;
-  FlatSet<Hit, HitHash> hitset_;
+  /// The hit set: one sorted, duplicate-free run. Shares and reports copy it
+  /// as is, and a share that repeats it costs one compare per hit.
+  std::vector<Hit> hitset_;
   /// Retransmission mode only: hits sent but not yet acknowledged, keyed by
   /// destination. Cleared at block boundaries (unacked sends of a finished
   /// block were lost for good - the fallback covers those rumors).
@@ -105,13 +100,16 @@ class GroupDistributionService {
   // per-target lists keep their capacity between rounds instead of being
   // reallocated each call (DESIGN.md section 9).
   FlatMap<ProcessId, std::uint32_t> needed_index_;  // target -> slot in lists
-  std::vector<std::vector<const Fragment*>> needed_lists_;
+  std::vector<std::vector<std::uint32_t>> needed_lists_;  // indices into partials_
+  std::vector<Hit> fresh_hits_;  // hits not yet in hitset_, merged in one pass
   std::vector<ProcessId> candidates_;
   std::vector<std::uint32_t> pick_scratch_;
   PayloadPool<PartialsPayload> partials_pool_;
 
   void begin_block(Round now);
   void distribute(Round now, sim::Sender& out);
+  /// Merges `fresh` (any order, duplicates allowed) into hitset_.
+  void merge_hits(std::vector<Hit>& fresh);
   void inject_share(Round now);
   void publish_report(Round now);
 };

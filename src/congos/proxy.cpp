@@ -127,19 +127,22 @@ void ProxyService::send_requests(Round now, sim::Sender& out) {
       group_satisfied_[group] = true;
       continue;
     }
-    DynamicBitset pool = part_->members(group) - failed_proxies_;
-    if (pool.none()) pool = part_->members(group);  // everyone failed: retry all
-    auto candidates = pool.to_vector();
+    pool_scratch_ = part_->members(group);
+    pool_scratch_ -= failed_proxies_;
+    // Everyone failed: retry all.
+    if (pool_scratch_.none()) pool_scratch_ = part_->members(group);
+    candidates_.clear();
+    pool_scratch_.for_each([&](std::uint32_t q) { candidates_.push_back(q); });
     const auto k = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(fanout, candidates.size()));
-    const auto picks = rng_->sample_without_replacement(
-        static_cast<std::uint32_t>(candidates.size()), k);
+        std::min<std::uint64_t>(fanout, candidates_.size()));
+    rng_->sample_without_replacement(static_cast<std::uint32_t>(candidates_.size()), k,
+                                     pick_scratch_);
     auto req = req_pool_.acquire();
     req->dline = dline_;
     req->fragments = frags;
     auto& targets = outstanding_[group];
-    for (auto idx : picks) {
-      const ProcessId target = candidates[idx];
+    for (auto idx : pick_scratch_) {
+      const ProcessId target = candidates_[idx];
       CONGOS_ASSERT_MSG(part_->group_of(target) == group,
                         "[PROXY:CONFIDENTIAL] target outside fragment group");
       out.send(sim::Envelope{self_, target,

@@ -92,6 +92,11 @@ class ProxyService {
   /// Scratch: sorted group keys for the send_requests() pass (iteration
   /// order feeds RNG draws, so it must be bucket-layout independent).
   std::vector<GroupIndex> request_groups_;
+  /// Scratch for send_requests()' per-group draw (DESIGN.md section 9):
+  /// the candidate pool, its members in order, and the picks.
+  DynamicBitset pool_scratch_;
+  std::vector<ProcessId> candidates_;
+  std::vector<std::uint32_t> pick_scratch_;
   bool status_active_ = false;
   DynamicBitset failed_proxies_;
   DynamicBitset collaborators_;

@@ -36,7 +36,9 @@ core::Fragment frag_for(const sim::Rumor& r, PartitionIndex l, GroupIndex g,
 sim::Envelope partials_env(ProcessId from, ProcessId to,
                            std::vector<core::Fragment> frags) {
   auto p = std::make_shared<core::PartialsPayload>();
-  p->fragments = std::move(frags);
+  for (auto& f : frags) {
+    p->fragments.push_back(std::make_shared<const core::Fragment>(std::move(f)));
+  }
   return sim::Envelope{from, to,
                        sim::ServiceTag{sim::ServiceKind::kGroupDistribution, 0}, p};
 }

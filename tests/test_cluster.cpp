@@ -469,7 +469,8 @@ TEST(ClusterAudit, FragmentsNamingUnknownPartitionsOrGroupsAreCounted) {
     return f;
   };
   auto partials = std::make_shared<core::PartialsPayload>();
-  partials->fragments = {fragment(200, 0), fragment(0, 63)};
+  partials->fragments = {std::make_shared<const core::Fragment>(fragment(200, 0)),
+                         std::make_shared<const core::Fragment>(fragment(0, 63))};
   const ProcessId curious = 5;  // neither source nor destination
   const sim::Envelope e{0, curious,
                         sim::ServiceTag{sim::ServiceKind::kGroupDistribution, 0}, partials};

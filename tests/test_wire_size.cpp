@@ -85,7 +85,7 @@ std::vector<sim::PayloadPtr> one_of_each_kind() {
 
   auto partials = std::make_shared<core::PartialsPayload>();
   partials->dline = 16;
-  partials->fragments = {small_fragment(48, 8)};
+  partials->fragments = {std::make_shared<const core::Fragment>(small_fragment(48, 8))};
   all.push_back(partials);
 
   auto direct = std::make_shared<core::DirectRumorPayload>();
