@@ -1,8 +1,9 @@
 // Galloping (exponential) search over an ascending random-access range.
 //
 // Merge walks of one sorted batch against another sorted run (the gossip
-// service's own push batch, the confidentiality auditor's clean-body memo)
-// keep a cursor into that run and ask for the next key's position from there.
+// service's own push batch, the confidentiality auditor's clean-body memo,
+// GroupDistribution's hit set) keep a cursor into that run and ask for the
+// next key's position from there.
 // Batches mostly repeat that run in order, so the answer is usually at the
 // cursor itself: one compare. Galloping keeps a far jump at O(log distance)
 // and a key behind the cursor at one binary search, so no batch shape costs
