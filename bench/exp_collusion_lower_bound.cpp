@@ -33,13 +33,13 @@ class BorderCounter final : public sim::ExecutionObserver {
 
   void on_envelope_delivered(const sim::Envelope& e, Round) override {
     bool border = false;
-    auto check = [&](const core::Fragment& f) {
-      auto it = rumors_.find(f.meta.key.rumor);
+    auto check = [&](const core::FragmentPtr& f) {
+      auto it = rumors_.find(f->meta.key.rumor);
       if (it == rumors_.end()) return;
       const bool from_inside =
-          it->second.test(e.from) || e.from == f.meta.key.rumor.source;
+          it->second.test(e.from) || e.from == f->meta.key.rumor.source;
       const bool to_outside =
-          !it->second.test(e.to) && e.to != f.meta.key.rumor.source;
+          !it->second.test(e.to) && e.to != f->meta.key.rumor.source;
       if (from_inside && to_outside) border = true;
     };
     if (e.body == nullptr) return;

@@ -282,14 +282,16 @@ void BM_DecodeGossipFrame(benchmark::State& state) {
     r.deadline_at = 4000;
     r.dest = DynamicBitset(8);
     r.dest.set(g % 8);
+    auto frag = std::make_shared<core::Fragment>();
+    frag->meta.key.rumor = RumorUid{3, g};
+    frag->meta.dest = DynamicBitset(8);
+    frag->meta.dest.set(1);
+    frag->meta.expires_at = 4000;
+    frag->meta.dline = 64;
+    frag->meta.num_groups = 2;
+    frag->data.assign(16, static_cast<std::uint8_t>(g));
     auto body = std::make_shared<core::FragmentBody>();
-    body->fragment.meta.key.rumor = RumorUid{3, g};
-    body->fragment.meta.dest = DynamicBitset(8);
-    body->fragment.meta.dest.set(1);
-    body->fragment.meta.expires_at = 4000;
-    body->fragment.meta.dline = 64;
-    body->fragment.meta.num_groups = 2;
-    body->fragment.data.assign(16, static_cast<std::uint8_t>(g));
+    body->fragment = std::move(frag);
     r.body = std::move(body);
     msg->rumors.push_back(std::move(r));
   }

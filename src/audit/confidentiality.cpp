@@ -170,12 +170,12 @@ void ConfidentialityAuditor::saw_gossip(ProcessId p, const sim::Envelope& e, Rou
     bool settled = true;
     switch (kind) {
       case sim::PayloadKind::kFragment:
-        settled = saw_fragment(p, static_cast<const core::FragmentBody*>(inner)->fragment,
-                               now);
+        settled = saw_fragment(
+            p, *static_cast<const core::FragmentBody*>(inner)->fragment, now);
         break;
       case sim::PayloadKind::kProxyShare:
         for (const auto& f : static_cast<const core::ProxyShareBody*>(inner)->proxied) {
-          settled = saw_fragment(p, f, now) && settled;
+          settled = saw_fragment(p, *f, now) && settled;
         }
         break;
       case sim::PayloadKind::kHitSetShare:
@@ -219,7 +219,7 @@ void ConfidentialityAuditor::on_envelope_delivered(const sim::Envelope& e, Round
     case sim::PayloadKind::kProxyRequest:
       for (const auto& f :
            static_cast<const core::ProxyRequestPayload*>(body)->fragments) {
-        saw_fragment(p, f, now);
+        saw_fragment(p, *f, now);
       }
       return;
     case sim::PayloadKind::kPartials:

@@ -190,20 +190,20 @@ void ConfidentialGossipService::send_phase(Round now, sim::Sender& out) {
 }
 
 void ConfidentialGossipService::on_group_fragment(Round now, PartitionIndex l,
-                                                  const Fragment& frag) {
-  CONGOS_ASSERT(frag.meta.key.partition == l);
-  if (frag.meta.expires_at < now) return;
-  hooks_.gd(frag.meta.dline, l)->enqueue(now, frag);
-  if (frag.meta.dest.test(self_)) add_fragment_for_reassembly(now, frag);
+                                                  const FragmentPtr& frag) {
+  CONGOS_ASSERT(frag->meta.key.partition == l);
+  if (frag->meta.expires_at < now) return;
+  hooks_.gd(frag->meta.dline, l)->enqueue(now, frag);
+  if (frag->meta.dest.test(self_)) add_fragment_for_reassembly(now, frag);
 }
 
 void ConfidentialGossipService::on_proxy_return(Round now, PartitionIndex l,
-                                                std::vector<Fragment> frags) {
+                                                std::vector<FragmentPtr> frags) {
   for (auto& frag : frags) {
-    CONGOS_ASSERT(frag.meta.key.partition == l);
-    if (frag.meta.expires_at < now) continue;
-    if (frag.meta.dest.test(self_)) add_fragment_for_reassembly(now, frag);
-    hooks_.gd(frag.meta.dline, l)->enqueue(now, std::move(frag));
+    CONGOS_ASSERT(frag->meta.key.partition == l);
+    if (frag->meta.expires_at < now) continue;
+    if (frag->meta.dest.test(self_)) add_fragment_for_reassembly(now, frag);
+    hooks_.gd(frag->meta.dline, l)->enqueue(now, std::move(frag));
   }
 }
 
@@ -212,7 +212,7 @@ void ConfidentialGossipService::on_partials(Round now, const PartialsPayload& pa
     CONGOS_ASSERT_MSG(frag->meta.dest.test(self_),
                       "received a GroupDistribution partial while not in the "
                       "fragment's destination set");
-    add_fragment_for_reassembly(now, *frag);
+    add_fragment_for_reassembly(now, frag);
   }
 }
 
@@ -238,26 +238,19 @@ void ConfidentialGossipService::on_direct_ack(RumorUid uid, ProcessId from) {
 }
 
 void ConfidentialGossipService::add_fragment_for_reassembly(Round now,
-                                                            const Fragment& frag) {
-  if (delivered_.contains(frag.meta.key.rumor)) return;
-  const StoreKey key{frag.meta.key.rumor, frag.meta.key.partition};
+                                                            const FragmentPtr& frag) {
+  if (delivered_.contains(frag->meta.key.rumor)) return;
+  const StoreKey key{frag->meta.key.rumor, frag->meta.key.partition};
   StoreEntry& entry = store_[key];
-  entry.num_groups = frag.meta.num_groups;
-  entry.expires_at = std::max(entry.expires_at, frag.meta.expires_at);
-  entry.parts.emplace(frag.meta.key.group, frag.data);
+  entry.num_groups = frag->meta.num_groups;
+  entry.expires_at = std::max(entry.expires_at, frag->meta.expires_at);
+  entry.parts.emplace(frag->meta.key.group, frag);
   if (entry.parts.size() == entry.num_groups) {
     // All XOR shares for this partition present: reassemble the rumor.
-    coding::Bytes data;
-    bool first = true;
-    for (const auto& [g, part] : entry.parts) {
-      if (first) {
-        data = part;
-        first = false;
-      } else {
-        coding::xor_into(data, part);
-      }
-    }
-    deliver_local(now, frag.meta.key.rumor, data, true);
+    auto part = entry.parts.begin();
+    coding::Bytes data = part->second->data;
+    while (++part != entry.parts.end()) coding::xor_into(data, part->second->data);
+    deliver_local(now, frag->meta.key.rumor, data, true);
   }
 }
 

@@ -66,9 +66,9 @@ class ConfidentialGossipService {
   // -- inputs from the services ---------------------------------------------
 
   /// Own-group fragment delivered by GroupGossip[l].
-  void on_group_fragment(Round now, PartitionIndex l, const Fragment& frag);
+  void on_group_fragment(Round now, PartitionIndex l, const FragmentPtr& frag);
   /// Own-group fragments returned by Proxy[l] at block end.
-  void on_proxy_return(Round now, PartitionIndex l, std::vector<Fragment> frags);
+  void on_proxy_return(Round now, PartitionIndex l, std::vector<FragmentPtr> frags);
   /// GroupDistribution partials addressed to this process.
   void on_partials(Round now, const PartialsPayload& partials);
   /// Fallback direct rumor.
@@ -108,7 +108,7 @@ class ConfidentialGossipService {
   struct StoreEntry {
     GroupIndex num_groups = 0;
     Round expires_at = 0;
-    FlatMap<GroupIndex, coding::Bytes> parts;
+    FlatMap<GroupIndex, FragmentPtr> parts;
   };
   /// Per-rumor confirmation matrix: partition x group -> destinations known
   /// to have been sent that group's fragment.
@@ -143,7 +143,7 @@ class ConfidentialGossipService {
   /// Fires one fallback attempt and advances/retires the schedule.
   void fire_fallback(CacheEntry& entry, Round now);
   bool all_destinations_acked(const CacheEntry& entry) const;
-  void add_fragment_for_reassembly(Round now, const Fragment& frag);
+  void add_fragment_for_reassembly(Round now, const FragmentPtr& frag);
   void check_confirmed(RumorUid uid);
   void gc(Round now);
 };

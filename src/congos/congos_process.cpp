@@ -100,7 +100,7 @@ CongosProcess::Instance& CongosProcess::instance(Round dline) {
       group_gossip_[l]->inject(now, std::move(body),
                                part->members(part->group_of(id())), deadline_at);
     };
-    ph.return_partials = [this, l](Round now, std::vector<Fragment> partials) {
+    ph.return_partials = [this, l](Round now, std::vector<FragmentPtr> partials) {
       cg_->on_proxy_return(now, l, std::move(partials));
     };
     ph.alive_since = [this] { return wakeup_; };

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <vector>
 
 #include "coding/xor_share.h"
@@ -56,6 +55,10 @@ struct Fragment {
   FragmentMeta meta;
   coding::Bytes data;
 };
+
+/// A fragment is immutable once split_rumor or the wire reader builds it, and
+/// every holder shares it by handle (DESIGN.md section 9).
+using FragmentPtr = std::shared_ptr<const Fragment>;
 
 /// v1 wire fields of a fragment's metadata (codec walk, src/wire/wire.h).
 template <class S, wire::SameBase<FragmentMeta> M>
@@ -112,27 +115,31 @@ void wire_batched_fragment(S& s, F& f, const Fragment* prev) {
   s.bytes(f.data);
 }
 
-/// A batch holds its fragments by value (proxy requests and shares) or by
-/// shared handle (partials, which share them with the sender's block
-/// state); the reader builds each handle's fragment once, in place.
+/// The fragment behind a payload's handle, for a walk to write or read. The
+/// reader builds each decoded fragment once, in place, behind a new handle
+/// (one make_shared per fragment).
+template <class S, class H>
+auto& fragment_behind(S&, H& handle) {
+  if constexpr (S::kReading) {
+    auto f = std::make_shared<Fragment>();
+    Fragment& fresh = *f;
+    handle = std::move(f);
+    return fresh;
+  } else {
+    return *handle;
+  }
+}
+
+/// A batch of fragment handles: proxy requests, proxy shares and partials.
 template <class S, class V>
 void wire_fragment_batch(S& s, V& fragments) {
   s.seq(fragments);
   const Fragment* prev = nullptr;
   for (auto& slot : fragments) {
     if (!s.ok()) return;
-    if constexpr (std::is_same_v<std::remove_cvref_t<decltype(slot)>, Fragment>) {
-      wire_batched_fragment(s, slot, prev);
-      prev = &slot;
-    } else if constexpr (S::kReading) {
-      auto f = std::make_shared<Fragment>();
-      wire_batched_fragment(s, *f, prev);
-      prev = f.get();
-      slot = std::move(f);
-    } else {
-      wire_batched_fragment(s, *slot, prev);
-      prev = slot.get();
-    }
+    auto& f = fragment_behind(s, slot);
+    wire_batched_fragment(s, f, prev);
+    prev = &f;
   }
 }
 
@@ -147,7 +154,7 @@ struct ProxyRequestPayload final : sim::Payload {
   ProxyRequestPayload() : sim::Payload(sim::PayloadKind::kProxyRequest) {}
 
   Round dline = 0;  // deadline class, for routing to the right instance
-  std::vector<Fragment> fragments;
+  std::vector<FragmentPtr> fragments;
 
   std::uint64_t encoded_size() const override;  // defined after the walks
 
@@ -168,14 +175,12 @@ struct ProxyAckPayload final : sim::Payload {
 /// GroupDistribution[l] "partials": fragments sent to a process in their
 /// destination set (Fig. 10 round 2). Receiver reassembles via
 /// ConfidentialGossip - [GD:CONFIDENTIAL] guarantees receiver is in every
-/// fragment's destination set. One distribution round sends each fragment
-/// to many targets, so the messages share immutable handles rather than
-/// copies (DESIGN.md section 9).
+/// fragment's destination set.
 struct PartialsPayload final : sim::Payload {
   PartialsPayload() : sim::Payload(sim::PayloadKind::kPartials) {}
 
   Round dline = 0;
-  std::vector<std::shared_ptr<const Fragment>> fragments;
+  std::vector<FragmentPtr> fragments;
 
   std::uint64_t encoded_size() const override;
 
@@ -235,7 +240,7 @@ struct DirectAckPayload final : sim::Payload {
 struct FragmentBody final : sim::Payload {
   FragmentBody() : sim::Payload(sim::PayloadKind::kFragment) {}
 
-  Fragment fragment;
+  FragmentPtr fragment;
 
   std::uint64_t encoded_size() const override;
 
@@ -252,7 +257,7 @@ struct ProxyShareBody final : sim::Payload {
   Round dline = 0;
   std::uint64_t block = 0;
   ProcessId from = kNoProcess;
-  std::vector<Fragment> proxied;          // fragments of the *receiving* group
+  std::vector<FragmentPtr> proxied;       // fragments of the *receiving* group
   std::vector<ProcessId> failed_proxies;  // per other-group flattened
 
   std::uint64_t encoded_size() const override;
@@ -306,9 +311,9 @@ struct DistributionReportBody final : sim::Payload {
 
 /// Splits rumor data into `num_groups` fragments for partition `l`.
 /// Fragment g goes to group g. Fresh randomness per partition.
-std::vector<Fragment> split_rumor(const sim::Rumor& rumor, PartitionIndex l,
-                                  GroupIndex num_groups, Round expires_at, Round dline,
-                                  Rng& rng);
+std::vector<FragmentPtr> split_rumor(const sim::Rumor& rumor, PartitionIndex l,
+                                     GroupIndex num_groups, Round expires_at,
+                                     Round dline, Rng& rng);
 
 // ---------------------------------------------------------------------------
 // Codec field walks (one per payload kind) and the size overrides they drive.
@@ -351,7 +356,7 @@ void wire_fields(S& s, P& p) {
 
 template <class S, wire::SameBase<FragmentBody> P>
 void wire_fields(S& s, P& p) {
-  wire_fields(s, p.fragment);
+  wire_fields(s, fragment_behind(s, p.fragment));
 }
 
 template <class S, wire::SameBase<Hit> H>

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -51,7 +50,7 @@ class GroupDistributionService {
   void reset(Round now);
 
   /// ConfidentialGossip routes own-group fragments here (waiting-partials).
-  void enqueue(Round now, Fragment frag);
+  void enqueue(Round now, FragmentPtr frag);
 
   void send_phase(Round now, sim::Sender& out);
 
@@ -81,10 +80,10 @@ class GroupDistributionService {
   Hooks hooks_;
   GroupIndex my_group_;
 
-  std::vector<Fragment> waiting_;  // enqueued, not yet collected
-  /// This block's fragments to distribute. Every partials message pushes
-  /// these handles instead of copying the fragment (DESIGN.md section 9).
-  std::vector<std::shared_ptr<const Fragment>> partials_;
+  std::vector<FragmentPtr> waiting_;  // enqueued, not yet collected
+  /// This block's fragments to distribute; every partials message pushes
+  /// these handles (DESIGN.md section 9).
+  std::vector<FragmentPtr> partials_;
   FlatSet<FragmentKey, FragmentKeyHash> partial_keys_;
   /// The hit set: one sorted, duplicate-free run. Shares and reports copy it
   /// as is, and a share that repeats it costs one compare per hit.

@@ -43,10 +43,10 @@ void ProxyService::reset(Round /*now*/) {
   partial_keys_.clear();
 }
 
-void ProxyService::enqueue(Round now, Fragment frag) {
-  CONGOS_ASSERT_MSG(frag.meta.key.group != my_group_,
+void ProxyService::enqueue(Round now, FragmentPtr frag) {
+  CONGOS_ASSERT_MSG(frag->meta.key.group != my_group_,
                     "own-group fragments go through GroupGossip, not the proxy");
-  if (frag.meta.expires_at < now) return;
+  if (frag->meta.expires_at < now) return;
   waiting_.push_back(std::move(frag));
 }
 
@@ -74,8 +74,8 @@ void ProxyService::begin_block(Round now) {
   if (now - hooks_.alive_since() < block_len_) return;
 
   for (auto& frag : waiting_) {
-    if (frag.meta.expires_at < now) continue;
-    my_rumors_[frag.meta.key.group].push_back(std::move(frag));
+    if (frag->meta.expires_at < now) continue;
+    my_rumors_[frag->meta.key.group].push_back(std::move(frag));
   }
   waiting_.clear();
   if (my_rumors_.empty()) return;
@@ -122,7 +122,7 @@ void ProxyService::send_requests(Round now, sim::Sender& out) {
     auto& frags = my_rumors_.find(group)->second;
     if (group_satisfied_[group]) continue;
     // Drop expired fragments.
-    std::erase_if(frags, [now](const Fragment& f) { return f.meta.expires_at < now; });
+    std::erase_if(frags, [now](const auto& f) { return f->meta.expires_at < now; });
     if (frags.empty()) {
       group_satisfied_[group] = true;
       continue;
@@ -162,7 +162,7 @@ void ProxyService::resend_requests(Round now, sim::Sender& out) {
     auto rit = my_rumors_.find(group);
     if (rit == my_rumors_.end()) continue;
     auto& frags = rit->second;
-    std::erase_if(frags, [now](const Fragment& f) { return f.meta.expires_at < now; });
+    std::erase_if(frags, [now](const auto& f) { return f->meta.expires_at < now; });
     if (frags.empty()) continue;
     auto req = req_pool_.acquire();
     req->dline = dline_;
@@ -191,7 +191,7 @@ void ProxyService::inject_share(Round now) {
   share->block = static_cast<std::uint64_t>(now / block_len_);
   share->from = self_;
   for (const auto& f : proxy_buffer_) {
-    if (f.meta.expires_at >= now) share->proxied.push_back(f);
+    if (f->meta.expires_at >= now) share->proxied.push_back(f);
   }
   share->failed_proxies = failed_proxies_.to_vector();
   if (hooks_.gossip_share) {
@@ -237,10 +237,10 @@ void ProxyService::send_phase(Round now, sim::Sender& out) {
 void ProxyService::on_request(Round now, const ProxyRequestPayload& req,
                               ProcessId from) {
   for (const auto& frag : req.fragments) {
-    CONGOS_ASSERT_MSG(frag.meta.key.group == my_group_,
+    CONGOS_ASSERT_MSG(frag->meta.key.group == my_group_,
                       "proxy request fragment not for this group");
-    if (frag.meta.expires_at < now) continue;
-    if (buffered_keys_.insert(frag.meta.key).second) {
+    if (frag->meta.expires_at < now) continue;
+    if (buffered_keys_.insert(frag->meta.key).second) {
       proxy_buffer_.push_back(frag);
     }
   }
@@ -253,10 +253,10 @@ void ProxyService::on_share(Round now, const ProxyShareBody& share) {
   for (ProcessId f : share.failed_proxies) failed_proxies_.set(f);
   collaborators_.set(share.from);
   for (const auto& frag : share.proxied) {
-    CONGOS_ASSERT_MSG(frag.meta.key.group == my_group_,
+    CONGOS_ASSERT_MSG(frag->meta.key.group == my_group_,
                       "shared fragment not for this group");
-    if (frag.meta.expires_at < now) continue;
-    if (partial_keys_.insert(frag.meta.key).second) {
+    if (frag->meta.expires_at < now) continue;
+    if (partial_keys_.insert(frag->meta.key).second) {
       partial_rumors_.push_back(frag);
     }
   }

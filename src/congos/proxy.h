@@ -42,7 +42,7 @@ class ProxyService {
     /// Inject a metadata rumor into GroupGossip[l] (dest = own group).
     std::function<void(Round now, sim::PayloadPtr body, Round deadline_at)> gossip_share;
     /// Return collected partial rumors to ConfidentialGossip (block end).
-    std::function<void(Round now, std::vector<Fragment> partials)> return_partials;
+    std::function<void(Round now, std::vector<FragmentPtr> partials)> return_partials;
     /// Rounds this process has been continuously alive (from the host).
     std::function<Round()> alive_since;
   };
@@ -54,7 +54,7 @@ class ProxyService {
   void reset(Round now);
 
   /// ConfidentialGossip queues a fragment destined for another group.
-  void enqueue(Round now, Fragment frag);
+  void enqueue(Round now, FragmentPtr frag);
 
   void send_phase(Round now, sim::Sender& out);
 
@@ -85,9 +85,9 @@ class ProxyService {
   GroupIndex my_group_;
 
   // Requester-side state.
-  std::vector<Fragment> waiting_;  // enqueued since block start
+  std::vector<FragmentPtr> waiting_;  // enqueued since block start
   /// Fragments to place, keyed by target group.
-  FlatMap<GroupIndex, std::vector<Fragment>> my_rumors_;
+  FlatMap<GroupIndex, std::vector<FragmentPtr>> my_rumors_;
   FlatMap<GroupIndex, bool> group_satisfied_;
   /// Scratch: sorted group keys for the send_requests() pass (iteration
   /// order feeds RNG draws, so it must be bucket-layout independent).
@@ -109,12 +109,12 @@ class ProxyService {
   PayloadPool<ProxyAckPayload> ack_pool_;
 
   // Proxy-side state.
-  std::vector<Fragment> proxy_buffer_;  // fragments cached for my own group
+  std::vector<FragmentPtr> proxy_buffer_;  // fragments cached for my own group
   FlatSet<FragmentKey, FragmentKeyHash> buffered_keys_;
   std::vector<ProcessId> requesters_to_ack_;
 
   // Collector state.
-  std::vector<Fragment> partial_rumors_;  // my-group fragments from shares
+  std::vector<FragmentPtr> partial_rumors_;  // my-group fragments from shares
   FlatSet<FragmentKey, FragmentKeyHash> partial_keys_;
 
   void begin_block(Round now);

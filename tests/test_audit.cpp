@@ -21,24 +21,22 @@ sim::Rumor test_rumor(ProcessId src, std::uint64_t seq, std::size_t n,
   return r;
 }
 
-core::Fragment frag_for(const sim::Rumor& r, PartitionIndex l, GroupIndex g,
-                        GroupIndex groups) {
-  core::Fragment f;
-  f.meta.key = core::FragmentKey{r.uid, l, g};
-  f.meta.dest = r.dest;
-  f.meta.expires_at = r.expires_at();
-  f.meta.dline = 64;
-  f.meta.num_groups = groups;
-  f.data = {9, 9, 9, 9};
+core::FragmentPtr frag_for(const sim::Rumor& r, PartitionIndex l, GroupIndex g,
+                           GroupIndex groups) {
+  auto f = std::make_shared<core::Fragment>();
+  f->meta.key = core::FragmentKey{r.uid, l, g};
+  f->meta.dest = r.dest;
+  f->meta.expires_at = r.expires_at();
+  f->meta.dline = 64;
+  f->meta.num_groups = groups;
+  f->data = {9, 9, 9, 9};
   return f;
 }
 
 sim::Envelope partials_env(ProcessId from, ProcessId to,
-                           std::vector<core::Fragment> frags) {
+                           std::vector<core::FragmentPtr> frags) {
   auto p = std::make_shared<core::PartialsPayload>();
-  for (auto& f : frags) {
-    p->fragments.push_back(std::make_shared<const core::Fragment>(std::move(f)));
-  }
+  p->fragments = std::move(frags);
   return sim::Envelope{from, to,
                        sim::ServiceTag{sim::ServiceKind::kGroupDistribution, 0}, p};
 }
@@ -348,13 +346,13 @@ TEST_F(ConfAuditorTest, ViolationsComeInCanonicalOrder) {
 // a body judged clean at a process is remembered there by (tag, gid, object).
 // Each test checks a case where remembering must not change a verdict.
 
-sim::PayloadPtr fragment_body(core::Fragment f) {
+sim::PayloadPtr fragment_body(core::FragmentPtr f) {
   auto b = std::make_shared<core::FragmentBody>();
   b->fragment = std::move(f);
   return b;
 }
 
-sim::PayloadPtr share_body(std::vector<core::Fragment> frags) {
+sim::PayloadPtr share_body(std::vector<core::FragmentPtr> frags) {
   auto b = std::make_shared<core::ProxyShareBody>();
   b->proxied = std::move(frags);
   return b;
@@ -504,7 +502,7 @@ TEST_F(ConfAuditorTest, GossipMemoConcurrentReceiversMatchSerialAndFlatPath) {
   for (Round t = 1; t <= kRounds; ++t) {
     for (ProcessId p = 0; p < kN; ++p) {
       serial.on_envelope_delivered(gossip_env(p, batch(p, t)), t);
-      std::vector<core::Fragment> frags;
+      std::vector<core::FragmentPtr> frags;
       for (const Pushed& b : batch(p, t)) {
         if (b.body->kind() == sim::PayloadKind::kFragment) {
           frags.push_back(static_cast<const core::FragmentBody&>(*b.body).fragment);

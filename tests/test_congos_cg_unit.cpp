@@ -98,9 +98,9 @@ TEST_F(CgFixture, InjectSplitsPerPartitionOwnGroupToGossip) {
     const auto* body = dynamic_cast<const FragmentBody*>(g.body.get());
     ASSERT_NE(body, nullptr);
     // Self is 0 -> group 0 in every bit partition.
-    EXPECT_EQ(body->fragment.meta.key.group, 0u);
-    EXPECT_EQ(body->fragment.meta.key.partition, g.partition);
-    EXPECT_EQ(body->fragment.meta.dline, 64);
+    EXPECT_EQ(body->fragment->meta.key.group, 0u);
+    EXPECT_EQ(body->fragment->meta.key.partition, g.partition);
+    EXPECT_EQ(body->fragment->meta.dline, 64);
     EXPECT_EQ(g.deadline_at, 8);  // now + sqrt(64)
   }
   EXPECT_EQ(cg_->counters().injected, 1u);
@@ -132,8 +132,8 @@ TEST_F(CgFixture, PartialsReassembleAcrossGroups) {
   auto r = test_rumor(3, 64, {0});
   auto frags = split_rumor(r, 0, 2, 64, 64, rng_);
   PartialsPayload p1, p2;
-  p1.fragments.push_back(std::make_shared<const Fragment>(frags[0]));
-  p2.fragments.push_back(std::make_shared<const Fragment>(frags[1]));
+  p1.fragments.push_back(frags[0]);
+  p2.fragments.push_back(frags[1]);
   cg_->on_partials(5, p1);
   EXPECT_TRUE(deliveries_.empty());  // one share reveals nothing
   cg_->on_partials(6, p2);
@@ -148,9 +148,9 @@ TEST_F(CgFixture, MixedPartitionFragmentsDoNotReassemble) {
   auto f0 = split_rumor(r, 0, 2, 64, 64, rng_);
   auto f1 = split_rumor(r, 1, 2, 64, 64, rng_);
   PartialsPayload p;
-  p.fragments.push_back(std::make_shared<const Fragment>(f0[0]));
+  p.fragments.push_back(f0[0]);
   // Different partition: useless pair.
-  p.fragments.push_back(std::make_shared<const Fragment>(f1[1]));
+  p.fragments.push_back(f1[1]);
   cg_->on_partials(5, p);
   EXPECT_TRUE(deliveries_.empty());
 }
@@ -159,7 +159,7 @@ TEST_F(CgFixture, DuplicateDeliveryIsSuppressed) {
   auto r = test_rumor(3, 64, {0});
   auto frags = split_rumor(r, 0, 2, 64, 64, rng_);
   PartialsPayload p;
-  for (const auto& f : frags) p.fragments.push_back(std::make_shared<const Fragment>(f));
+  p.fragments = frags;
   cg_->on_partials(5, p);
   DirectRumorPayload direct;
   direct.rumor = r;

@@ -252,7 +252,7 @@ class OriginGossipLog final : public sim::ExecutionObserver {
       Sighting s{now, {}};
       if (r.body->kind() == sim::PayloadKind::kFragment) {
         const auto& body = static_cast<const core::FragmentBody&>(*r.body);
-        s.fragment_of = body.fragment.meta.key.rumor;
+        s.fragment_of = body.fragment->meta.key.rumor;
       }
       sightings_.emplace(r.gid, s);
     }

@@ -55,15 +55,16 @@ class GdFixture : public ::testing::Test {
     for (Round t = from; t <= to; ++t) gd_->send_phase(t, sender_);
   }
 
-  Fragment own_fragment(std::vector<std::uint32_t> dest, std::uint64_t seq = 1,
-                        Round expires = 20 * kBlock) {
-    Fragment f;
-    f.meta.key = FragmentKey{RumorUid{5, seq}, 0, 0};  // group 0 = self's group
-    f.meta.dest = DynamicBitset::from_indices(kN, dest);
-    f.meta.expires_at = expires;
-    f.meta.dline = kDline;
-    f.meta.num_groups = 2;
-    f.data = {9, 9};
+  std::shared_ptr<Fragment> own_fragment(std::vector<std::uint32_t> dest,
+                                         std::uint64_t seq = 1,
+                                         Round expires = 20 * kBlock) {
+    auto f = std::make_shared<Fragment>();
+    f->meta.key = FragmentKey{RumorUid{5, seq}, 0, 0};  // group 0 = self's group
+    f->meta.dest = DynamicBitset::from_indices(kN, dest);
+    f->meta.expires_at = expires;
+    f->meta.dline = kDline;
+    f->meta.num_groups = 2;
+    f->data = {9, 9};
     return f;
   }
 
@@ -187,9 +188,24 @@ TEST_F(GdFixture, ResetWipesState) {
   EXPECT_TRUE(sender_.sent.empty());
 }
 
+// Every partials message carries the very fragment object that was
+// enqueued: the block state and each message share it, none copies it.
+TEST_F(GdFixture, PartialsCarryTheEnqueuedFragmentObject) {
+  const FragmentPtr frag = own_fragment({3, 6, 9});
+  gd_->enqueue(0, frag);
+  run(0, kFirstActiveBlock + 2);
+  ASSERT_FALSE(sender_.sent.empty());
+  for (const auto& e : sender_.sent) {
+    const auto* p = dynamic_cast<const PartialsPayload*>(e.body.get());
+    ASSERT_NE(p, nullptr);
+    ASSERT_EQ(p->fragments.size(), 1u);
+    EXPECT_EQ(p->fragments[0].get(), frag.get());
+  }
+}
+
 TEST_F(GdFixture, WrongGroupFragmentAborts) {
-  Fragment f = own_fragment({3});
-  f.meta.key.group = 1;  // self is in group 0
+  auto f = own_fragment({3});
+  f->meta.key.group = 1;  // self is in group 0
   EXPECT_DEATH(gd_->enqueue(0, f), "own-group");
 }
 

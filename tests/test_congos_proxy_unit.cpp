@@ -53,7 +53,7 @@ class ProxyFixture : public ::testing::Test {
     hooks.gossip_share = [this](Round now, sim::PayloadPtr body, Round deadline_at) {
       shares_.push_back(ShareRecord{now, std::move(body), deadline_at});
     };
-    hooks.return_partials = [this](Round /*now*/, std::vector<Fragment> partials) {
+    hooks.return_partials = [this](Round /*now*/, std::vector<FragmentPtr> partials) {
       for (auto& f : partials) returned_.push_back(std::move(f));
     };
     hooks.alive_since = [this] { return alive_since_; };
@@ -66,15 +66,15 @@ class ProxyFixture : public ::testing::Test {
     for (Round t = from; t <= to; ++t) proxy_->send_phase(t, sender_);
   }
 
-  Fragment fragment_for_group(GroupIndex g, std::uint64_t seq = 1,
-                              Round expires = 10 * kBlock) {
-    Fragment f;
-    f.meta.key = FragmentKey{RumorUid{self_, seq}, 0, g};
-    f.meta.dest = DynamicBitset::from_indices(kN, {3});
-    f.meta.expires_at = expires;
-    f.meta.dline = kDline;
-    f.meta.num_groups = 2;
-    f.data = {1, 2, 3};
+  FragmentPtr fragment_for_group(GroupIndex g, std::uint64_t seq = 1,
+                                 Round expires = 10 * kBlock) {
+    auto f = std::make_shared<Fragment>();
+    f->meta.key = FragmentKey{RumorUid{self_, seq}, 0, g};
+    f->meta.dest = DynamicBitset::from_indices(kN, {3});
+    f->meta.expires_at = expires;
+    f->meta.dline = kDline;
+    f->meta.num_groups = 2;
+    f->data = {1, 2, 3};
     return f;
   }
 
@@ -85,7 +85,7 @@ class ProxyFixture : public ::testing::Test {
   Round alive_since_ = 0;
   FakeSender sender_;
   std::vector<ShareRecord> shares_;
-  std::vector<Fragment> returned_;
+  std::vector<FragmentPtr> returned_;
   std::unique_ptr<ProxyService> proxy_;
 };
 
@@ -130,7 +130,7 @@ TEST_F(ProxyFixture, RequestsTargetOnlyTheFragmentGroup) {
     ASSERT_NE(req, nullptr);
     EXPECT_EQ(req->dline, kDline);
     ASSERT_EQ(req->fragments.size(), 1u);
-    EXPECT_EQ(req->fragments[0].meta.key.group, 1u);
+    EXPECT_EQ(req->fragments[0]->meta.key.group, 1u);
   }
 }
 
@@ -200,7 +200,7 @@ TEST_F(ProxyFixture, ProxySideCachesSharesAndAcks) {
   const auto* share = dynamic_cast<const ProxyShareBody*>(shares_[0].body.get());
   ASSERT_NE(share, nullptr);
   ASSERT_EQ(share->proxied.size(), 1u);
-  EXPECT_EQ(share->proxied[0].meta.key.group, 0u);
+  EXPECT_EQ(share->proxied[0]->meta.key.group, 0u);
   EXPECT_EQ(shares_[0].deadline_at, kBlock + 1 + 16);  // sqrt(256)
 
   // Last round of the iteration: acknowledgement to the requester.
@@ -234,7 +234,7 @@ TEST_F(ProxyFixture, SharedFragmentsAreReturnedAtNextBlock) {
   EXPECT_TRUE(returned_.empty());
   run(2 * kBlock, 2 * kBlock);  // next block boundary returns partials
   ASSERT_EQ(returned_.size(), 1u);
-  EXPECT_EQ(returned_[0].meta.key.group, 0u);
+  EXPECT_EQ(returned_[0]->meta.key.group, 0u);
 }
 
 TEST_F(ProxyFixture, ExpiredFragmentsAreDroppedEverywhere) {
@@ -263,6 +263,54 @@ TEST_F(ProxyFixture, ResetWipesEverything) {
   EXPECT_TRUE(sender_.sent.empty());
   EXPECT_TRUE(shares_.empty());
   EXPECT_TRUE(returned_.empty());
+}
+
+// A fragment is built once and then only shared: the requester's queue,
+// its proxy request, the proxy's buffer and share, and a collaborator's
+// returned partials all hold the very object that was enqueued.
+TEST_F(ProxyFixture, OneFragmentObjectFromEnqueueToReturnedPartials) {
+  const auto peer = [&](ProcessId self, std::vector<ShareRecord>* shares,
+                        std::vector<FragmentPtr>* returned) {
+    ProxyService::Hooks hooks;
+    hooks.gossip_share = [shares](Round now, sim::PayloadPtr body, Round deadline_at) {
+      shares->push_back(ShareRecord{now, std::move(body), deadline_at});
+    };
+    hooks.return_partials = [returned](Round /*now*/, std::vector<FragmentPtr> partials) {
+      returned->insert(returned->end(), partials.begin(), partials.end());
+    };
+    hooks.alive_since = [] { return Round{0}; };
+    return std::make_unique<ProxyService>(self, /*l=*/0, &partitions_[0], kDline, &cfg_,
+                                          &rng_, std::move(hooks));
+  };
+  std::vector<ShareRecord> proxy_shares, collaborator_shares;
+  std::vector<FragmentPtr> proxy_returned, collaborator_returned;
+  auto proxy = peer(/*self=*/1, &proxy_shares, &proxy_returned);  // group 1
+  auto collaborator = peer(/*self=*/3, &collaborator_shares, &collaborator_returned);
+
+  const FragmentPtr frag = fragment_for_group(1);
+  proxy_->enqueue(0, frag);
+  run(kBlock, kBlock);  // the requester sends its proxy requests
+  proxy->send_phase(kBlock, sender_);
+  collaborator->send_phase(kBlock, sender_);
+  ASSERT_FALSE(sender_.sent.empty());
+  const auto* req = dynamic_cast<const ProxyRequestPayload*>(sender_.sent[0].body.get());
+  ASSERT_NE(req, nullptr);
+  ASSERT_EQ(req->fragments.size(), 1u);
+  EXPECT_EQ(req->fragments[0].get(), frag.get());
+
+  proxy->on_request(kBlock, *req, self_);
+  proxy->send_phase(kBlock + 1, sender_);  // shares its proxy buffer in-group
+  ASSERT_EQ(proxy_shares.size(), 1u);
+  const auto* share = dynamic_cast<const ProxyShareBody*>(proxy_shares[0].body.get());
+  ASSERT_NE(share, nullptr);
+  ASSERT_EQ(share->proxied.size(), 1u);
+  EXPECT_EQ(share->proxied[0].get(), frag.get());
+
+  collaborator->send_phase(kBlock + 1, sender_);
+  collaborator->on_share(kBlock + 1, *share);
+  for (Round t = kBlock + 2; t <= 2 * kBlock; ++t) collaborator->send_phase(t, sender_);
+  ASSERT_EQ(collaborator_returned.size(), 1u);
+  EXPECT_EQ(collaborator_returned[0].get(), frag.get());
 }
 
 TEST_F(ProxyFixture, OwnGroupFragmentEnqueueAborts) {

@@ -92,18 +92,18 @@ TEST(Fragment, SplitRumorMetadata) {
   auto frags = split_rumor(r, 2, 3, 164, 64, rng);
   ASSERT_EQ(frags.size(), 3u);
   for (GroupIndex g = 0; g < 3; ++g) {
-    EXPECT_EQ(frags[g].meta.key.rumor, r.uid);
-    EXPECT_EQ(frags[g].meta.key.partition, 2u);
-    EXPECT_EQ(frags[g].meta.key.group, g);
-    EXPECT_EQ(frags[g].meta.dest, r.dest);
-    EXPECT_EQ(frags[g].meta.expires_at, 164);
-    EXPECT_EQ(frags[g].meta.dline, 64);
-    EXPECT_EQ(frags[g].meta.num_groups, 3u);
-    EXPECT_EQ(frags[g].data.size(), r.data.size());
+    EXPECT_EQ(frags[g]->meta.key.rumor, r.uid);
+    EXPECT_EQ(frags[g]->meta.key.partition, 2u);
+    EXPECT_EQ(frags[g]->meta.key.group, g);
+    EXPECT_EQ(frags[g]->meta.dest, r.dest);
+    EXPECT_EQ(frags[g]->meta.expires_at, 164);
+    EXPECT_EQ(frags[g]->meta.dline, 64);
+    EXPECT_EQ(frags[g]->meta.num_groups, 3u);
+    EXPECT_EQ(frags[g]->data.size(), r.data.size());
   }
   // XOR of all fragments reconstructs the datum.
   std::vector<coding::Bytes> parts;
-  for (const auto& f : frags) parts.push_back(f.data);
+  for (const auto& f : frags) parts.push_back(f->data);
   EXPECT_EQ(coding::combine(parts), r.data);
 }
 
@@ -113,7 +113,7 @@ TEST(Fragment, SplitsAreIndependentAcrossPartitions) {
                                  DynamicBitset(8));
   auto a = split_rumor(r, 0, 2, 64, 64, rng);
   auto b = split_rumor(r, 1, 2, 64, 64, rng);
-  EXPECT_NE(a[0].data, b[0].data);  // fresh randomness per partition
+  EXPECT_NE(a[0]->data, b[0]->data);  // fresh randomness per partition
 }
 
 TEST(Fragment, KeyHashAndEquality) {

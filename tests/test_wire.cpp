@@ -54,17 +54,17 @@ sim::Rumor rand_rumor(Rng& rng) {
   return r;
 }
 
-core::Fragment rand_fragment(Rng& rng) {
-  core::Fragment f;
-  f.meta.key.rumor = RumorUid{static_cast<ProcessId>(rng.next_below(1000)),
-                              rng.next_below(1u << 20)};
-  f.meta.key.partition = static_cast<PartitionIndex>(rng.next_below(8));
-  f.meta.key.group = static_cast<GroupIndex>(rng.next_below(4));
-  f.meta.dest = rand_bits(rng, 16 + rng.next_below(120));
-  f.meta.expires_at = static_cast<Round>(rng.next_below(4096));
-  f.meta.dline = static_cast<Round>(1 << rng.next_below(8));
-  f.meta.num_groups = static_cast<GroupIndex>(2 + rng.next_below(3));
-  f.data = rand_data(rng, 48);
+std::shared_ptr<core::Fragment> rand_fragment(Rng& rng) {
+  auto f = std::make_shared<core::Fragment>();
+  f->meta.key.rumor = RumorUid{static_cast<ProcessId>(rng.next_below(1000)),
+                               rng.next_below(1u << 20)};
+  f->meta.key.partition = static_cast<PartitionIndex>(rng.next_below(8));
+  f->meta.key.group = static_cast<GroupIndex>(rng.next_below(4));
+  f->meta.dest = rand_bits(rng, 16 + rng.next_below(120));
+  f->meta.expires_at = static_cast<Round>(rng.next_below(4096));
+  f->meta.dline = static_cast<Round>(1 << rng.next_below(8));
+  f->meta.num_groups = static_cast<GroupIndex>(2 + rng.next_below(3));
+  f->data = rand_data(rng, 48);
   return f;
 }
 
@@ -131,9 +131,7 @@ sim::PayloadPtr rand_payload(Rng& rng, sim::PayloadKind kind) {
       auto p = std::make_shared<core::PartialsPayload>();
       p->dline = static_cast<Round>(1 << rng.next_below(8));
       const std::size_t k = rng.next_below(4);
-      for (std::size_t i = 0; i < k; ++i) {
-        p->fragments.push_back(std::make_shared<const core::Fragment>(rand_fragment(rng)));
-      }
+      for (std::size_t i = 0; i < k; ++i) p->fragments.push_back(rand_fragment(rng));
       return p;
     }
     case PayloadKind::kDirectRumor: {
@@ -533,16 +531,16 @@ TEST(WireCompression, UnsortedGidsStillLossless) {
 
 TEST(WireCompression, FragmentBatchSharesRumorMeta) {
   Rng rng(11);
-  const core::Fragment base = rand_fragment(rng);
+  const core::Fragment base = *rand_fragment(rng);
   auto shared_meta = std::make_shared<core::ProxyRequestPayload>();
   auto distinct_meta = std::make_shared<core::ProxyRequestPayload>();
   shared_meta->dline = distinct_meta->dline = base.meta.dline;
   for (std::uint32_t i = 0; i < 6; ++i) {
     core::Fragment f = base;  // same rumor: uid/dest/expiry/dline/num_groups
     f.meta.key.group = i;
-    shared_meta->fragments.push_back(f);
+    shared_meta->fragments.push_back(std::make_shared<const core::Fragment>(f));
     f.meta.key.rumor.seq = base.meta.key.rumor.seq + 1 + i;  // distinct rumor
-    distinct_meta->fragments.push_back(f);
+    distinct_meta->fragments.push_back(std::make_shared<const core::Fragment>(f));
   }
   // Same fragment count and data bytes; the shared-header framing must beat
   // re-encoding the full metadata per fragment by a wide margin.
@@ -552,20 +550,20 @@ TEST(WireCompression, FragmentBatchSharesRumorMeta) {
   expect_roundtrip(rand_envelope(rng, distinct_meta), 3);
 }
 
-// Partials hold shared fragment handles, and the reader builds each decoded
-// fragment behind a new handle. A same-rumor run must still inherit the
-// previous fragment's metadata, exactly as a by-value batch does.
+// The reader builds each decoded fragment behind a new handle. A same-rumor
+// run in partials must still inherit the previous fragment's metadata,
+// exactly as it does in a proxy request.
 TEST(WireCompression, PartialsHandlesShareRumorMeta) {
   Rng rng(12);
-  const core::Fragment base = rand_fragment(rng);
+  const core::Fragment base = *rand_fragment(rng);
   auto partials = std::make_shared<core::PartialsPayload>();
   auto request = std::make_shared<core::ProxyRequestPayload>();
   partials->dline = request->dline = base.meta.dline;
   for (std::uint32_t i = 0; i < 4; ++i) {
-    core::Fragment f = base;
-    f.meta.key.group = i;
+    auto f = std::make_shared<core::Fragment>(base);
+    f->meta.key.group = i;
     request->fragments.push_back(f);
-    partials->fragments.push_back(std::make_shared<const core::Fragment>(std::move(f)));
+    partials->fragments.push_back(f);
   }
   // One batch walk serves both holders, so both frame the run alike.
   EXPECT_EQ(partials->encoded_size(), request->encoded_size());

@@ -30,11 +30,11 @@ sim::Rumor small_rumor(std::size_t n, std::size_t payload) {
   return r;
 }
 
-core::Fragment small_fragment(std::size_t n, std::size_t payload) {
-  core::Fragment f;
-  f.meta.key = core::FragmentKey{{0, 1}, 0, 0};
-  f.meta.dest = DynamicBitset(n);
-  f.data.assign(payload, 0xCD);
+std::shared_ptr<core::Fragment> small_fragment(std::size_t n, std::size_t payload) {
+  auto f = std::make_shared<core::Fragment>();
+  f->meta.key = core::FragmentKey{{0, 1}, 0, 0};
+  f->meta.dest = DynamicBitset(n);
+  f->data.assign(payload, 0xCD);
   return f;
 }
 
@@ -85,7 +85,7 @@ std::vector<sim::PayloadPtr> one_of_each_kind() {
 
   auto partials = std::make_shared<core::PartialsPayload>();
   partials->dline = 16;
-  partials->fragments = {std::make_shared<const core::Fragment>(small_fragment(48, 8))};
+  partials->fragments = {small_fragment(48, 8)};
   all.push_back(partials);
 
   auto direct = std::make_shared<core::DirectRumorPayload>();
@@ -319,16 +319,16 @@ TEST(WireSize, RumorModelCountsEveryField) {
 }
 
 TEST(WireSize, FragmentCountsGroupCountExactlyOnce) {
-  EXPECT_GT(walked_size(small_fragment(64, 100)), walked_size(small_fragment(64, 10)));
+  EXPECT_GT(walked_size(*small_fragment(64, 100)), walked_size(*small_fragment(64, 10)));
   // A group count of 200 needs one more varint byte than 2: the fragment
   // grows by exactly that byte, so the field is encoded once.
-  const core::Fragment narrow = small_fragment(64, 10);
-  core::Fragment wide = narrow;
-  wide.meta.num_groups = 200;
-  EXPECT_EQ(walked_size(wide), walked_size(narrow) + 1);
+  const core::FragmentPtr narrow = small_fragment(64, 10);
+  auto wide = std::make_shared<core::Fragment>(*narrow);
+  wide->meta.num_groups = 200;
+  EXPECT_EQ(walked_size(*wide), walked_size(*narrow) + 1);
   core::FragmentBody body;
   body.fragment = wide;
-  EXPECT_EQ(body.encoded_size(), walked_size(wide));
+  EXPECT_EQ(body.encoded_size(), walked_size(*wide));
   // In a batch, a second fragment of the same rumor inherits the group
   // count instead of repeating it.
   core::ProxyRequestPayload narrow_batch;

@@ -4,7 +4,11 @@
 The trajectory file is JSON-lines: one record per benchmark per
 check_bench.sh invocation, each carrying a git rev and a higher-is-better
 rate named by its `metric` field (rounds_per_sec for the simulator rows,
-datagrams_per_sec or frames_per_sec for the udp rows). This script groups
+datagrams_per_sec or frames_per_sec for the udp rows). check_bench.sh runs
+each row several times and stores the median under that field, with
+`repetitions` and `cv` (the metric's coefficient of variation) beside it,
+so the gate reads the median; older single-run records have neither field
+and compare by the same name. This script groups
 records by rev *in file order*, takes the two most recent rev groups, and
 compares the head record's metric per benchmark name. A base record that
 predates the field is read through the same field name: the old udp rows
@@ -65,6 +69,15 @@ def group_by_rev(records):
             groups.append((rec["rev"], []))
         groups[-1][1].append(rec)
     return groups
+
+
+def spread(rec):
+    """' (median of k, cv c%)' for a repetition record, else ''."""
+    if rec.get("repetitions") is None:
+        return ""
+    cv = rec.get("cv")
+    cv_text = "?" if cv is None else f"{float(cv) * 100.0:.1f}%"
+    return f" (median of {rec['repetitions']}, cv {cv_text})"
 
 
 def compare(base_recs, head_recs, threshold, out=sys.stdout):
@@ -137,7 +150,7 @@ def compare(base_recs, head_recs, threshold, out=sys.stdout):
             verdict = "REGRESSED"
             regressed.append(name)
         print(
-            f"  {name}: {b_val:.3f} -> {h_val:.3f} {metric} "
+            f"  {name}: {b_val:.3f}{spread(b)} -> {h_val:.3f}{spread(h)} {metric} "
             f"({(ratio - 1.0) * 100.0:+.1f}%) {verdict}",
             file=out,
         )
@@ -179,10 +192,14 @@ def self_test():
         return path
 
     def rec(rev, name, rps, scale="default", dirty=False, engine_threads=None,
-            transport=None, metric=None):
+            transport=None, metric=None, repetitions=None, cv=None):
         # With `metric`, the value sits under that name, as check_bench.sh
-        # writes it; without, it is a record that predates the field.
+        # writes it; without, it is a record that predates the field. With
+        # `repetitions`, the value is the median of that many runs.
         r = {"rev": rev, "name": name, "bench_scale": scale, "dirty": dirty}
+        if repetitions is not None:
+            r["repetitions"] = repetitions
+            r["cv"] = cv
         if metric is None:
             r["rounds_per_sec"] = rps
         else:
@@ -316,6 +333,19 @@ def self_test():
         rec("bbb", "BM_DatagramCodec/lz4:0", 900.0, transport="udp",
             metric="frames_per_sec"))
     check("udp-new-name-skipped", run(p, 0.10, informational=False), 0)
+    os.unlink(p)
+
+    # Repetition records (check_bench.sh: the median of 3 runs under the
+    # plain name, with its cv) gate on that median, against a single-run
+    # record of an older rev or another repetition record.
+    reps = {"metric": "rounds_per_sec", "repetitions": 3}
+    p = trajectory(rec("aaa", "BM_X/256", 100.0),
+                   rec("bbb", "BM_X/256", 97.0, cv=0.20, **reps))
+    check("repetitions-median-within-threshold", run(p, 0.10, informational=False), 0)
+    os.unlink(p)
+    p = trajectory(rec("aaa", "BM_X/256", 100.0, cv=0.01, **reps),
+                   rec("bbb", "BM_X/256", 85.0, cv=0.02, **reps))
+    check("repetitions-median-regression", run(p, 0.10, informational=False), 1)
     os.unlink(p)
 
     if failures:

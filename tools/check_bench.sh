@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Runs the engine hot-path microbenchmark and appends one JSON record per
 # benchmark to BENCH_engine.json (JSON-lines: one record per line, so the
-# file accumulates a perf trajectory across commits).
+# file accumulates a perf trajectory across commits). Each row runs three
+# times; its record holds the median and the spread (see REPETITIONS).
 #
 # Usage: tools/check_bench.sh [build-dir] [output-file]
 #   build-dir    defaults to ./build
@@ -60,10 +61,26 @@ TRANSPORT="${CONGOS_BENCH_TRANSPORT:-sim}"
 # rows (full pipeline with the confidentiality audit) at n = 128 and 256.
 FILTER="${CONGOS_BENCH_FILTER:-BM_HotPathRounds|BM_CongosRun/(128|256)/}"
 
+# One run per row cannot tell a regression from host noise, so every row
+# runs REPETITIONS times and only google-benchmark's aggregates are kept.
+# A record holds the median aggregate under the row's plain name (run_name),
+# so it compares with the single-run records of older revs, plus
+# `repetitions` and `cv`, the coefficient of variation of the gated metric.
+REPETITIONS=3
+# jq: the median row of each benchmark, with its cv row as .cv.
+JQ_MEDIANS='def medians:
+  [.benchmarks[] | select(.run_type == "aggregate")] as $agg
+  | $agg[] | select(.aggregate_name == "median") | .run_name as $run
+  | . + {cv: [$agg[] | select(.aggregate_name == "cv" and .run_name == $run)][0]};'
+count_medians() {
+  jq '[.benchmarks[] | select(.aggregate_name == "median")] | length' "$1"
+}
+
 TMP_JSON="$(mktemp)"
 trap 'rm -f "$TMP_JSON"' EXIT
 
 "$BENCH_BIN" --benchmark_filter="$FILTER" \
+  --benchmark_repetitions="$REPETITIONS" --benchmark_report_aggregates_only=true \
   --benchmark_out="$TMP_JSON" --benchmark_out_format=json \
   --benchmark_format=console
 
@@ -81,16 +98,18 @@ fi
 jq -c --arg rev "$GIT_REV" --arg sha "$GIT_SHA" --argjson dirty "$GIT_DIRTY" \
   --arg threads "$THREADS" --arg scale "$SCALE" --arg wire "$WIRE_VERSION" \
   --arg ethreads "$ENGINE_THREADS" --arg transport "$TRANSPORT" \
-  '.context.date as $date | .benchmarks[] |
-   {date: $date, rev: $rev, sha: $sha, dirty: $dirty, name: .name,
+  "$JQ_MEDIANS"'.context.date as $date | medians |
+   {date: $date, rev: $rev, sha: $sha, dirty: $dirty, name: .run_name,
     real_time_ms: .real_time, cpu_time_ms: .cpu_time,
     metric: "rounds_per_sec",
-    rounds_per_sec: .rounds_per_sec, threads: $threads, bench_scale: $scale,
+    rounds_per_sec: .rounds_per_sec,
+    repetitions: .repetitions, cv: .cv.rounds_per_sec,
+    threads: $threads, bench_scale: $scale,
     wire_codec_version: $wire, engine_threads: $ethreads,
     transport: $transport}' \
   "$TMP_JSON" >> "$OUT_FILE"
 
-echo "appended $(jq '.benchmarks | length' "$TMP_JSON") benchmark record(s) to $OUT_FILE:"
+echo "appended $(count_medians "$TMP_JSON") benchmark record(s) to $OUT_FILE:"
 tail -n 2 "$OUT_FILE"
 
 # UDP datagram-path lane (DESIGN.md section 13): transport=udp rows from
@@ -105,17 +124,20 @@ if [ -x "$NET_BIN" ]; then
   NET_FILTER="${CONGOS_BENCH_NET_FILTER:-BM_UdpLoopback|BM_DatagramCodec}"
   TMP_NET_JSON="$(mktemp)"
   "$NET_BIN" --benchmark_filter="$NET_FILTER" \
+    --benchmark_repetitions="$REPETITIONS" --benchmark_report_aggregates_only=true \
     --benchmark_out="$TMP_NET_JSON" --benchmark_out_format=json \
     --benchmark_format=console
 
   jq -c --arg rev "$GIT_REV" --arg sha "$GIT_SHA" --argjson dirty "$GIT_DIRTY" \
     --arg threads "$THREADS" --arg scale "$SCALE" --arg wire "$WIRE_VERSION" \
     --arg ethreads "$ENGINE_THREADS" \
-    '.context.date as $date | .benchmarks[] |
-     {date: $date, rev: $rev, sha: $sha, dirty: $dirty, name: .name,
+    "$JQ_MEDIANS"'.context.date as $date | medians |
+     (if .datagrams_per_sec != null then "datagrams_per_sec"
+      else "frames_per_sec" end) as $metric |
+     {date: $date, rev: $rev, sha: $sha, dirty: $dirty, name: .run_name,
       real_time_ms: .real_time, cpu_time_ms: .cpu_time,
-      metric: (if .datagrams_per_sec != null then "datagrams_per_sec"
-               else "frames_per_sec" end),
+      metric: $metric,
+      repetitions: .repetitions, cv: .cv[$metric],
       datagrams_per_sec: .datagrams_per_sec,
       frames_per_sec: .frames_per_sec,
       send_syscalls_per_dgram: .send_syscalls_per_dgram,
@@ -125,7 +147,7 @@ if [ -x "$NET_BIN" ]; then
       transport: "udp"}' \
     "$TMP_NET_JSON" >> "$OUT_FILE"
 
-  echo "appended $(jq '.benchmarks | length' "$TMP_NET_JSON") transport=udp record(s) to $OUT_FILE:"
+  echo "appended $(count_medians "$TMP_NET_JSON") transport=udp record(s) to $OUT_FILE:"
   tail -n 2 "$OUT_FILE"
   rm -f "$TMP_NET_JSON"
 else
