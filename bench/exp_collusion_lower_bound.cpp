@@ -45,7 +45,8 @@ class BorderCounter final : public sim::ExecutionObserver {
     if (e.body == nullptr) return;
     if (e.body->kind() == sim::PayloadKind::kGossipMsg) {
       const auto& msg = static_cast<const gossip::GossipMsg&>(*e.body);
-      for (const auto& r : msg.rumors) {
+      for (const auto& entry : msg.rumors) {
+        const gossip::GossipRumor& r = *entry.rumor;
         if (r.body == nullptr) continue;
         if (r.body->kind() == sim::PayloadKind::kFragment) {
           check(static_cast<const core::FragmentBody&>(*r.body).fragment);

@@ -293,7 +293,7 @@ void BM_DecodeGossipFrame(benchmark::State& state) {
     auto body = std::make_shared<core::FragmentBody>();
     body->fragment = std::move(frag);
     r.body = std::move(body);
-    msg->rumors.push_back(std::move(r));
+    msg->rumors.push_back(gossip::make_entry(std::move(r)));
   }
   sim::Envelope e;
   e.from = 3;

@@ -5,7 +5,6 @@
 #include "baseline/baseline_payload.h"
 #include "common/assert.h"
 #include "common/gallop.h"
-#include "gossip/continuous_gossip.h"
 
 namespace congos::audit {
 
@@ -143,16 +142,27 @@ void ConfidentialityAuditor::saw_gossip(ProcessId p, const sim::Envelope& e, Rou
   }
 
   std::size_t cursor = 0;
-  for (const auto& r : static_cast<const gossip::GossipMsg&>(*e.body).rumors) {
-    const sim::Payload* inner = r.body.get();
-    if (inner == nullptr) {
-      ++slot.unknown_payloads;
-      continue;
+  for (const gossip::RumorEntry& r : static_cast<const gossip::GossipMsg&>(*e.body).rumors) {
+    // The entry carries the body's kind: only a fragment-carrying body is
+    // judged through the memo, and the others never touch the record.
+    switch (r.body_kind) {
+      case sim::PayloadKind::kFragment:
+      case sim::PayloadKind::kProxyShare:
+        break;
+      case sim::PayloadKind::kHitSetShare:
+      case sim::PayloadKind::kDistributionReport:
+        continue;  // metadata only
+      case sim::PayloadKind::kBaselineRumor:
+        saw_full(p,
+                 static_cast<const baseline::BaselineRumorPayload&>(*r.rumor->body).rumor.uid,
+                 now);
+        continue;
+      default:
+        ++slot.unknown_payloads;  // a null body too
+        continue;
     }
-    const sim::PayloadKind kind = inner->kind();
-    const bool memo = run != nullptr && !slot.group_counts_vary &&
-                      (kind == sim::PayloadKind::kFragment ||
-                       kind == sim::PayloadKind::kProxyShare);
+
+    const bool memo = run != nullptr && !slot.group_counts_vary;
     std::vector<CleanBody>::iterator at;
     if (memo) {
       at = gallop_lower_bound(
@@ -160,42 +170,30 @@ void ConfidentialityAuditor::saw_gossip(ProcessId p, const sim::Envelope& e, Rou
           run->begin() + static_cast<std::ptrdiff_t>(std::min(cursor, run->size())),
           run->end(), r.gid, &CleanBody::gid);
       cursor = static_cast<std::size_t>(at - run->begin());
-      if (at != run->end() && at->gid == r.gid && at->body.get() == inner) {
+      if (at != run->end() && at->gid == r.gid && at->rumor == r.rumor) {
         ++cursor;
         continue;  // judged clean before: no effect
       }
     }
 
+    const sim::Payload& body = *r.rumor->body;
     const std::size_t flagged = slot.pending.size();
     bool settled = true;
-    switch (kind) {
-      case sim::PayloadKind::kFragment:
-        settled = saw_fragment(
-            p, *static_cast<const core::FragmentBody*>(inner)->fragment, now);
-        break;
-      case sim::PayloadKind::kProxyShare:
-        for (const auto& f : static_cast<const core::ProxyShareBody*>(inner)->proxied) {
-          settled = saw_fragment(p, *f, now) && settled;
-        }
-        break;
-      case sim::PayloadKind::kHitSetShare:
-      case sim::PayloadKind::kDistributionReport:
-        break;  // metadata only
-      case sim::PayloadKind::kBaselineRumor:
-        saw_full(p, static_cast<const baseline::BaselineRumorPayload*>(inner)->rumor.uid,
-                 now);
-        break;
-      default:
-        ++slot.unknown_payloads;
+    if (r.body_kind == sim::PayloadKind::kFragment) {
+      settled = saw_fragment(p, *static_cast<const core::FragmentBody&>(body).fragment, now);
+    } else {
+      for (const auto& f : static_cast<const core::ProxyShareBody&>(body).proxied) {
+        settled = saw_fragment(p, *f, now) && settled;
+      }
     }
 
     if (!memo || !settled || slot.pending.size() != flagged || slot.group_counts_vary) {
       continue;
     }
     if (at != run->end() && at->gid == r.gid) {
-      *at = CleanBody{r.gid, r.deadline_at, r.body};  // another body, same gid
+      *at = CleanBody{r.gid, r.deadline_at, r.rumor};  // another record, same gid
     } else {
-      at = run->insert(at, CleanBody{r.gid, r.deadline_at, r.body});
+      at = run->insert(at, CleanBody{r.gid, r.deadline_at, r.rumor});
     }
     slot.clean_expiry = std::min(slot.clean_expiry, r.deadline_at);
     cursor = static_cast<std::size_t>(at - run->begin()) + 1;

@@ -38,21 +38,24 @@
 // the tracker, curious() and the foreign verdict exactly as the full path
 // would. What other processes saw never enters p's verdicts.
 //
-// Gossip repeats whole bodies, too: every holder re-pushes the same rumor
-// body object every round, so most GossipMsg rumors a process receives are
-// bodies it has already judged. Each Slot keeps a memo of the FragmentBody
+// Gossip repeats whole records, too: every holder re-pushes the one shared
+// rumor record every round, so most GossipMsg rumors a process receives are
+// records it has already judged. Each Slot keeps a memo of the FragmentBody
 // and ProxyShareBody rumors it judged clean: every fragment's rumor was
 // injected by then (so each fragment left a sighting) and the judgment
 // flagged nothing (so no sighting is foreign). The memo is keyed by (service
-// tag, gid), walked in gid order beside the batch, and holds the body's
-// PayloadPtr. A hit needs the same gid and the same body object; payloads
-// are immutable once sent and the held pointer keeps the object from being
-// recycled, so the body is the one that was judged, and every fragment in it
-// would take the repeat path with a clean verdict: no effect at all. The
-// memo obeys the repeat path's rule, so it stops answering, and is dropped,
-// once p has seen two group counts. An entry leaves at p's next gossip
-// delivery in a round past its rumor's deadline_at, so the memo holds only
-// live rumors.
+// tag, gid), walked in gid order beside the batch, and holds the record's
+// handle. A hit needs the same gid and the same record, and is settled from
+// the batch entry alone (it carries the body's kind), without reading the
+// record or the body. Records are immutable and the held handle keeps the
+// record from being freed, so its body is the one that was judged, and
+// every fragment in it would take the repeat path with a clean verdict: no
+// effect at all. Another record under a known gid (a swapped body, or the
+// same body in a record decoded afresh) is judged again. Metadata bodies
+// (hit-set shares, reports) are settled from the entry's kind as well. The memo obeys the
+// repeat path's rule, so it stops answering, and is dropped, once p has seen
+// two group counts. An entry leaves at p's next gossip delivery in a round
+// past its rumor's deadline_at, so the memo holds only live rumors.
 //
 // Threading. All mutable state of a sighting lives with its receiver: the
 // tracker's per-process entries and one Slot per process (sightings, the
@@ -75,6 +78,7 @@
 #include <vector>
 
 #include "audit/knowledge.h"
+#include "gossip/continuous_gossip.h"
 #include "partition/partition.h"
 #include "sim/engine.h"
 
@@ -156,11 +160,11 @@ class ConfidentialityAuditor final : public sim::ExecutionObserver {
     bool foreign = false;  // pushed kForeignFragment
   };
 
-  /// A GossipMsg rumor body judged clean (header comment).
+  /// A GossipMsg rumor record judged clean (header comment).
   struct CleanBody {
     std::uint64_t gid = 0;
     Round deadline_at = 0;
-    sim::PayloadPtr body;  // held: the object cannot be recycled
+    gossip::GossipRumorPtr rumor;  // held: the record cannot be freed
   };
   /// Clean bodies of one gossip service, ascending by gid.
   struct CleanRun {

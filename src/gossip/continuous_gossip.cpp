@@ -39,40 +39,39 @@ std::vector<ProcessId> expander_neighbors(ProcessId self, const DynamicBitset& u
   return out;
 }
 
-bool RumorDecodeMemo::lookup(wire::ReadSink& s, std::uint64_t scope,
-                             GossipRumor& r) {
-  const auto it = entries_.find(Key{scope, r.gid});
+GossipRumorPtr RumorDecodeMemo::lookup(wire::ReadSink& s, std::uint64_t scope,
+                                      std::uint64_t gid) {
+  const auto it = entries_.find(Key{scope, gid});
   if (it == entries_.end()) {
     ++misses_;
-    return false;
+    return nullptr;
   }
   const std::vector<std::uint8_t>& fields = it->second.fields;
   if (s.remaining() < fields.size() ||
       std::memcmp(s.cursor(), fields.data(), fields.size()) != 0) {
     ++misses_;
-    return false;
+    return nullptr;
   }
   s.skip(fields.size());
-  r = it->second.rumor;
   ++hits_;
-  return true;
+  return it->second.rumor;
 }
 
-void RumorDecodeMemo::remember(std::uint64_t scope, const GossipRumor& r,
+void RumorDecodeMemo::remember(std::uint64_t scope, GossipRumorPtr r,
                                const std::uint8_t* fields, std::size_t len) {
-  const Key key{scope, r.gid};
+  const Key key{scope, r->gid};
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     if (entries_.size() >= kMaxEntries) return;
     it = entries_.try_emplace(key).first;
   }
   it->second.fields.assign(fields, fields + len);
-  it->second.rumor = r;
+  it->second.rumor = std::move(r);
 }
 
 void RumorDecodeMemo::expire(Round now) {
   for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second.rumor.deadline_at < now) {
+    if (it->second.rumor->deadline_at < now) {
       it = entries_.erase(it);
     } else {
       ++it;
@@ -142,54 +141,42 @@ std::uint64_t ContinuousGossipService::inject(Round now, sim::PayloadPtr body,
   CONGOS_ASSERT_MSG(dest.size() == cfg_.universe.size(), "dest universe mismatch");
   CONGOS_ASSERT_MSG(cfg_.universe.contains_all(dest),
                     "gossip destinations must lie within the service universe");
-  GossipRumor r;
-  r.gid = next_gid(now);
-  r.origin = self_;
-  r.deadline_at = deadline_at;
-  r.dest = std::move(dest);
-  r.body = std::move(body);
+  const RumorEntry entry = make_entry(GossipRumor{next_gid(now), self_, deadline_at,
+                                                  std::move(dest), std::move(body)});
   // next_gid() never repeats within an epoch and reset() starts a new one,
   // so a known gid here means two rumors share an identity.
-  const std::uint64_t dups = duplicates_suppressed_;
-  accept(now, r, batch_rumors().size());
-  CONGOS_ASSERT_MSG(duplicates_suppressed_ == dups, "injected gossip gid is not new");
-  return r.gid;
+  const bool known =
+      std::ranges::binary_search(batch_rumors(), entry.gid, {}, &RumorEntry::gid) ||
+      !accept(now, entry);
+  CONGOS_ASSERT_MSG(!known, "injected gossip gid is not new");
+  return entry.gid;
 }
 
-std::size_t ContinuousGossipService::accept(Round now, const GossipRumor& r,
-                                            std::size_t hint) {
-  if (r.deadline_at < now) return hint;  // expired in flight
-  const auto batch = batch_rumors();
-  const auto begin = batch.begin();
-  const auto at = gallop_lower_bound(
-      begin, begin + static_cast<std::ptrdiff_t>(std::min(hint, batch.size())),
-      batch.end(), r.gid, &GossipRumor::gid);
-  const auto idx = static_cast<std::size_t>(at - begin);
-  const bool in_batch = at != batch.end() && at->gid == r.gid;
-  const auto fresh_at =
-      in_batch ? fresh_.end()
-               : std::ranges::lower_bound(fresh_, r.gid, {}, &GossipRumor::gid);
-  if (in_batch || (fresh_at != fresh_.end() && fresh_at->gid == r.gid)) {
-    // Already known: re-pushed by a peer, duplicated by the fault layer, or a
-    // retransmission. Gids make suppression exact - nothing downstream ever
-    // sees the same rumor twice from this service.
+bool ContinuousGossipService::accept(Round now, const RumorEntry& r) {
+  const auto fresh_at = std::ranges::lower_bound(fresh_, r.gid, {}, &RumorEntry::gid);
+  if (fresh_at != fresh_.end() && fresh_at->gid == r.gid) {
     ++duplicates_suppressed_;
-    return in_batch ? idx + 1 : idx;
+    return false;
   }
+  // The caller's entry keeps the record alive: fresh_ may move, and a
+  // deliver_ callback that injects moves it.
+  const GossipRumor& rumor = *r.rumor;
   fresh_.insert(fresh_at, r);
-  if (cfg_.guaranteed && r.origin == self_) {
+  if (cfg_.guaranteed && rumor.origin == self_) {
     const auto o = std::ranges::lower_bound(originated_, r.gid, {}, &Originated::gid);
     originated_.insert(o, Originated{r.gid, r.deadline_at,
                                      DynamicBitset(cfg_.universe.size()), false});
   }
-  if (r.dest.test(self_)) {
-    // `r` rather than the stored copy: a callback that injects moves fresh_.
-    if (deliver_) deliver_(now, r);
-    if (cfg_.guaranteed && r.origin != self_) {
-      pending_acks_[r.origin].push_back(r.gid);
+  if (rumor.dest.test(self_)) {
+    if (deliver_) deliver_(now, rumor);
+    if (cfg_.guaranteed && rumor.origin != self_) {
+      const auto at = std::ranges::upper_bound(
+          pending_acks_, rumor.origin, {},
+          &std::pair<ProcessId, std::uint64_t>::first);
+      pending_acks_.emplace(at, rumor.origin, r.gid);
     }
   }
-  return idx;
+  return true;
 }
 
 void ContinuousGossipService::merge_fresh(Round now) {
@@ -199,10 +186,10 @@ void ContinuousGossipService::merge_fresh(Round now) {
   // the batch; then its survivors are copied, and it stays as it was sent.
   const bool shared = batch_.use_count() > 1;
   auto& old = batch_->rumors;
-  merge_scratch_.clear();
-  merge_scratch_.reserve(old.size() + fresh_.size());
+  const std::size_t need = old.size() + fresh_.size();
+  if (merge_scratch_.capacity() <= need) merge_scratch_.reserve(2 * need);
   Round min_deadline = kNeverExpires;
-  const auto keep = [&](GossipRumor& r, bool copy) {
+  const auto keep = [&](RumorEntry& r, bool copy) {
     if (r.deadline_at < now) return;
     min_deadline = std::min(min_deadline, r.deadline_at);
     if (copy) {
@@ -220,6 +207,11 @@ void ContinuousGossipService::merge_fresh(Round now) {
   fresh_.clear();
   if (shared) batch_ = msg_pool_.acquire();
   batch_->rumors.swap(merge_scratch_);
+  // The two buffers trade places every merge. Growing geometrically before
+  // the batch fills, and growing the spare to the batch's capacity, keeps
+  // both ahead of the batch: a rumor that arrives alone never reallocates.
+  merge_scratch_.clear();
+  merge_scratch_.reserve(batch_->rumors.capacity());
   // The memo is keyed on the rumor count, which an in-place merge can leave
   // unchanged while contents differ.
   batch_->reset_wire_memo();
@@ -237,16 +229,17 @@ void ContinuousGossipService::send_phase(Round now, sim::Sender& out) {
 
   // Guaranteed mode: flush receipt acks accumulated since the last round.
   if (cfg_.guaranteed && !pending_acks_.empty()) {
-    // Deterministic emission order.
-    std::vector<ProcessId> origins;
-    origins.reserve(pending_acks_.size());
-    for (const auto& [origin, _] : pending_acks_) origins.push_back(origin);
-    std::sort(origins.begin(), origins.end());
-    for (ProcessId origin : origins) {
-      if (!filter_.allows(origin)) continue;
-      auto ack = ack_pool_.acquire();
-      ack->gids = pending_acks_.find(origin)->second;
-      out.send(sim::Envelope{self_, origin, cfg_.tag, std::move(ack)});
+    // One ack per origin, in ascending origin order.
+    for (auto run = pending_acks_.begin(); run != pending_acks_.end();) {
+      const ProcessId origin = run->first;
+      const auto end = std::find_if(run, pending_acks_.end(),
+                                    [&](const auto& a) { return a.first != origin; });
+      if (filter_.allows(origin)) {
+        auto ack = ack_pool_.acquire();
+        for (auto a = run; a != end; ++a) ack->gids.push_back(a->second);
+        out.send(sim::Envelope{self_, origin, cfg_.tag, std::move(ack)});
+      }
+      run = end;
     }
     pending_acks_.clear();
   }
@@ -305,12 +298,12 @@ void ContinuousGossipService::send_fallbacks(Round now, sim::Sender& out) {
   for (Originated& o : originated_) {
     if (now < o.deadline_at - 1 || o.fallback_sent) continue;
     o.fallback_sent = true;
-    at = gallop_lower_bound(batch.begin(), at, batch.end(), o.gid, &GossipRumor::gid);
+    at = gallop_lower_bound(batch.begin(), at, batch.end(), o.gid, &RumorEntry::gid);
     CONGOS_ASSERT_MSG(at != batch.end() && at->gid == o.gid,
                       "own rumor missing from the batch");
     auto single = msg_pool_.acquire();
     single->rumors.push_back(*at);
-    at->dest.for_each([&](std::uint32_t q) {
+    at->rumor->dest.for_each([&](std::uint32_t q) {
       if (q == self_ || o.acked.test(q)) return;
       if (!filter_.allows(q)) return;
       out.send(sim::Envelope{self_, static_cast<ProcessId>(q), cfg_.tag, single});
@@ -324,10 +317,33 @@ void ContinuousGossipService::on_envelope(Round now, const sim::Envelope& e) {
   CONGOS_ASSERT(e.body != nullptr);
   switch (e.body->kind()) {
     case sim::PayloadKind::kGossipMsg: {
-      // One merge walk of the incoming batch against ours (see accept()).
+      // One merge walk of the incoming batch against ours. Batches arrive in
+      // ascending gid order and mostly repeat what is known, so a galloping
+      // search from the cursor settles a repeat with one or two compares,
+      // and a gid behind the cursor costs one binary search. The batch does
+      // not change between send phases, so a deliver_ callback that injects
+      // mid-walk cannot invalidate the cursor.
       const auto& msg = static_cast<const GossipMsg&>(*e.body);
+      const auto batch = batch_rumors();
       std::size_t cursor = 0;
-      for (const auto& r : msg.rumors) cursor = accept(now, r, cursor);
+      for (const RumorEntry& r : msg.rumors) {
+        if (r.deadline_at < now) continue;  // expired in flight
+        const auto at = gallop_lower_bound(
+            batch.begin(),
+            batch.begin() + static_cast<std::ptrdiff_t>(std::min(cursor, batch.size())),
+            batch.end(), r.gid, &RumorEntry::gid);
+        cursor = static_cast<std::size_t>(at - batch.begin());
+        if (at != batch.end() && at->gid == r.gid) {
+          // Already known: re-pushed by a peer, duplicated by the fault
+          // layer, or a retransmission. Gids make suppression exact -
+          // nothing downstream ever sees the same rumor twice from this
+          // service.
+          ++duplicates_suppressed_;
+          ++cursor;
+          continue;
+        }
+        accept(now, r);
+      }
       return;
     }
     case sim::PayloadKind::kGossipPull:
@@ -349,9 +365,17 @@ void ContinuousGossipService::on_envelope(Round now, const sim::Envelope& e) {
 }
 
 std::size_t ContinuousGossipService::known_active(Round now) const {
-  const auto live = [now](const GossipRumor& r) { return r.deadline_at >= now; };
+  const auto live = [now](const RumorEntry& r) { return r.deadline_at >= now; };
   return static_cast<std::size_t>(std::ranges::count_if(batch_rumors(), live) +
                                   std::ranges::count_if(fresh_, live));
+}
+
+GossipRumorPtr ContinuousGossipService::record(std::uint64_t gid) const {
+  for (const std::span<const RumorEntry> held : {batch_rumors(), std::span(fresh_)}) {
+    const auto at = std::ranges::lower_bound(held, gid, {}, &RumorEntry::gid);
+    if (at != held.end() && at->gid == gid) return at->rumor;
+  }
+  return nullptr;
 }
 
 }  // namespace congos::gossip

@@ -28,7 +28,9 @@
 
 #include <functional>
 #include <limits>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bitset.h"
@@ -53,6 +55,33 @@ struct GossipRumor {
   sim::PayloadPtr body;
 };
 
+/// A rumor record is immutable once inject() or the wire reader builds it,
+/// and every holder shares it by handle (DESIGN.md section 9).
+using GossipRumorPtr = std::shared_ptr<const GossipRumor>;
+
+/// One rumor in a batch or a rumor store: the handle, and the record's gid,
+/// deadline and body kind copied inline, so that merge walks, expiry checks
+/// and a reader's dispatch on the body kind never dereference the record.
+/// The constructor keeps the copies equal to the record's fields.
+struct RumorEntry {
+  std::uint64_t gid = 0;
+  Round deadline_at = 0;
+  GossipRumorPtr rumor;
+  sim::PayloadKind body_kind = sim::PayloadKind::kOpaque;  // kOpaque: null body
+
+  RumorEntry() = default;
+  explicit RumorEntry(GossipRumorPtr r)
+      : gid(r->gid),
+        deadline_at(r->deadline_at),
+        rumor(std::move(r)),
+        body_kind(rumor->body ? rumor->body->kind() : sim::PayloadKind::kOpaque) {}
+};
+
+/// Builds a record from `r` and returns its entry.
+inline RumorEntry make_entry(GossipRumor r) {
+  return RumorEntry(std::make_shared<const GossipRumor>(std::move(r)));
+}
+
 /// Wire payload: a batch of rumors pushed to one peer. One batch is shared
 /// between every same-round recipient (push targets, pull repliers, expander
 /// neighbors), so its serialized size is memoized: the payload is immutable
@@ -61,7 +90,7 @@ struct GossipRumor {
 struct GossipMsg final : sim::Payload {
   GossipMsg() : sim::Payload(sim::PayloadKind::kGossipMsg) {}
 
-  std::vector<GossipRumor> rumors;
+  std::vector<RumorEntry> rumors;
 
   std::uint64_t encoded_size() const override;  // defined after the walk
 
@@ -143,28 +172,28 @@ void wire_rumor_fields(S& s, R& r) {
 /// Continuous gossip re-pushes every active rumor to `fanout` peers each
 /// round, so a daemon receives the same rumor record many times. The memo
 /// maps an absolute gid, within a scope naming the frame's service, to the
-/// rumor's encoded field bytes (gid excluded) and the rumor decoded from
-/// them; the body is shared, which is safe because payloads are immutable
-/// once sent. A hit needs the next bytes of the frame to equal the stored
-/// bytes exactly. The field walk is self-delimiting and reads nothing but
-/// those bytes, so a hit yields what a fresh decode would; the key only
-/// decides which entry is compared. (Every gossip service of a process
-/// numbers its rumors from the same counter layout, so without the scope
-/// the services' gids would collide and evict each other: misses, never
-/// wrong rumors.) Entries leave once their deadline has passed (expire()),
-/// and at most kMaxEntries are held, so a peer sending far-future
-/// deadlines cannot grow it without bound. Not thread-safe: one memo per
-/// decoding thread (one per daemon).
+/// rumor's encoded field bytes (gid excluded) and the record decoded from
+/// them. A hit needs the next bytes of the frame to equal the stored bytes
+/// exactly, and hands back the stored record: records are immutable, so
+/// every frame that repeats a rumor yields the one record. The field walk
+/// is self-delimiting and reads nothing but those bytes, so a hit yields
+/// what a fresh decode would; the key only decides which entry is compared.
+/// (Every gossip service of a process numbers its rumors from the same
+/// counter layout, so without the scope the services' gids would collide
+/// and evict each other: misses, never wrong rumors.) Entries leave once
+/// their deadline has passed (expire()), and at most kMaxEntries are held,
+/// so a peer sending far-future deadlines cannot grow it without bound. Not
+/// thread-safe: one memo per decoding thread (one per daemon).
 class RumorDecodeMemo {
  public:
   static constexpr std::size_t kMaxEntries = std::size_t{1} << 14;
 
-  /// On a hit, consumes the rumor's field bytes from `s`, copies the
-  /// memoized rumor into `r` (whose gid is already set) and returns true.
-  bool lookup(wire::ReadSink& s, std::uint64_t scope, GossipRumor& r);
+  /// On a hit, consumes the rumor's field bytes from `s` and returns the
+  /// memoized record of `gid`; returns null on a miss.
+  GossipRumorPtr lookup(wire::ReadSink& s, std::uint64_t scope, std::uint64_t gid);
   /// Records `r`, decoded from `fields`, replacing any entry for its key.
-  void remember(std::uint64_t scope, const GossipRumor& r,
-                const std::uint8_t* fields, std::size_t len);
+  void remember(std::uint64_t scope, GossipRumorPtr r, const std::uint8_t* fields,
+                std::size_t len);
   /// Drops every entry whose deadline_at is before `now`.
   void expire(Round now);
 
@@ -185,44 +214,45 @@ class RumorDecodeMemo {
   };
   struct Entry {
     std::vector<std::uint8_t> fields;
-    GossipRumor rumor;
+    GossipRumorPtr rumor;
   };
   FlatMap<Key, Entry, KeyHash> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };
 
-/// Reads one rumor record's fields, through the sink's memo when it has one.
-inline void read_rumor_fields(wire::ReadSink& s, GossipRumor& r) {
+/// Reads the record of `gid` behind a handle: the memo's record on a hit,
+/// otherwise one built here (one make_shared) and offered to the memo.
+inline GossipRumorPtr read_rumor(wire::ReadSink& s, std::uint64_t gid) {
   RumorDecodeMemo* memo = s.rumor_memo();
-  if (memo == nullptr) {
-    wire_rumor_fields(s, r);
-    return;
-  }
   const std::uint64_t scope = s.rumor_memo_scope();
-  if (memo->lookup(s, scope, r)) return;
+  if (memo != nullptr) {
+    if (GossipRumorPtr hit = memo->lookup(s, scope, gid)) return hit;
+  }
   const std::uint8_t* at = s.cursor();
   const std::size_t from = s.pos();
-  wire_rumor_fields(s, r);
-  if (s.ok()) memo->remember(scope, r, at, s.pos() - from);
+  auto r = std::make_shared<GossipRumor>();
+  r->gid = gid;
+  wire_rumor_fields(s, *r);
+  if (memo != nullptr && s.ok()) memo->remember(scope, r, at, s.pos() - from);
+  return r;
 }
 
 template <class S, wire::SameBase<GossipMsg> M>
 void wire_fields(S& s, M& m) {
   s.seq(m.rumors);
   std::uint64_t prev = 0;
-  for (auto& r : m.rumors) {
+  for (auto& e : m.rumors) {
     if (!s.ok()) return;
     if constexpr (S::kReading) {
       std::uint64_t delta = 0;
       s.varint(delta);
-      r.gid = prev + delta;  // unsigned wrap-around restores any gid
-      prev = r.gid;
-      read_rumor_fields(s, r);
+      prev += delta;  // unsigned wrap-around restores any gid
+      e = RumorEntry(read_rumor(s, prev));
     } else {
-      s.varint(r.gid - prev);  // small for sorted batches; lossless regardless
-      prev = r.gid;
-      wire_rumor_fields(s, r);
+      s.varint(e.gid - prev);  // small for sorted batches; lossless regardless
+      prev = e.gid;
+      wire_rumor_fields(s, *e.rumor);
     }
   }
 }
@@ -307,6 +337,9 @@ class ContinuousGossipService {
   // -- introspection --------------------------------------------------------
 
   std::size_t known_active(Round now) const;
+  /// The record this service holds under `gid` (in the batch or not yet
+  /// merged), or null.
+  GossipRumorPtr record(std::uint64_t gid) const;
   std::uint64_t filter_drops() const { return filter_.drops(); }
   /// Incoming rumors absorbed by gid-idempotence (re-pushes, fault-layer
   /// duplicates, retransmissions). Survives reset(): it describes the
@@ -349,8 +382,10 @@ class ContinuousGossipService {
                           : sparse_peers_[i];
   }
   std::vector<ProcessId> neighbors_;  // expander out-neighbors (kExpander)
-  // acks to emit next send phase: origin -> gids (guaranteed mode)
-  FlatMap<ProcessId, std::vector<std::uint64_t>> pending_acks_;
+  /// Acks to emit next send phase (guaranteed mode): (origin, gid), ascending
+  /// by origin and in arrival order within one. A flat vector keeps its
+  /// capacity across rounds, so acking allocates nothing after warm-up.
+  std::vector<std::pair<ProcessId, std::uint64_t>> pending_acks_;
   // pull requests to answer next send phase (kPushPull)
   std::vector<ProcessId> pending_pulls_;
   Round epoch_start_ = 0;
@@ -358,7 +393,8 @@ class ContinuousGossipService {
   std::uint64_t duplicates_suppressed_ = 0;
 
   // -- the rumor store (DESIGN.md sections 5 and 9) -------------------------
-  // Each accepted rumor is held exactly once: in `fresh_` until the next send
+  // Each accepted rumor is held exactly once, as an entry whose handle points
+  // at the one record every holder shares: in `fresh_` until the next send
   // phase, then in the push batch until its deadline passes. The batch is
   // pushed whole every round, so ascending gid order in it is what keeps
   // batch contents (and hence traces) deterministic.
@@ -369,9 +405,9 @@ class ContinuousGossipService {
   /// leave at the next send phase). Null until the first rumor arrives, so
   /// building a system allocates no batches.
   std::shared_ptr<GossipMsg> batch_;
-  std::span<const GossipRumor> batch_rumors() const {
-    return batch_ ? std::span<const GossipRumor>(batch_->rumors)
-                  : std::span<const GossipRumor>();
+  std::span<const RumorEntry> batch_rumors() const {
+    return batch_ ? std::span<const RumorEntry>(batch_->rumors)
+                  : std::span<const RumorEntry>();
   }
   static constexpr Round kNeverExpires = std::numeric_limits<Round>::max();
   /// Earliest deadline in the batch: no rumor expires before it.
@@ -379,23 +415,19 @@ class ContinuousGossipService {
   /// Rumors accepted since the last send phase, ascending by gid. They wait
   /// here because the batch is shared with the inboxes it was pushed to
   /// until Network::end_round(), and a payload is immutable once sent.
-  std::vector<GossipRumor> fresh_;
+  std::vector<RumorEntry> fresh_;
   /// The merge pass's output buffer, swapped with the batch's rumors.
-  std::vector<GossipRumor> merge_scratch_;
+  std::vector<RumorEntry> merge_scratch_;
   std::vector<Originated> originated_;       // ascending by gid
   std::vector<std::uint32_t> pick_scratch_;  // push-target sample buffer
 
   std::uint64_t next_gid(Round now);
-  /// Records `r` in `fresh_` unless it expired in flight or is already known
-  /// (then it only counts as a duplicate), and delivers a new one locally
-  /// when this process is a destination. `hint` is a cursor into the batch;
-  /// the return value is the cursor for the next gid of an ascending batch.
-  /// Batches arrive in ascending gid order and mostly repeat what is known,
-  /// so a galloping search from the cursor settles a repeat with one or two
-  /// compares, and a gid behind the cursor costs one binary search. The
-  /// batch does not change between send phases, so a deliver_ callback that
-  /// injects mid-walk cannot invalidate the cursor.
-  std::size_t accept(Round now, const GossipRumor& r, std::size_t hint);
+  /// Takes a live rumor whose gid is not in the batch: records its entry in
+  /// `fresh_` unless it is already there (then it only counts as a
+  /// duplicate), and delivers a new one locally when this process is a
+  /// destination. Returns true iff the rumor was new. on_envelope() settles
+  /// repeats of batch rumors before calling this.
+  bool accept(Round now, const RumorEntry& r);
   /// Start of each send phase: drops expired rumors and merges `fresh_` into
   /// the batch, in place when this service holds the only reference and
   /// into a fresh pooled batch otherwise. Skipped when nothing is new and

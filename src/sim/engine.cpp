@@ -5,6 +5,7 @@
 
 #include "common/assert.h"
 #include "common/thread_pool.h"
+#include "wire/envelope.h"
 
 namespace congos::sim {
 
@@ -20,12 +21,17 @@ const char* to_string(StepPhase phase) {
   return "?";
 }
 
+// Both senders measure each envelope's exact v1 frame size where it is sent
+// (header-only SizeSink walk, allocation-free), so a sharded send phase
+// measures in parallel and the serial merge only moves envelopes.
+
 class Engine::NetworkSender final : public Sender {
  public:
   NetworkSender(Network& net, ProcessId from) : net_(net), from_(from) {}
   void send(Envelope e) override {
     CONGOS_ASSERT_MSG(e.from == from_, "process spoofed sender id");
-    net_.submit(std::move(e));
+    const std::uint64_t bytes = wire::encoded_envelope_size(e, net_.round());
+    net_.submit(std::move(e), bytes);
   }
 
  private:
@@ -33,21 +39,24 @@ class Engine::NetworkSender final : public Sender {
   ProcessId from_;
 };
 
-/// Sender used by shard workers: envelopes land in the shard's private
-/// buffer (no shared state touched) and are merged into the network by the
-/// driving thread, shard by shard in ascending order — the exact order the
-/// serial loop would have submitted them.
+/// Sender used by shard workers: envelopes and their frame sizes land in the
+/// shard's private buffer (no shared state touched) and are merged into the
+/// network by the driving thread, shard by shard in ascending order — the
+/// exact order the serial loop would have submitted them.
 class Engine::ShardSender final : public Sender {
  public:
-  ShardSender(std::vector<Envelope>& out, ProcessId from) : out_(out), from_(from) {}
+  ShardSender(ShardBuffer& out, ProcessId from, Round round)
+      : out_(out), from_(from), round_(round) {}
   void send(Envelope e) override {
     CONGOS_ASSERT_MSG(e.from == from_, "process spoofed sender id");
-    out_.push_back(std::move(e));
+    out_.bytes.push_back(wire::encoded_envelope_size(e, round_));
+    out_.out.push_back(std::move(e));
   }
 
  private:
-  std::vector<Envelope>& out_;
+  ShardBuffer& out_;
   ProcessId from_;
+  Round round_;
 };
 
 /// Fans delivered envelopes out to the delivery observers (receiver
@@ -81,10 +90,11 @@ class Engine::PhaseTask final : public ShardTask {
     if (receive_) {
       for (std::size_t i = lo; i < hi; ++i) engine_.receive(ids[i]);
     } else {
-      std::vector<Envelope>& out = engine_.shard_buffers_[shard].out;
+      ShardBuffer& out = engine_.shard_buffers_[shard];
+      const Round round = engine_.network_.round();
       for (std::size_t i = lo; i < hi; ++i) {
         const ProcessId p = ids[i];
-        ShardSender sender(out, p);
+        ShardSender sender(out, p, round);
         engine_.processes_[p]->send_phase(engine_.now_, sender);
       }
     }
@@ -232,8 +242,11 @@ void Engine::merge_shard_sends() {
   // Fixed merge order: shard 0's envelopes first. Reproduces the serial
   // submission order, so delivery (and traces) cannot tell the difference.
   for (ShardBuffer& buf : shard_buffers_) {
-    for (Envelope& e : buf.out) network_.submit(std::move(e));
-    buf.out.clear();  // keeps capacity: no allocation next round
+    for (std::size_t i = 0; i < buf.out.size(); ++i) {
+      network_.submit(std::move(buf.out[i]), buf.bytes[i]);
+    }
+    buf.out.clear();  // both keep capacity: no allocation next round
+    buf.bytes.clear();
   }
 }
 

@@ -46,7 +46,7 @@ class Engine;
 enum class StepPhase : std::uint8_t {
   kAdversary,  // the three adversary hooks (injections and their observers)
   kSend,       // send phase, serial or sharded
-  kMerge,      // sharded only: per-shard send buffers into the network
+  kMerge,      // sharded only: per-shard envelopes and sizes into the network
   kDeliver,    // Network::deliver plus the serial delivery observers
   kReceive,    // receive phase, receiver observers included
   kRoundEnd,   // round bookkeeping: flag clears, end_round, on_round_end
@@ -245,7 +245,8 @@ class Engine {
   ThreadPool* pool_ = nullptr;
   std::size_t shard_count_ = 1;
   struct ShardBuffer {
-    std::vector<Envelope> out;  // send-phase submissions, in submission order
+    std::vector<Envelope> out;         // send-phase submissions, in submission order
+    std::vector<std::uint64_t> bytes;  // frame size of each, measured at send
   };
   std::vector<ShardBuffer> shard_buffers_;
 

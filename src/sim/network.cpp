@@ -18,15 +18,19 @@ const char* to_string(ServiceKind k) {
   return "?";
 }
 
-void Network::submit(Envelope e) {
+void Network::submit(Envelope e, std::uint64_t frame_bytes) {
   CONGOS_ASSERT_MSG(e.from < n_ && e.to < n_, "envelope endpoints out of range");
-  if (stats_ != nullptr) {
-    // The exact v1 frame size encode_envelope() would emit (header-only
-    // SizeSink walk, allocation-free).
-    stats_->note_sent(e.tag.kind, wire::encoded_envelope_size(e, round_));
-  }
+  if (stats_ != nullptr) stats_->note_sent(e.tag.kind, frame_bytes);
   ++sent_total_;
   pending_.push_back(std::move(e));
+}
+
+void Network::submit(Envelope e) {
+  // The exact v1 frame size encode_envelope() would emit (header-only
+  // SizeSink walk, allocation-free).
+  const std::uint64_t bytes =
+      stats_ != nullptr ? wire::encoded_envelope_size(e, round_) : 0;
+  submit(std::move(e), bytes);
 }
 
 bool Network::apply_faults(const Envelope& e) {

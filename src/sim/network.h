@@ -64,8 +64,16 @@ class Network {
   std::size_t n() const { return n_; }
 
   /// Queue a message for same-round delivery. Counted as "sent" immediately
-  /// (Definition 3 counts sent messages).
+  /// (Definition 3 counts sent messages), with `frame_bytes`, the exact v1
+  /// frame size wire::encoded_envelope_size(e, round()) that the sender
+  /// measured, as its bytes.
+  void submit(Envelope e, std::uint64_t frame_bytes);
+  /// The same, measuring the frame on the calling thread.
   void submit(Envelope e);
+
+  /// The round deliver() resolves next; Engine::now() while an engine drives
+  /// this network.
+  Round round() const { return round_; }
 
   const std::vector<Envelope>& pending() const { return pending_; }
 

@@ -155,5 +155,67 @@ TEST(AllocDiscipline, ShardedSteadyStateRoundIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "sharded steady-state rounds must not touch the heap";
 }
 
+// A rumor that reaches every process costs a constant number of
+// allocations, not one per holder: the origin builds its record once (body,
+// destination set, record), and each receiver keeps a handle to it. Acks go
+// out in recycled payloads from a buffer that keeps its capacity, and the
+// merge buffers grow geometrically, so a receiver's first sighting allocates
+// nothing once the warm-up has sized them.
+TEST(AllocDiscipline, SpreadingARumorAllocatesOnce) {
+  constexpr std::size_t kN = 64;
+  constexpr int kFanout = 3;
+  constexpr Round kInjectRounds = 8;
+  constexpr Round kWarmup = 48;
+  constexpr Round kSpreadCap = 40;
+  constexpr Round kDeadline = 400;
+  constexpr Round kTotal = kWarmup + kSpreadCap + 4;
+
+  /// Counts deliveries of the rumor with sequence number `seq`.
+  struct Holders final : sim::DeliveryListener {
+    std::uint64_t seq = 0;
+    std::size_t count = 0;
+    void on_rumor_delivered(ProcessId, const RumorUid& uid, Round,
+                            std::span<const std::uint8_t>) override {
+      if (uid.seq == seq) ++count;
+    }
+  };
+  Holders holders;
+  holders.seq = kInjectRounds;
+
+  std::vector<std::unique_ptr<sim::Process>> procs;
+  procs.reserve(kN);
+  Rng seeder(0xa110c8ull);  // the warm-up of SteadyStateRoundIsAllocationFree
+  for (ProcessId p = 0; p < kN; ++p) {
+    procs.push_back(std::make_unique<baseline::PlainGossipProcess>(
+        p, baseline::PlainGossipProcess::Options{kFanout, kN}, seeder.next(), &holders));
+  }
+  sim::Engine engine(std::move(procs), seeder.next());
+  engine.stats().reserve_rounds(static_cast<std::size_t>(kTotal));
+  for (Round r = 0; r < kWarmup; ++r) {
+    if (r < kInjectRounds) {
+      const auto src = static_cast<ProcessId>(r % kN);
+      engine.inject(src, sim::make_rumor(src, static_cast<std::uint64_t>(r),
+                                         {1, 2, 3, 4}, kDeadline,
+                                         DynamicBitset::full(kN)));
+    }
+    engine.step();
+  }
+
+  constexpr auto kSrc = static_cast<ProcessId>(kInjectRounds % kN);
+  sim::Rumor rumor = sim::make_rumor(kSrc, kInjectRounds, {1, 2, 3, 4}, kDeadline,
+                                     DynamicBitset::full(kN));
+  const std::uint64_t allocs_before = alloc_count();
+  engine.inject(kSrc, std::move(rumor));
+  Round rounds = 0;
+  while (holders.count < kN && rounds < kSpreadCap) {
+    engine.step();
+    ++rounds;
+  }
+  const std::uint64_t allocs = alloc_count() - allocs_before;
+
+  ASSERT_EQ(holders.count, kN) << "the rumor must reach every process";
+  EXPECT_LT(allocs, 16u) << "spreading one rumor to " << kN << " processes";
+}
+
 }  // namespace
 }  // namespace congos

@@ -2,7 +2,10 @@
 // feeding them synthetic events with planted violations.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
 #include <thread>
+#include <tuple>
 
 #include "audit/confidentiality.h"
 #include "audit/qod.h"
@@ -364,17 +367,30 @@ struct Pushed {
   Round deadline_at = 64;
 };
 
+/// The record of `p`, built once while anything holds it: like a holder's
+/// re-pushes, repeated pushes of the same (gid, body, deadline) carry the one
+/// record. The cache holds records weakly, so it keeps no body alive, and is
+/// locked: receivers on their own threads share it.
+gossip::GossipRumorPtr record_of(const Pushed& p) {
+  using Key = std::tuple<std::uint64_t, const sim::Payload*, Round>;
+  static std::mutex lock;
+  static std::map<Key, std::weak_ptr<const gossip::GossipRumor>> records;
+  const std::lock_guard<std::mutex> guard(lock);
+  std::weak_ptr<const gossip::GossipRumor>& slot =
+      records[Key{p.gid, p.body.get(), p.deadline_at}];
+  gossip::GossipRumorPtr r = slot.lock();
+  if (r == nullptr) {
+    r = std::make_shared<const gossip::GossipRumor>(
+        gossip::GossipRumor{p.gid, 0, p.deadline_at, {}, p.body});
+    slot = r;
+  }
+  return r;
+}
+
 sim::Envelope gossip_env(ProcessId to, const std::vector<Pushed>& rumors,
                          PartitionIndex l = 0) {
   auto m = std::make_shared<gossip::GossipMsg>();
-  for (const Pushed& p : rumors) {
-    gossip::GossipRumor r;
-    r.gid = p.gid;
-    r.origin = 0;
-    r.deadline_at = p.deadline_at;
-    r.body = p.body;
-    m->rumors.push_back(std::move(r));
-  }
+  for (const Pushed& p : rumors) m->rumors.emplace_back(record_of(p));
   return sim::Envelope{0, to, sim::ServiceTag{sim::ServiceKind::kGroupGossip, l}, m};
 }
 
@@ -399,6 +415,20 @@ TEST_F(ConfAuditorTest, GossipBodySwappedUnderAKnownGidIsJudgedAgain) {
   auditor.on_envelope_delivered(gossip_env(6, {{7, own}, {7, swapped}}), 5);
   constexpr auto kF = ViolationKind::kForeignFragment;
   constexpr auto kS = ViolationKind::kFragmentSetLeak;
+  EXPECT_EQ(seen(auditor), (std::vector<Seen>{{kF, 6, 4}, {kS, 6, 4}, {kF, 6, 5}}));
+
+  // A second record under gid 7 that carries `own` again, as a frame decoded
+  // afresh does: the memo keys on the record, so it is judged again, the
+  // judgment is clean, and the memo keeps the new record from then on.
+  auto again = std::make_shared<gossip::GossipMsg>();
+  again->rumors.push_back(gossip::make_entry(gossip::GossipRumor{7, 0, 64, {}, own}));
+  const gossip::GossipRumorPtr record = again->rumors.front().rumor;
+  for (Round t = 6; t <= 7; ++t) {
+    auditor.on_envelope_delivered(
+        sim::Envelope{0, 6, sim::ServiceTag{sim::ServiceKind::kGroupGossip, 0}, again}, t);
+  }
+  again.reset();
+  EXPECT_EQ(record.use_count(), 2);  // here and in the memo
   EXPECT_EQ(seen(auditor), (std::vector<Seen>{{kF, 6, 4}, {kS, 6, 4}, {kF, 6, 5}}));
 }
 

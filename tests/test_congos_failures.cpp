@@ -247,7 +247,8 @@ class OriginGossipLog final : public sim::ExecutionObserver {
 
   void on_envelope_delivered(const sim::Envelope& e, Round now) override {
     if (e.body->kind() != sim::PayloadKind::kGossipMsg) return;
-    for (const auto& r : static_cast<const gossip::GossipMsg&>(*e.body).rumors) {
+    for (const auto& entry : static_cast<const gossip::GossipMsg&>(*e.body).rumors) {
+      const gossip::GossipRumor& r = *entry.rumor;
       if (r.origin != origin_ || sightings_.count(r.gid) > 0) continue;
       Sighting s{now, {}};
       if (r.body->kind() == sim::PayloadKind::kFragment) {

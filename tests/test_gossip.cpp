@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
 #include <set>
 
 #include "common/gallop.h"
+#include "common/thread_pool.h"
 #include "sim/engine.h"
 #include "test_util.h"
+#include "wire/envelope.h"
 
 namespace congos::gossip {
 namespace {
@@ -587,19 +590,19 @@ TEST(Gossip, MergeWalkMatchesSetModel) {
         r.deadline_at = now - 3 + static_cast<Round>(rng.next_below(40));
         r.dest = DynamicBitset(kN);
         if (rng.next_below(2) == 0) r.dest.set(kSelf);
-        msg->rumors.push_back(std::move(r));
+        msg->rumors.push_back(make_entry(std::move(r)));
       }
       if (len > 2 && rng.next_below(3) == 0) {
         msg->rumors.push_back(msg->rumors[rng.next_below(len)]);  // repeat in batch
       }
       if (rng.next_below(2) == 0) {
         std::sort(msg->rumors.begin(), msg->rumors.end(),
-                  [](const GossipRumor& a, const GossipRumor& c) { return a.gid < c.gid; });
+                  [](const RumorEntry& a, const RumorEntry& c) { return a.gid < c.gid; });
       } else {
         ++rounds_with_unsorted;
       }
       for (const auto& r : msg->rumors) {
-        model_accept(now, r.gid, r.deadline_at, r.dest.test(kSelf));
+        model_accept(now, r.gid, r.deadline_at, r.rumor->dest.test(kSelf));
       }
       svc.on_envelope(now, sim::Envelope{1, kSelf, kTag, msg});
     }
@@ -670,7 +673,7 @@ TEST(Gossip, RestartedOriginStillFallsBackForItsOldRumor) {
     svc.reset(1);
     if (hears_it_back) {
       auto msg = std::make_shared<GossipMsg>();
-      msg->rumors.push_back(GossipRumor{gid, 0, kDeadline, universe, body});
+      msg->rumors.push_back(make_entry(GossipRumor{gid, 0, kDeadline, universe, body}));
       svc.on_envelope(2, sim::Envelope{1, 0, kTag, msg});
       auto ack = std::make_shared<GossipAck>();
       ack->gids.push_back(gid);
@@ -697,6 +700,66 @@ TEST(Gossip, RestartedOriginStillFallsBackForItsOldRumor) {
   for (ProcessId q : {1, 3, 4, 5}) EXPECT_EQ(targets.count(q), 1u) << "q=" << q;
   // Without the rumor coming back, the restarted process holds nothing.
   EXPECT_EQ(run(false).first, (std::vector<std::size_t>(8, 0)));
+}
+
+TEST(Gossip, OneRecordPerRumorAcrossHolders) {
+  // A rumor record is built once, by inject, and every holder keeps a handle
+  // to that one record, at any engine thread count.
+  constexpr std::size_t kN = 64;
+  const auto universe = DynamicBitset::full(kN);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    auto sys = make_gossip_system(kN, universe, 3, false, 404);
+    std::optional<ThreadPool> pool;
+    if (threads > 1) {
+      pool.emplace(threads - 1);  // the driving thread participates
+      sys.engine->set_parallelism(&*pool, 2 * threads);
+    }
+    std::uint64_t gid = 0;
+    GossipRumorPtr injected;
+    testutil::LambdaAdversary adv;
+    adv.on_round_start = [&](sim::Engine& e) {
+      if (e.now() != 0) return;
+      ContinuousGossipService& origin = sys.hosts[0]->service();
+      gid = origin.inject(0, std::make_shared<testutil::IntPayload>(7), universe, 40);
+      injected = origin.record(gid);
+    };
+    sys.engine->set_adversary(&adv);
+    sys.engine->run(24);
+    ASSERT_NE(injected, nullptr);
+    for (ProcessId p = 0; p < kN; ++p) {
+      ASSERT_EQ(sys.hosts[p]->delivered.size(), 1u) << "threads=" << threads << " p=" << p;
+      EXPECT_EQ(sys.hosts[p]->service().record(gid), injected)
+          << "threads=" << threads << " p=" << p;
+    }
+  }
+
+  // The wire reader builds one record per rumor too: a decode memo hands the
+  // record of a repeated frame back, and a rumor whose fields differ by one
+  // byte (its deadline) gets a record of its own.
+  const auto frame = [&](Round deadline) {
+    auto msg = std::make_shared<GossipMsg>();
+    msg->rumors.push_back(make_entry(GossipRumor{5, 1, deadline, universe, nullptr}));
+    std::vector<std::uint8_t> bytes;
+    EXPECT_TRUE(wire::encode_envelope(sim::Envelope{1, 2, kTag, msg}, 3, &bytes));
+    return bytes;
+  };
+  RumorDecodeMemo memo;
+  const auto decoded = [&](const std::vector<std::uint8_t>& bytes) -> GossipRumorPtr {
+    wire::DecodedEnvelope d;
+    if (!wire::decode_envelope(bytes.data(), bytes.size(), &d, nullptr, &memo)) return nullptr;
+    return static_cast<const GossipMsg&>(*d.env.body).rumors.at(0).rumor;
+  };
+  const auto a = frame(30);
+  const auto b = frame(31);
+  ASSERT_EQ(a.size(), b.size());
+  const GossipRumorPtr first = decoded(a);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(decoded(a), first);
+  const GossipRumorPtr other = decoded(b);
+  ASSERT_NE(other, nullptr);
+  EXPECT_NE(other, first);
+  EXPECT_EQ(other->deadline_at, 31);
+  EXPECT_EQ(memo.hits(), 1u);
 }
 
 TEST(GossipDeath, GidEpochOverflowAborts) {

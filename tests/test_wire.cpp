@@ -101,7 +101,7 @@ sim::PayloadPtr rand_payload(Rng& rng, sim::PayloadKind kind) {
       std::uint64_t gid = rng.next_below(1u << 20);
       const std::size_t k = rng.next_below(5);
       for (std::size_t i = 0; i < k; ++i) {
-        p->rumors.push_back(rand_gossip_rumor(rng, gid));
+        p->rumors.push_back(gossip::make_entry(rand_gossip_rumor(rng, gid)));
         gid += 1 + rng.next_below(10);
       }
       return p;
@@ -492,10 +492,10 @@ TEST(WireCompression, SortedGidsDeltaEncode) {
     r.origin = static_cast<ProcessId>(i % 16);
     r.deadline_at = 128;
     r.dest = rand_bits(rng, 32);
-    msg.rumors.push_back(r);
+    msg.rumors.push_back(gossip::make_entry(r));
     r.gid = spread_gid;
     spread_gid += step << 35;
-    spread.rumors.push_back(r);
+    spread.rumors.push_back(gossip::make_entry(r));
   }
   // Delta-encoded gids: a small gap costs one varint byte, a gap of 2^35
   // or more at least six, so the dense batch is at least 3 bytes per rumor
@@ -505,7 +505,7 @@ TEST(WireCompression, SortedGidsDeltaEncode) {
   std::uint64_t fields = 0;
   for (const auto& r : msg.rumors) {
     wire::SizeSink s;
-    gossip::wire_rumor_fields(s, r);
+    gossip::wire_rumor_fields(s, *r.rumor);
     fields += s.size();
   }
   EXPECT_EQ(msg.encoded_size(),
@@ -524,7 +524,7 @@ TEST(WireCompression, UnsortedGidsStillLossless) {
     r.gid = g;
     r.origin = 1;
     r.dest = rand_bits(rng, 16);
-    msg.rumors.push_back(r);
+    msg.rumors.push_back(gossip::make_entry(r));
   }
   expect_roundtrip(rand_envelope(rng, std::make_shared<gossip::GossipMsg>(msg)), 1);
 }
@@ -841,7 +841,8 @@ std::string decode_outcome(const std::vector<std::uint8_t>& frame,
   if (d.env.body != nullptr &&
       d.env.body->kind() == sim::PayloadKind::kGossipMsg) {
     const auto& m = static_cast<const gossip::GossipMsg&>(*d.env.body);
-    for (const gossip::GossipRumor& r : m.rumors) {
+    for (const gossip::RumorEntry& e : m.rumors) {
+      const gossip::GossipRumor& r = *e.rumor;
       out << "|r" << r.gid << ',' << r.origin << ',' << r.deadline_at << ','
           << r.dest.size() << ':';
       for (const std::size_t i : r.dest.to_vector()) out << i << ',';
@@ -856,20 +857,20 @@ std::string decode_outcome(const std::vector<std::uint8_t>& frame,
 /// drawn from one pool of gids, plus a few same-gid rumors with different
 /// fields (another service's gid space) and frames of every other kind.
 std::vector<std::vector<std::uint8_t>> gossip_corpus(Rng& rng) {
-  std::vector<gossip::GossipRumor> pool;
+  std::vector<gossip::RumorEntry> pool;
   for (std::uint64_t gid = 1000; gid < 1040; ++gid) {
-    pool.push_back(rand_gossip_rumor(rng, gid));
+    pool.push_back(gossip::make_entry(rand_gossip_rumor(rng, gid)));
   }
   std::vector<std::vector<std::uint8_t>> corpus;
   for (int f = 0; f < 48; ++f) {
     auto msg = std::make_shared<gossip::GossipMsg>();
-    for (const gossip::GossipRumor& r : pool) {
+    for (const gossip::RumorEntry& r : pool) {
       if (rng.chance(0.3)) msg->rumors.push_back(r);
     }
     if (rng.chance(0.25) && !msg->rumors.empty()) {
       // Same gid, other fields: must miss, then decode fresh.
       const std::uint64_t gid = msg->rumors.back().gid;
-      msg->rumors.back() = rand_gossip_rumor(rng, gid);
+      msg->rumors.back() = gossip::make_entry(rand_gossip_rumor(rng, gid));
     }
     std::vector<std::uint8_t> frame;
     EXPECT_TRUE(wire::encode_envelope(rand_envelope(rng, msg),
@@ -929,7 +930,7 @@ TEST(WireFuzz, MemoDecodeMatchesPlainDecode) {
 std::vector<std::uint8_t> single_rumor_frame(const gossip::GossipRumor& r,
                                              PartitionIndex partition = 0) {
   auto msg = std::make_shared<gossip::GossipMsg>();
-  msg->rumors.push_back(r);
+  msg->rumors.push_back(gossip::make_entry(r));
   sim::Envelope e;
   e.from = 1;
   e.to = 2;
@@ -957,7 +958,7 @@ TEST(WireMemo, HitSharesTheBodyAndMissesOnDifferentBytes) {
   EXPECT_EQ(memo.misses(), 1u);
   const auto& a = static_cast<const gossip::GossipMsg&>(*first.env.body);
   const auto& b = static_cast<const gossip::GossipMsg&>(*second.env.body);
-  EXPECT_EQ(a.rumors[0].body.get(), b.rumors[0].body.get());
+  EXPECT_EQ(a.rumors[0].rumor->body.get(), b.rumors[0].rumor->body.get());
 
   // Same gid, one field different: a miss that decodes the new fields.
   gossip::GossipRumor other = r;
@@ -969,7 +970,7 @@ TEST(WireMemo, HitSharesTheBodyAndMissesOnDifferentBytes) {
   EXPECT_EQ(memo.misses(), 2u);
   const auto& c = static_cast<const gossip::GossipMsg&>(*third.env.body);
   EXPECT_EQ(c.rumors[0].deadline_at, other.deadline_at);
-  EXPECT_NE(c.rumors[0].body.get(), a.rumors[0].body.get());
+  EXPECT_NE(c.rumors[0].rumor->body.get(), a.rumors[0].rumor->body.get());
 
   // The same gid in another service's frames is another rumor: each
   // service keeps its own entry, so alternating frames of the two hit.
@@ -1011,7 +1012,8 @@ TEST(WireMemo, ExpiresPastDeadlinesAndStaysBounded) {
     gossip::GossipRumor r = proto;
     r.gid = gid;
     r.deadline_at = 1 << 30;
-    memo.remember(0, r, fields, sizeof(fields));
+    memo.remember(0, std::make_shared<const gossip::GossipRumor>(std::move(r)), fields,
+                  sizeof(fields));
   }
   EXPECT_EQ(memo.size(), gossip::RumorDecodeMemo::kMaxEntries);
 }
@@ -1039,7 +1041,7 @@ TEST(WireEncodeMemo, FramesMatchPlainEncodesAcrossPoolReuse) {
   };
   const auto fill = [&](gossip::GossipMsg& m, std::uint64_t first_gid) {
     for (std::uint64_t g = 0; g < 4; ++g) {
-      m.rumors.push_back(rand_gossip_rumor(rng, first_gid + g));
+      m.rumors.push_back(gossip::make_entry(rand_gossip_rumor(rng, first_gid + g)));
     }
   };
 

@@ -64,7 +64,7 @@ std::vector<sim::PayloadPtr> one_of_each_kind() {
       body->fragment = small_fragment(48, 24);
       r.body = body;
     }
-    msg->rumors.push_back(r);
+    msg->rumors.push_back(gossip::make_entry(r));
   }
   all.push_back(msg);
 
@@ -197,7 +197,7 @@ TEST(WireSizeAudit, NestedBodySizeMemosMatchAFreshWalk) {
     r.deadline_at = 64;
     r.dest = DynamicBitset(48);
     r.body = std::move(body);
-    msg->rumors.push_back(std::move(r));
+    msg->rumors.push_back(gossip::make_entry(std::move(r)));
   }
 
   const auto walked = [](const sim::Payload& p) -> std::uint64_t {
@@ -347,9 +347,9 @@ TEST(WireSize, GossipMsgSumsRumors) {
   body->fragment = small_fragment(64, 16);
   r.body = body;
   const auto none = msg.encoded_size();
-  msg.rumors.push_back(r);
+  msg.rumors.push_back(gossip::make_entry(r));
   const auto one = msg.encoded_size();
-  msg.rumors.push_back(r);
+  msg.rumors.push_back(gossip::make_entry(r));
   // Identical rumors (gid delta 0) grow the batch by equal increments.
   EXPECT_EQ(msg.encoded_size() - one, one - none);
   EXPECT_GT(one, none);

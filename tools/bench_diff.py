@@ -21,6 +21,11 @@ Exit status:
   1  at least one benchmark regressed beyond the threshold.
   2  usage / malformed input.
 
+Records that carry the step-phase breakdown (the six <phase>_us_per_round
+counters BM_CongosRun emits) get one more line per pair with those
+counters, base -> head. They explain a change in the metric; they are
+never gated.
+
 Benchmarks present in only one of the two groups are reported and skipped;
 so are pairs whose metric, bench_scale, engine_threads, or transport context
 differs (a reduced-scale CI record is not comparable to a full-scale local
@@ -36,6 +41,7 @@ Usage: tools/bench_diff.py [--file BENCH_engine.json] [--threshold 0.10]
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -69,6 +75,24 @@ def group_by_rev(records):
             groups.append((rec["rev"], []))
         groups[-1][1].append(rec)
     return groups
+
+
+PHASES = ("adversary", "send", "merge", "deliver", "receive", "round_end")
+
+
+def phase_line(b, h):
+    """The step-phase counters of a pair, base -> head in microseconds per
+    round, or None when neither record carries them."""
+    parts = []
+    for phase in PHASES:
+        key = phase + "_us_per_round"
+        if b.get(key) is None and h.get(key) is None:
+            continue
+        fmt = lambda v: "-" if v is None else f"{float(v):.1f}"
+        parts.append(f"{phase} {fmt(b.get(key))} -> {fmt(h.get(key))}")
+    if not parts:
+        return None
+    return "    us/round by phase (not gated): " + ", ".join(parts)
 
 
 def spread(rec):
@@ -154,6 +178,9 @@ def compare(base_recs, head_recs, threshold, out=sys.stdout):
             f"({(ratio - 1.0) * 100.0:+.1f}%) {verdict}",
             file=out,
         )
+        phases = phase_line(b, h)
+        if phases is not None:
+            print(phases, file=out)
     return regressed
 
 
@@ -347,6 +374,40 @@ def self_test():
                    rec("bbb", "BM_X/256", 85.0, cv=0.02, **reps))
     check("repetitions-median-regression", run(p, 0.10, informational=False), 1)
     os.unlink(p)
+
+    # Step-phase counters are printed, never gated: a phase that got slower
+    # while the metric held passes; a metric drop still fails with them
+    # present; records with and without the counters compare as ever.
+    def with_phases(r, **us):
+        for phase in PHASES:
+            r[phase + "_us_per_round"] = us.get(phase)
+        return r
+
+    base = with_phases(rec("aaa", "BM_CongosRun/128/", 100.0, **reps),
+                       send=400.0, merge=80.0, receive=900.0)
+    p = trajectory(base, with_phases(rec("bbb", "BM_CongosRun/128/", 101.0, **reps),
+                                     send=800.0, merge=5.0, receive=900.0))
+    check("phases-not-gated", run(p, 0.10, informational=False), 0)
+    os.unlink(p)
+    p = trajectory(base, with_phases(rec("bbb", "BM_CongosRun/128/", 80.0, **reps),
+                                     send=300.0, merge=5.0, receive=700.0))
+    check("phases-metric-regression", run(p, 0.10, informational=False), 1)
+    os.unlink(p)
+    p = trajectory(rec("aaa", "BM_CongosRun/128/", 100.0, **reps), base,
+                   rec("bbb", "BM_CongosRun/128/", 99.0, **reps))
+    check("phases-missing-on-one-side", run(p, 0.10, informational=False), 0)
+    os.unlink(p)
+    printed = io.StringIO()
+    compare([base], [with_phases(rec("bbb", "BM_CongosRun/128/", 120.0, **reps),
+                                 send=300.0, merge=5.0)], 0.10, out=printed)
+    if "merge 80.0 -> 5.0" not in printed.getvalue() or \
+            "receive 900.0 -> -" not in printed.getvalue():
+        failures.append("phases-printed: " + printed.getvalue().strip())
+    printed = io.StringIO()
+    compare([rec("aaa", "BM_X/256", 100.0)], [rec("bbb", "BM_X/256", 100.0)], 0.10,
+            out=printed)
+    if "by phase" in printed.getvalue():
+        failures.append("phases-absent: " + printed.getvalue().strip())
 
     if failures:
         for f in failures:

@@ -94,7 +94,11 @@ if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
 fi
 
 # One compact line per benchmark: name, real/cpu time, the gated metric
-# (named in `metric`), context.
+# (named in `metric`), the step-phase breakdown, context. The six
+# <phase>_us_per_round counters (wall time per simulated round in each
+# sim::StepPhase) come from BM_CongosRun and are null on rows that do not
+# emit them; bench_diff.py prints them beside the metric but never gates on
+# them.
 jq -c --arg rev "$GIT_REV" --arg sha "$GIT_SHA" --argjson dirty "$GIT_DIRTY" \
   --arg threads "$THREADS" --arg scale "$SCALE" --arg wire "$WIRE_VERSION" \
   --arg ethreads "$ENGINE_THREADS" --arg transport "$TRANSPORT" \
@@ -104,6 +108,12 @@ jq -c --arg rev "$GIT_REV" --arg sha "$GIT_SHA" --argjson dirty "$GIT_DIRTY" \
     metric: "rounds_per_sec",
     rounds_per_sec: .rounds_per_sec,
     repetitions: .repetitions, cv: .cv.rounds_per_sec,
+    adversary_us_per_round: .adversary_us_per_round,
+    send_us_per_round: .send_us_per_round,
+    merge_us_per_round: .merge_us_per_round,
+    deliver_us_per_round: .deliver_us_per_round,
+    receive_us_per_round: .receive_us_per_round,
+    round_end_us_per_round: .round_end_us_per_round,
     threads: $threads, bench_scale: $scale,
     wire_codec_version: $wire, engine_threads: $ethreads,
     transport: $transport}' \
