@@ -2,10 +2,10 @@
 // durable checkpoint, and nobody can tell (DESIGN.md section 14).
 //
 // Four nodes gossip over the deterministic in-process transport. Node 2 -
-// a rumor destination - journals every state mutation; halfway through
-// its delivery window we destroy the runtime object (the in-process
-// equivalent of SIGKILL: no flush, no goodbye), rebuild a fresh one from
-// the checkpoint, and let the run finish. A twin cluster that never
+// a rumor destination - journals every state mutation to its state file;
+// halfway through its delivery window we save, destroy the runtime object
+// (the in-process equivalent of SIGKILL: no flush, no goodbye), rebuild a
+// fresh one from the file, and let the run finish. A twin cluster that never
 // crashed runs alongside; the demo prints both sides' counters and
 // asserts they match - the checkpoint is a replay journal, so resuming
 // reproduces the pre-crash state byte for byte, half-built fragment
@@ -13,8 +13,10 @@
 //
 // The real-wire version of this demo is `congos_d --state/--resume` under
 // harness::run_cluster's SIGKILL schedule (EXPERIMENTS.md E18).
+#include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "net/checkpoint.h"
@@ -30,17 +32,31 @@ constexpr std::uint64_t kSeed = 42;
 constexpr Round kRounds = 48;
 constexpr ProcessId kVictim = 2;
 
-net::NodeConfig node_cfg(ProcessId p) {
+/// Node 2's state file in the crashing cluster, and the cluster clock its
+/// batches are stamped with.
+const char* const kVictimState = "crash_rejoin_node2.ckpt";
+constexpr std::int64_t kEpochMs = 1754600000000;
+constexpr std::int64_t kRoundMs = 40;
+
+net::NodeConfig node_cfg(ProcessId p, const std::string& state_path) {
   net::NodeConfig cfg;
   cfg.id = p;
   cfg.n = kN;
   cfg.seed = kSeed;
   cfg.max_rounds = kRounds;
-  cfg.journal = true;  // checkpoint in memory, no state file needed
+  cfg.state_path = state_path;  // empty: no file, nothing journaled
   cfg.congos.allow_degenerate = false;
   cfg.congos.retransmit.enabled = true;
   cfg.congos.retransmit.max_link_delay = 1;
   return cfg;
+}
+
+std::unique_ptr<net::NodeRuntime> make_node(ProcessId p, const std::string& state_path,
+                                            net::SimLink& link) {
+  auto rt = std::make_unique<net::NodeRuntime>(node_cfg(p, state_path),
+                                               &link.endpoint(p));
+  rt->set_clock_binding(kEpochMs, kRoundMs);
+  return rt;
 }
 
 struct Feed final : net::DatagramSink {
@@ -54,10 +70,9 @@ struct Cluster {
   net::SimLink link{kN};
   std::vector<std::unique_ptr<net::NodeRuntime>> nodes;
 
-  Cluster() {
+  explicit Cluster(const std::string& victim_state = "") {
     for (ProcessId p = 0; p < kN; ++p) {
-      nodes.push_back(
-          std::make_unique<net::NodeRuntime>(node_cfg(p), &link.endpoint(p)));
+      nodes.push_back(make_node(p, p == kVictim ? victim_state : "", link));
       std::string err;
       if (!nodes.back()->start(&err)) {
         std::fprintf(stderr, "start failed: %s\n", err.c_str());
@@ -88,21 +103,29 @@ struct Cluster {
 }  // namespace
 
 int main() {
-  Cluster steady;   // never crashes
-  Cluster chaotic;  // node 2 dies at round 16
+  // Declared first, so it runs after the runtimes have closed the file.
+  struct RemoveStateFile {
+    ~RemoveStateFile() { std::remove(kVictimState); }
+  } remove_state_file;
+  Cluster steady;                // never crashes
+  Cluster chaotic(kVictimState);  // node 2 dies at round 16
 
   steady.run_rounds(kRounds - 1);
 
   chaotic.run_rounds(15);
-  const net::NodeCheckpoint ck = chaotic.nodes[kVictim]->make_checkpoint();
+  std::string err;
+  net::NodeCheckpoint ck;
+  if (!chaotic.nodes[kVictim]->save_checkpoint(&err) ||
+      !net::read_checkpoint_file(kVictimState, &ck, &err)) {
+    std::fprintf(stderr, "checkpoint failed: %s\n", err.c_str());
+    return 1;
+  }
   std::printf("round %lld: checkpointed node %u (%zu journal events), "
               "killing it\n",
               static_cast<long long>(ck.round), kVictim, ck.events.size());
   chaotic.nodes[kVictim].reset();  // SIGKILL, in-process flavor
 
-  chaotic.nodes[kVictim] = std::make_unique<net::NodeRuntime>(
-      node_cfg(kVictim), &chaotic.link.endpoint(kVictim));
-  std::string err;
+  chaotic.nodes[kVictim] = make_node(kVictim, kVictimState, chaotic.link);
   if (!chaotic.nodes[kVictim]->resume(ck, &err)) {
     std::fprintf(stderr, "resume failed: %s\n", err.c_str());
     return 1;

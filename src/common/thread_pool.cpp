@@ -1,9 +1,31 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace congos {
+
+std::size_t parse_thread_count(std::string_view text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value > kMaxThreadCount) return 0;
+  return value;
+}
+
+std::size_t thread_count_from_env(const char* name, std::size_t fallback) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || *value == '\0') return fallback;
+  if (const std::size_t threads = parse_thread_count(value); threads != 0) {
+    return threads;
+  }
+  std::fprintf(stderr, "%s=%s ignored: not a thread count in [1, %zu]; using %zu\n",
+               name, value, kMaxThreadCount, fallback);
+  return fallback;
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   threads = std::max<std::size_t>(threads, 1);

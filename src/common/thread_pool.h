@@ -19,10 +19,24 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 namespace congos {
+
+/// Largest thread count a thread-count environment variable may ask for.
+inline constexpr std::size_t kMaxThreadCount = 256;
+
+/// A thread count written as a plain decimal integer in [1, kMaxThreadCount]:
+/// no sign, no whitespace, no trailing characters. Returns 0 for any other
+/// text.
+std::size_t parse_thread_count(std::string_view text);
+
+/// The thread count in environment variable `name`, or `fallback` when it is
+/// unset or empty. A value parse_thread_count refuses is reported on stderr
+/// and `fallback` is used instead.
+std::size_t thread_count_from_env(const char* name, std::size_t fallback);
 
 /// A batch of independently runnable shards, executed by
 /// ThreadPool::run_shards. A plain virtual interface rather than

@@ -1,7 +1,6 @@
 #include "harness/scenario.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "adversary/adversary.h"
 #include "baseline/direct_send.h"
@@ -30,13 +29,12 @@ const char* to_string(Protocol p) {
 struct ScenarioRun::Impl {
   explicit Impl(std::size_t n) : qod(n) {}
 
-  // Destroyed in reverse order: the engine goes before the pool it shards on
-  // and the QoD auditor its processes report to. The engine's destructor
-  // calls no observer or adversary, so those may go before it.
+  // Destroyed in reverse order: the engine goes before the QoD auditor its
+  // processes report to. The engine's destructor calls no observer or
+  // adversary, so those may go before it.
   audit::DeliveryAuditor qod;
   std::shared_ptr<const core::CongosConfig> ccfg;
   std::shared_ptr<const partition::PartitionSet> partitions;
-  std::unique_ptr<ThreadPool> engine_pool;  // null for a serial engine
   std::unique_ptr<sim::Engine> engine;
   std::unique_ptr<audit::ConfidentialityAuditor> confidentiality;
   adversary::Composite adversaries;
@@ -45,13 +43,7 @@ struct ScenarioRun::Impl {
 };
 
 std::size_t default_engine_threads() {
-  static const std::size_t cached = [] {
-    if (const char* v = std::getenv("CONGOS_ENGINE_THREADS")) {
-      const long parsed = std::strtol(v, nullptr, 10);
-      if (parsed > 0) return static_cast<std::size_t>(parsed);
-    }
-    return std::size_t{1};
-  }();
+  static const std::size_t cached = thread_count_from_env("CONGOS_ENGINE_THREADS", 1);
   return cached;
 }
 
@@ -117,13 +109,7 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& cfg)
   impl_->engine = std::make_unique<sim::Engine>(std::move(procs), seeder.next());
   sim::Engine& engine = *impl_->engine;
   if (cfg_.faults.enabled()) engine.network().set_faults(cfg_.faults);
-  if (engine_threads > 1) {
-    // The driving thread participates in every shard batch, so a budget of k
-    // threads means k-1 pool workers. 2x shards over-decomposes for load
-    // balance; the partition is fixed, so this stays deterministic.
-    impl_->engine_pool = std::make_unique<ThreadPool>(engine_threads - 1);
-    engine.set_parallelism(impl_->engine_pool.get(), 2 * engine_threads);
-  }
+  engine.set_threads(engine_threads);
 
   impl_->confidentiality = std::make_unique<audit::ConfidentialityAuditor>(
       cfg_.n, impl_->partitions.get());

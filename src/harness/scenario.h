@@ -84,18 +84,18 @@ struct ScenarioConfig {
   /// workloads extend the drain to their own maximum deadline automatically).
   Round min_drain = 0;
 
-  /// Intra-round engine threads (DESIGN.md section 12): the send and receive
-  /// phases of every round run sharded across this many threads (the driving
-  /// thread participates, so k threads = k-1 pool workers). Results are
-  /// byte-identical at any value — this knob trades wall clock only, which
-  /// is also why it is deliberately NOT part of the .repro serialization: a
-  /// run recorded at any thread count replays exactly at any other.
+  /// Intra-round engine threads (DESIGN.md section 12), passed to
+  /// Engine::set_threads: the send and receive phases of every round run
+  /// their shards on this many threads. Results are byte-identical at any
+  /// value — this knob trades wall clock only, which is also why it is
+  /// deliberately NOT part of the .repro serialization: a run recorded at
+  /// any thread count replays exactly at any other.
   /// 0 = default_engine_threads() (CONGOS_ENGINE_THREADS, else 1).
   std::size_t engine_threads = 0;
 };
 
-/// CONGOS_ENGINE_THREADS when set to a positive integer, else 1 (serial
-/// engine). Parsed once and cached.
+/// CONGOS_ENGINE_THREADS when it holds a thread count parse_thread_count
+/// accepts, else 1 (one shard, run inline). Parsed once and cached.
 std::size_t default_engine_threads();
 
 struct ScenarioResult {

@@ -57,12 +57,9 @@ SweepRunner::SweepRunner(Options opts) : opts_(opts) {
 
 std::size_t SweepRunner::default_threads() {
   static const std::size_t cached = [] {
-    if (const char* v = std::getenv("CONGOS_BENCH_THREADS")) {
-      const long parsed = std::strtol(v, nullptr, 10);
-      if (parsed > 0) return static_cast<std::size_t>(parsed);
-    }
     const std::size_t hw = std::max<std::size_t>(std::thread::hardware_concurrency(), 1);
-    return std::max<std::size_t>(hw / default_engine_threads(), 1);
+    return thread_count_from_env("CONGOS_BENCH_THREADS",
+                                 std::max<std::size_t>(hw / default_engine_threads(), 1));
   }();
   return cached;
 }

@@ -53,10 +53,10 @@ class SweepRunner {
   /// own thread).
   std::vector<ScenarioResult> run(const std::vector<ScenarioConfig>& grid) const;
 
-  /// CONGOS_BENCH_THREADS when set to a positive integer, else
-  /// hardware_concurrency / default_engine_threads() (>= 1, so the sweep and
-  /// the sharded engines don't oversubscribe the machine together). Parsed
-  /// once and cached.
+  /// CONGOS_BENCH_THREADS when it holds a thread count parse_thread_count
+  /// accepts, else hardware_concurrency / default_engine_threads() (>= 1,
+  /// so the sweep and the sharded engines don't oversubscribe the machine
+  /// together). Parsed once and cached.
   static std::size_t default_threads();
 
   /// Paths of the .repro artifacts written by the last run(), in grid order

@@ -66,7 +66,6 @@ bool NodeRuntime::boot(const char* log_mode, std::string* error) {
       return false;
     }
   }
-  journaling_ = cfg_.journal || !cfg_.state_path.empty();
   last_heard_.assign(cfg_.n, kNoRound);
   ccfg_ = std::make_shared<const core::CongosConfig>(cfg_.congos);
   partitions_ = core::CongosProcess::build_partitions(cfg_.n, *ccfg_);
@@ -144,12 +143,8 @@ bool NodeRuntime::resume(const NodeCheckpoint& ck, std::string* error) {
     epoch_ms_ = ck.epoch_ms;
     round_ms_ = ck.round_ms;
   }
-  if (cfg_.state_path.empty()) {
-    journal_ = ck.events;
-  } else if (!state_.rewrite(cfg_.state_path, binding(), ck.events, error)) {
-    return false;
-  }
-  return true;
+  return cfg_.state_path.empty() ||
+         state_.rewrite(cfg_.state_path, binding(), ck.events, error);
 }
 
 void NodeRuntime::apply_journal_event(const CheckpointEvent& e) {
@@ -256,7 +251,7 @@ void NodeRuntime::handle_datagram(ProcessId /*from_hint*/,
     ++frames_received_;
     if (dec.env.from < last_heard_.size()) last_heard_[dec.env.from] = now_;
     log_event([&](std::string* out) { append_recv_event(out, now_, frame); });
-    if (journaling_) {
+    if (!cfg_.state_path.empty()) {
       CheckpointEvent ev;
       ev.round = now_;
       ev.kind = CheckpointEvent::Kind::kRecv;
@@ -312,7 +307,7 @@ bool NodeRuntime::inject(std::uint64_t seq, Round deadline, DynamicBitset dest,
   rumor.dest = std::move(dest);
   rumor.injected_at = now_;
   log_event([&](std::string* out) { append_inject_event(out, now_, rumor); });
-  if (journaling_) {
+  if (!cfg_.state_path.empty()) {
     CheckpointEvent ev;
     ev.round = now_;
     ev.kind = CheckpointEvent::Kind::kInject;

@@ -49,14 +49,12 @@ struct NodeConfig {
   /// with different settings interoperate; start() fails when compression
   /// is requested but LZ4 is unavailable in this process.
   bool compress = false;
-  /// Durable state file (net/checkpoint.h); empty = no file. When set,
-  /// every state mutation is journaled, start() empties the file, and each
-  /// save_checkpoint() appends the events since the previous save, so a
-  /// SIGKILLed daemon can rejoin via resume(). Saved events leave memory.
+  /// Durable state file (net/checkpoint.h); empty = no file and no
+  /// journal. When set, every state mutation is journaled, start() empties
+  /// the file, and each save_checkpoint() appends the events since the
+  /// previous save, so a SIGKILLed daemon can rejoin via resume(). Saved
+  /// events leave memory.
   std::string state_path;
-  /// Journal state mutations even without a state_path, for in-process
-  /// tests that checkpoint via make_checkpoint() instead of the filesystem.
-  bool journal = false;
 };
 
 class NodeRuntime final : public sim::DeliveryListener {
@@ -94,8 +92,9 @@ class NodeRuntime final : public sim::DeliveryListener {
   void set_clock_binding(std::int64_t epoch_ms, std::int64_t round_ms);
 
   /// Current state as a checkpoint value (config + clock binding + the
-  /// in-memory journal). A node with a state file holds only the events
-  /// not yet saved; read_checkpoint_file() returns its whole history.
+  /// events journaled since the last save). A node journals only when it
+  /// has a state file, so without one the view holds no events;
+  /// read_checkpoint_file() returns a node's whole history.
   NodeCheckpoint make_checkpoint() const;
 
   /// Appends the events journaled since the previous save to
@@ -103,8 +102,8 @@ class NodeRuntime final : public sim::DeliveryListener {
   /// fsync returns. Costs the events since the last save, not the history.
   bool save_checkpoint(std::string* error);
 
-  /// Journal events held in memory: with a state file, at most the events
-  /// since the last save; else the whole history.
+  /// Journal events held in memory: the events since the last save (none
+  /// without a state file).
   std::size_t journal_events() const { return journal_.size(); }
 
   Round now() const { return now_; }
@@ -221,13 +220,11 @@ class NodeRuntime final : public sim::DeliveryListener {
   std::uint64_t unsupported_datagrams_ = 0;
 
   // -- crash/restart survival (DESIGN.md section 14) --------------------------
-  /// Ordered state mutations (injections and accepted frames): the ones
-  /// the state file does not hold yet, or with no state file the whole
-  /// history since round 0, carried across resumes. Journal plus state
-  /// file *is* the durable state.
+  /// Ordered state mutations (injections and accepted frames) the state
+  /// file does not hold yet; kept only when there is a state file. Journal
+  /// plus state file *is* the durable state.
   std::vector<CheckpointEvent> journal_;
   CheckpointLog state_;
-  bool journaling_ = false;
   /// True while resume() re-runs the journal: sends and log lines are
   /// suppressed, everything else executes exactly as it did live.
   bool replaying_ = false;

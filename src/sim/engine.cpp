@@ -21,28 +21,11 @@ const char* to_string(StepPhase phase) {
   return "?";
 }
 
-// Both senders measure each envelope's exact v1 frame size where it is sent
-// (header-only SizeSink walk, allocation-free), so a sharded send phase
-// measures in parallel and the serial merge only moves envelopes.
-
-class Engine::NetworkSender final : public Sender {
- public:
-  NetworkSender(Network& net, ProcessId from) : net_(net), from_(from) {}
-  void send(Envelope e) override {
-    CONGOS_ASSERT_MSG(e.from == from_, "process spoofed sender id");
-    const std::uint64_t bytes = wire::encoded_envelope_size(e, net_.round());
-    net_.submit(std::move(e), bytes);
-  }
-
- private:
-  Network& net_;
-  ProcessId from_;
-};
-
-/// Sender used by shard workers: envelopes and their frame sizes land in the
-/// shard's private buffer (no shared state touched) and are merged into the
-/// network by the driving thread, shard by shard in ascending order — the
-/// exact order the serial loop would have submitted them.
+/// Sender used on the send shards: envelopes land in the shard's private
+/// buffer (no shared state touched), each with its exact v1 frame size
+/// measured here (header-only SizeSink walk, allocation-free), so the send
+/// shards measure in parallel. The driving thread merges the buffers into
+/// the network shard by shard in ascending order: process order.
 class Engine::ShardSender final : public Sender {
  public:
   ShardSender(ShardBuffer& out, ProcessId from, Round round)
@@ -85,8 +68,9 @@ class Engine::PhaseTask final : public ShardTask {
   void run_shard(std::size_t shard) override {
     const std::vector<ProcessId>& ids = engine_.alive_ids_;
     const std::size_t m = ids.size();
-    const std::size_t lo = shard * m / engine_.shard_count_;
-    const std::size_t hi = (shard + 1) * m / engine_.shard_count_;
+    const std::size_t shards = engine_.shard_buffers_.size();
+    const std::size_t lo = shard * m / shards;
+    const std::size_t hi = (shard + 1) * m / shards;
     if (receive_) {
       for (std::size_t i = lo; i < hi; ++i) engine_.receive(ids[i]);
     } else {
@@ -118,7 +102,8 @@ Engine::Engine(std::vector<std::unique_ptr<Process>> processes, std::uint64_t se
       out_filtered_(processes_.size()),
       in_policy_(processes_.size(), PartialDelivery::kDeliverAll),
       in_filtered_(processes_.size()),
-      sent_this_round_(processes_.size()) {
+      sent_this_round_(processes_.size()),
+      shard_buffers_(1) {
   alive_ids_.reserve(processes_.size());
   for (std::size_t p = 0; p < processes_.size(); ++p) {
     CONGOS_ASSERT_MSG(processes_[p] != nullptr, "null process");
@@ -127,17 +112,17 @@ Engine::Engine(std::vector<std::unique_ptr<Process>> processes, std::uint64_t se
   }
 }
 
-void Engine::set_parallelism(ThreadPool* pool, std::size_t shards) {
+Engine::~Engine() = default;
+
+void Engine::set_threads(std::size_t threads) {
   CONGOS_ASSERT_MSG(phase_ == Phase::kIdle,
-                    "parallelism reconfiguration only at round boundaries");
-  pool_ = pool;
-  if (pool == nullptr) {
-    shard_count_ = 1;
-    shard_buffers_.clear();
-    return;
-  }
-  shard_count_ = std::max<std::size_t>(shards, 1);
-  shard_buffers_.resize(shard_count_);
+                    "thread count changes only at round boundaries");
+  CONGOS_ASSERT_MSG(threads >= 1, "an engine needs at least one thread");
+  // The calling thread runs shards too, so k threads are k-1 pool workers,
+  // and 2 shards per thread over-decompose for load balance. The partition
+  // is fixed, so this stays deterministic.
+  pool_ = threads > 1 ? std::make_unique<ThreadPool>(threads - 1) : nullptr;
+  shard_buffers_.resize(threads > 1 ? 2 * threads : 1);
 }
 
 void Engine::crash(ProcessId p, PartialDelivery policy) {
@@ -233,14 +218,19 @@ void Engine::begin_round() {
   }
 }
 
-void Engine::run_phase_sharded(bool receive) {
+void Engine::run_phase(bool receive) {
   PhaseTask task(*this, receive);
-  pool_->run_shards(task, shard_count_);
+  if (pool_ == nullptr) {
+    task.run_shard(0);
+  } else {
+    pool_->run_shards(task, shard_buffers_.size());
+  }
 }
 
 void Engine::merge_shard_sends() {
-  // Fixed merge order: shard 0's envelopes first. Reproduces the serial
-  // submission order, so delivery (and traces) cannot tell the difference.
+  // Fixed merge order: shard 0's envelopes first. The submission order is
+  // process order at any shard count, so delivery (and traces) cannot tell
+  // how many shards ran.
   for (ShardBuffer& buf : shard_buffers_) {
     for (std::size_t i = 0; i < buf.out.size(); ++i) {
       network_.submit(std::move(buf.out[i]), buf.bytes[i]);
@@ -291,18 +281,10 @@ void Engine::step() {
   // Exactly the processes alive now participate in the send phase; crash()
   // consults this when the adversary strikes in kAfterSends.
   sent_this_round_ = alive_;
-  if (use_shards()) {
-    run_phase_sharded(/*receive=*/false);
-    lap(StepPhase::kSend);
-    merge_shard_sends();
-    lap(StepPhase::kMerge);
-  } else {
-    for (const ProcessId p : alive_ids_) {
-      NetworkSender sender(network_, p);
-      processes_[p]->send_phase(now_, sender);
-    }
-    lap(StepPhase::kSend);
-  }
+  run_phase(/*receive=*/false);
+  lap(StepPhase::kSend);
+  merge_shard_sends();
+  lap(StepPhase::kMerge);
 
   phase_ = Phase::kAfterSends;
   if (adversary_ != nullptr) adversary_->after_sends(*this);
@@ -316,11 +298,7 @@ void Engine::step() {
 
   phase_ = Phase::kReceiving;
   // after_sends may have crashed processes: alive_ids_ is already current.
-  if (use_shards()) {
-    run_phase_sharded(/*receive=*/true);
-  } else {
-    for (const ProcessId p : alive_ids_) receive(p);
-  }
+  run_phase(/*receive=*/true);
   lap(StepPhase::kReceive);
 
   phase_ = Phase::kRoundEnd;

@@ -12,13 +12,13 @@
 // Sharded round execution (DESIGN.md section 12): the send and receive
 // phases touch only per-process state (each process draws from its own RNG;
 // the engine RNG is confined to the serial adversary and delivery phases),
-// so set_parallelism() can fan them out over a ThreadPool in fixed
-// contiguous shards of the alive-id list. Per-shard send buffers are merged
-// into the network in ascending shard order, reproducing the serial
-// submission order exactly — traces are byte-identical at any thread count.
-// Receiver observers (add_receiver_observer) see each inbox on the shard
-// that receives it, just before the process does; every other observer hook
-// runs on the driving thread.
+// so every step runs them in fixed contiguous shards of the alive-id list.
+// Per-shard send buffers are merged into the network in ascending shard
+// order, so the submission order is process order at any shard count and
+// traces are byte-identical at any thread count (set_threads). Receiver
+// observers (add_receiver_observer) see each inbox on the shard that
+// receives it, just before the process does; every other observer hook runs
+// on the driving thread.
 #pragma once
 
 #include <array>
@@ -45,8 +45,8 @@ class Engine;
 /// cover the whole step: the boundaries are consecutive clock reads.
 enum class StepPhase : std::uint8_t {
   kAdversary,  // the three adversary hooks (injections and their observers)
-  kSend,       // send phase, serial or sharded
-  kMerge,      // sharded only: per-shard envelopes and sizes into the network
+  kSend,       // send phase, on the shards
+  kMerge,      // per-shard envelopes and sizes into the network
   kDeliver,    // Network::deliver plus the serial delivery observers
   kReceive,    // receive phase, receiver observers included
   kRoundEnd,   // round bookkeeping: flag clears, end_round, on_round_end
@@ -94,6 +94,7 @@ class Engine {
   /// `seed` determines every random choice in the execution (network tie
   /// breaking, adversary randomness drawn from Engine::rng()).
   Engine(std::vector<std::unique_ptr<Process>> processes, std::uint64_t seed);
+  ~Engine();
 
   std::size_t n() const { return processes_.size(); }
   Round now() const { return now_; }
@@ -175,17 +176,19 @@ class Engine {
   const std::array<std::uint64_t, kNumStepPhases>& phase_ns() const { return phase_ns_; }
 
   /// Deterministic intra-round parallelism (DESIGN.md section 12): run the
-  /// send and receive phases across `pool` workers in `shards` fixed
-  /// contiguous chunks of the ascending alive-id list. Results are
-  /// byte-identical to serial execution at any thread/shard count. Processes
-  /// then report deliveries from the shard that runs them, so a
-  /// DeliveryListener the processes share is called concurrently: each
-  /// process reports only at itself, and the listener must keep its state
-  /// per `at` (as audit::DeliveryAuditor does). Adversary hooks, the delivery
-  /// phase and every observer hook except a receiver observer's
-  /// on_envelope_delivered stay on the calling thread. Pass pool == nullptr
-  /// to return to serial execution. Only valid at a round boundary.
-  void set_parallelism(ThreadPool* pool, std::size_t shards);
+  /// send and receive phases on `threads` threads, the calling thread
+  /// included, so the engine keeps threads - 1 pool workers. One thread
+  /// runs a single shard inline; k > 1 threads run 2k fixed contiguous
+  /// chunks of the ascending alive-id list, over-decomposed for load
+  /// balance. Results are byte-identical at any thread count. Processes
+  /// report deliveries from the shard that runs them, so a DeliveryListener
+  /// the processes share is called concurrently: each process reports only
+  /// at itself, and the listener must keep its state per `at` (as
+  /// audit::DeliveryAuditor does). Adversary hooks, the delivery phase and
+  /// every observer hook except a receiver observer's on_envelope_delivered
+  /// stay on the calling thread. An engine starts with one thread. Only
+  /// valid at a round boundary; `threads` must be at least 1.
+  void set_threads(std::size_t threads);
 
   // -- execution ---------------------------------------------------------
 
@@ -241,23 +244,20 @@ class Engine {
   bool in_touched_ = false;
   DynamicBitset sent_this_round_;  // participated in the send phase
 
-  // Sharded execution state (unused while pool_ == nullptr).
-  ThreadPool* pool_ = nullptr;
-  std::size_t shard_count_ = 1;
+  // Shard state: one buffer per shard, and the workers when threads > 1.
+  std::unique_ptr<ThreadPool> pool_;
   struct ShardBuffer {
     std::vector<Envelope> out;         // send-phase submissions, in submission order
     std::vector<std::uint64_t> bytes;  // frame size of each, measured at send
   };
   std::vector<ShardBuffer> shard_buffers_;
 
-  class NetworkSender;
   class ShardSender;
   class DeliveryFanout;
   class PhaseTask;
 
   void begin_round();
-  bool use_shards() const { return pool_ != nullptr && alive_ids_.size() > 1; }
-  void run_phase_sharded(bool receive);
+  void run_phase(bool receive);
   void merge_shard_sends();
   void receive(ProcessId p);
   void notify_crash(ProcessId p, PartialDelivery policy);

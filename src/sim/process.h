@@ -29,9 +29,9 @@ class Sender {
 /// direct receipt in the baselines). The QoD auditor listens here.
 ///
 /// Sharding contract: a process reports only at itself (`at` is its own id).
-/// A sharded engine (Engine::set_parallelism) runs processes on several
-/// threads at once, so a listener shared by several processes is called
-/// concurrently for different `at`; it must keep its state per `at`.
+/// An engine with several threads (Engine::set_threads) runs processes on
+/// several threads at once, so a listener shared by several processes is
+/// called concurrently for different `at`; it must keep its state per `at`.
 class DeliveryListener {
  public:
   virtual ~DeliveryListener() = default;

@@ -209,7 +209,6 @@ net::NodeConfig node_cfg(ProcessId p, std::size_t n, std::uint64_t seed,
   cfg.n = n;
   cfg.seed = seed;
   cfg.max_rounds = max_rounds;
-  cfg.journal = true;  // checkpoint via make_checkpoint(), no file needed
   cfg.congos.allow_degenerate = false;
   cfg.congos.retransmit.enabled = true;
   cfg.congos.retransmit.max_link_delay = 1;
@@ -223,28 +222,34 @@ struct Feed final : net::DatagramSink {
   }
 };
 
-/// Clock binding stamped into the state files of file-backed test nodes.
+std::string state_file_path(const std::string& tag) {
+  return "checkpoint_" + tag + "_" + std::to_string(::getpid()) + ".ckpt";
+}
+
+/// State file of node `p` in the ResumableCluster tagged `tag`.
+std::string node_state_path(const std::string& tag, ProcessId p) {
+  return state_file_path(tag + std::to_string(p));
+}
+
+/// Clock binding stamped into the state files of the test nodes.
 constexpr std::int64_t kEpochMs = 1754600000000;
 constexpr std::int64_t kRoundMs = 40;
 
 /// A SimLink cluster with explicit per-step control so the test can crash
-/// and resume one node at any point inside a round.
+/// and resume one node at any point inside a round. Every node has its own
+/// state file, the way congos_d runs: it journals each state mutation and
+/// keeps only the unsaved events in memory. The files go with the cluster.
 struct ResumableCluster {
   std::size_t n;
   std::uint64_t seed;
   Round max_rounds;
-  /// Per node: a state file path, or empty for the in-memory journal.
-  std::vector<std::string> state_paths;
+  std::string tag;  // names the state files: node_state_path(tag, p)
   net::SimLink link;
   std::vector<std::unique_ptr<net::NodeRuntime>> nodes;
 
   ResumableCluster(std::size_t n_, std::uint64_t seed_, Round max_rounds_,
-                   std::vector<std::string> state_paths_ = {})
-      : n(n_),
-        seed(seed_),
-        max_rounds(max_rounds_),
-        state_paths(std::move(state_paths_)),
-        link(n_) {
+                   std::string tag_)
+      : n(n_), seed(seed_), max_rounds(max_rounds_), tag(std::move(tag_)), link(n_) {
     for (ProcessId p = 0; p < n; ++p) {
       nodes.push_back(make_node(p));
       std::string err;
@@ -252,16 +257,28 @@ struct ResumableCluster {
     }
   }
 
-  /// A node with a state file keeps only unsaved events in memory, the
-  /// way congos_d runs; the others keep the whole journal in memory.
+  ~ResumableCluster() {
+    for (ProcessId p = 0; p < n; ++p) std::remove(state_path(p).c_str());
+  }
+
+  std::string state_path(ProcessId p) const { return node_state_path(tag, p); }
+
   std::unique_ptr<net::NodeRuntime> make_node(ProcessId p) {
     net::NodeConfig cfg = node_cfg(p, n, seed, max_rounds);
-    if (p < state_paths.size() && !state_paths[p].empty()) {
-      cfg.state_path = state_paths[p];
-    }
+    cfg.state_path = state_path(p);
     auto rt = std::make_unique<net::NodeRuntime>(cfg, &link.endpoint(p));
-    if (!cfg.state_path.empty()) rt->set_clock_binding(kEpochMs, kRoundMs);
+    rt->set_clock_binding(kEpochMs, kRoundMs);
     return rt;
+  }
+
+  /// Saves node p and reads its whole history back from the state file:
+  /// what a restarted daemon resumes from.
+  net::NodeCheckpoint checkpoint(ProcessId p) {
+    std::string err;
+    EXPECT_TRUE(nodes[p]->save_checkpoint(&err)) << err;
+    net::NodeCheckpoint ck;
+    EXPECT_TRUE(net::read_checkpoint_file(state_path(p), &ck, &err)) << err;
+    return ck;
   }
 
   void poll_into(ProcessId p) {
@@ -315,7 +332,7 @@ TEST(NodeRuntimeResume, ResumedNodeMatchesUninterruptedRun) {
   };
 
   // Reference: no crash.
-  ResumableCluster a(n, seed, rounds);
+  ResumableCluster a(n, seed, rounds, "uninterrupted");
   inject(a);
   a.run_rounds(rounds - 1);
   ASSERT_GE(a.nodes[victim]->deliveries(), 1u)
@@ -325,13 +342,13 @@ TEST(NodeRuntimeResume, ResumedNodeMatchesUninterruptedRun) {
   // Crash victim mid-round 14: frames for the closing round are already
   // polled into its inbox (journaled at the checkpoint round), the round
   // is not yet ticked - the hardest point to reconstruct.
-  ResumableCluster b(n, seed, rounds);
+  ResumableCluster b(n, seed, rounds, "resumed");
   inject(b);
   b.run_rounds(13);  // every node now at round 14
   b.link.advance_round();
   const Round target = b.link.round();
   for (ProcessId p = 0; p < n; ++p) b.poll_into(p);
-  const net::NodeCheckpoint ck = b.nodes[victim]->make_checkpoint();
+  const net::NodeCheckpoint ck = b.checkpoint(victim);
   EXPECT_EQ(ck.round, 14);
   b.crash_and_resume(victim, ck);
   EXPECT_EQ(b.nodes[victim]->resume_count(), 1u);
@@ -354,18 +371,18 @@ TEST(NodeRuntimeResume, JournalSurvivesChainedResumes) {
   // history, not just the events since the last incarnation.
   const std::size_t n = 4;
   const Round rounds = 48;  // deadline-40 pipeline delivers near round 41
-  ResumableCluster c(n, 11, rounds);
+  ResumableCluster c(n, 11, rounds, "chained");
   DynamicBitset dest(n);
   dest.set(3);
   c.run_rounds(1);
   c.nodes[0]->inject(1, 40, dest, {0x42});
   c.run_rounds(7);
 
-  net::NodeCheckpoint ck1 = c.nodes[3]->make_checkpoint();
+  net::NodeCheckpoint ck1 = c.checkpoint(3);
   c.crash_and_resume(3, ck1);
   c.run_rounds(8);
 
-  net::NodeCheckpoint ck2 = c.nodes[3]->make_checkpoint();
+  net::NodeCheckpoint ck2 = c.checkpoint(3);
   EXPECT_EQ(ck2.resume_count, 1u);
   EXPECT_GE(ck2.events.size(), ck1.events.size());
   c.crash_and_resume(3, ck2);
@@ -376,9 +393,9 @@ TEST(NodeRuntimeResume, JournalSurvivesChainedResumes) {
 }
 
 TEST(NodeRuntimeResume, RejectsMismatchedConfigBinding) {
-  ResumableCluster c(4, 7, 24);
+  ResumableCluster c(4, 7, 24, "binding");
   c.run_rounds(4);
-  const net::NodeCheckpoint ck = c.nodes[1]->make_checkpoint();
+  const net::NodeCheckpoint ck = c.checkpoint(1);
 
   net::NodeConfig other = node_cfg(1, 4, /*seed=*/8, 24);  // wrong seed
   net::SimLink lonely(4);
@@ -388,11 +405,30 @@ TEST(NodeRuntimeResume, RejectsMismatchedConfigBinding) {
   EXPECT_NE(err.find("config binding"), std::string::npos) << err;
 }
 
-// -- the append-only journal ----------------------------------------------------
+TEST(NodeRuntimeResume, ResumesWithoutAStateFile) {
+  // A node with no state file resumes from a checkpoint it is handed (a
+  // traced wire run resumes its nodes that way) and journals nothing after.
+  ResumableCluster c(4, 7, 24, "no_file");
+  DynamicBitset dest(4);
+  dest.set(2);
+  c.run_rounds(1);
+  c.nodes[0]->inject(1, 20, dest, {0x42});
+  c.run_rounds(6);
+  const net::NodeCheckpoint ck = c.checkpoint(0);
+  ASSERT_FALSE(ck.events.empty());
 
-std::string state_file_path(const std::string& tag) {
-  return "checkpoint_" + tag + "_" + std::to_string(::getpid()) + ".ckpt";
+  net::SimLink lonely(4);
+  net::NodeRuntime rt(node_cfg(0, 4, 7, 24), &lonely.endpoint(0));
+  std::string err;
+  ASSERT_TRUE(rt.resume(ck, &err)) << err;
+  EXPECT_EQ(rt.now(), ck.round);
+  EXPECT_EQ(rt.injections(), 1u);
+  EXPECT_EQ(rt.frames_received(), c.nodes[0]->frames_received());
+  EXPECT_EQ(rt.journal_events(), 0u);
+  EXPECT_FALSE(rt.save_checkpoint(&err));
 }
+
+// -- the append-only journal ----------------------------------------------------
 
 std::vector<std::uint8_t> slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -601,8 +637,8 @@ TEST(CheckpointFuzz, MutatedMultiBatchFilesFailCleanlyOrYieldAPrefix) {
 }
 
 /// Drives `c` one round at a time up to `rounds`, with a rumor every
-/// fourth round from a rotating source, and saves every file-backed node
-/// every `every` rounds through `save`.
+/// fourth round from a rotating source, and saves every node every `every`
+/// rounds through `save`.
 template <typename Save>
 void run_with_saves(ResumableCluster& c, Round rounds, Round every, Save save) {
   std::uint64_t seq = 1;
@@ -616,9 +652,7 @@ void run_with_saves(ResumableCluster& c, Round rounds, Round every, Save save) {
     }
     c.run_rounds(1);
     if (c.link.round() % every == 0) {
-      for (ProcessId p = 0; p < c.n; ++p) {
-        if (p < c.state_paths.size() && !c.state_paths[p].empty()) save(p);
-      }
+      for (ProcessId p = 0; p < c.n; ++p) save(p);
     }
   }
 }
@@ -626,8 +660,8 @@ void run_with_saves(ResumableCluster& c, Round rounds, Round every, Save save) {
 TEST(CheckpointJournal, ResumeFromATornFileThenSaveReadsBackWhole) {
   const std::size_t n = 4;
   const ProcessId victim = 1;
-  const std::string path = state_file_path("torn_resume");
-  ResumableCluster c(n, 13, 64, {"", path, "", ""});
+  ResumableCluster c(n, 13, 64, "torn_resume");
+  const std::string path = c.state_path(victim);
   std::string err;
   run_with_saves(c, 24, 8, [&](ProcessId p) {
     ASSERT_TRUE(c.nodes[p]->save_checkpoint(&err)) << err;
@@ -670,11 +704,10 @@ TEST(CheckpointJournal, ResumeFromATornFileThenSaveReadsBackWhole) {
   c.crash_and_resume(victim, back);
   c.run_rounds(64 - 32);
   EXPECT_TRUE(c.nodes[victim]->healthy()) << c.nodes[victim]->stats_json();
-  std::remove(path.c_str());
 }
 
 TEST(CheckpointJournal, FreshStartDiscardsAStaleFile) {
-  const std::string path = state_file_path("stale");
+  const std::string path = node_state_path("stale", 2);
   net::NodeCheckpoint stale = sample_checkpoint();
   stale.id = 2;
   stale.n = 4;
@@ -682,7 +715,7 @@ TEST(CheckpointJournal, FreshStartDiscardsAStaleFile) {
   ASSERT_TRUE(net::write_checkpoint_file(path, stale, &err)) << err;
   ASSERT_GT(file_size(path), 0u);
 
-  ResumableCluster c(4, 3, 32, {"", "", path, ""});
+  ResumableCluster c(4, 3, 32, "stale");
   EXPECT_EQ(file_size(path), 0u) << "start() kept the stale file";
   c.run_rounds(8);
   const net::NodeCheckpoint unsaved = c.nodes[2]->make_checkpoint();
@@ -693,7 +726,6 @@ TEST(CheckpointJournal, FreshStartDiscardsAStaleFile) {
   EXPECT_EQ(back.resume_count, 0u);
   EXPECT_EQ(back.epoch_ms, kEpochMs);
   EXPECT_TRUE(back.events == unsaved.events);
-  std::remove(path.c_str());
 }
 
 // Flat memory and flat checkpoint cost over a long run (ROADMAP item 3):
@@ -703,11 +735,7 @@ TEST(CheckpointJournal, SoakAppendsOnlyNewEventsInFlatMemory) {
   const std::size_t n = 4;
   const Round rounds = 10000;
   const Round every = 8;
-  std::vector<std::string> paths;
-  for (ProcessId p = 0; p < n; ++p) {
-    paths.push_back(state_file_path("soak" + std::to_string(p)));
-  }
-  ResumableCluster c(n, 29, rounds, paths);
+  ResumableCluster c(n, 29, rounds, "soak");
 
   std::vector<Round> last_save(n, 0);
   std::vector<std::uint64_t> saved_events(n, 0);
@@ -724,9 +752,9 @@ TEST(CheckpointJournal, SoakAppendsOnlyNewEventsInFlatMemory) {
       ASSERT_GE(e.round, last_save[p]) << "node " << p << " kept a saved event";
     }
     max_unsaved = std::max(max_unsaved, unsaved.events.size());
-    const std::uint64_t before = file_size(paths[p]);
+    const std::uint64_t before = file_size(c.state_path(p));
     ASSERT_TRUE(rt.save_checkpoint(&err)) << err;
-    ASSERT_EQ(file_size(paths[p]) - before,
+    ASSERT_EQ(file_size(c.state_path(p)) - before,
               events_bytes(unsaved) + net::kCheckpointBatchOverhead +
                   (before == 0 ? net::kCheckpointHeaderBytes : 0))
         << "node " << p << " save at round " << rt.now();
@@ -742,10 +770,9 @@ TEST(CheckpointJournal, SoakAppendsOnlyNewEventsInFlatMemory) {
     EXPECT_TRUE(c.nodes[p]->healthy()) << c.nodes[p]->stats_json();
     EXPECT_GE(c.nodes[p]->deliveries(), 1u);
     net::NodeCheckpoint back;
-    EXPECT_TRUE(net::read_checkpoint_file(paths[p], &back, &err)) << err;
+    EXPECT_TRUE(net::read_checkpoint_file(c.state_path(p), &back, &err)) << err;
     EXPECT_EQ(back.round, rounds);
     EXPECT_EQ(back.events.size(), saved_events[p]);
-    std::remove(paths[p].c_str());
   }
 }
 

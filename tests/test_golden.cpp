@@ -170,7 +170,6 @@ harness::ScenarioConfig gd_heavy_config() {
   cfg.protocol = harness::Protocol::kCongos;
   cfg.continuous.inject_prob = 0.02;
   cfg.continuous.deadlines = {64};
-  cfg.engine_threads = 1;
   return cfg;
 }
 

@@ -3,11 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <optional>
 #include <set>
 
 #include "common/gallop.h"
-#include "common/thread_pool.h"
 #include "sim/engine.h"
 #include "test_util.h"
 #include "wire/envelope.h"
@@ -709,11 +707,7 @@ TEST(Gossip, OneRecordPerRumorAcrossHolders) {
   const auto universe = DynamicBitset::full(kN);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     auto sys = make_gossip_system(kN, universe, 3, false, 404);
-    std::optional<ThreadPool> pool;
-    if (threads > 1) {
-      pool.emplace(threads - 1);  // the driving thread participates
-      sys.engine->set_parallelism(&*pool, 2 * threads);
-    }
+    sys.engine->set_threads(threads);
     std::uint64_t gid = 0;
     GossipRumorPtr injected;
     testutil::LambdaAdversary adv;

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <sstream>
+#include <string>
 
 #include "harness/table.h"
 
@@ -67,33 +68,36 @@ TEST(Harness, StepPhaseTimersAddUpToTheRunWallTime) {
   // Engine::phase_ns() charges consecutive clock reads to the six phases,
   // so over a run they sum to at most the wall time of run_all() (which
   // they sit inside) and to at least 95% of it. The run is lengthened until
-  // it takes 200 ms, so fixed costs outside step() cannot dominate.
+  // it takes 200 ms, so fixed costs outside step() cannot dominate. Every
+  // phase runs at any thread count, the merge of a lone shard included.
   ScenarioConfig cfg;
   cfg.n = 64;
   cfg.seed = 11;
   cfg.protocol = Protocol::kCongos;
   cfg.continuous.inject_prob = 0.02;
   cfg.continuous.deadlines = {32};
-  cfg.engine_threads = 2;  // the merge phase only exists when sharded
   using Clock = std::chrono::steady_clock;
-  for (cfg.rounds = 64;; cfg.rounds *= 2) {
-    ScenarioRun run(cfg);
-    const Clock::time_point t0 = Clock::now();
-    run.run_all();
-    const auto wall = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
-    if (wall < 200'000'000 && cfg.rounds < 1'000'000) continue;
+  for (cfg.engine_threads = 1; cfg.engine_threads <= 2; ++cfg.engine_threads) {
+    SCOPED_TRACE("engine_threads=" + std::to_string(cfg.engine_threads));
+    for (cfg.rounds = 64;; cfg.rounds *= 2) {
+      ScenarioRun run(cfg);
+      const Clock::time_point t0 = Clock::now();
+      run.run_all();
+      const auto wall = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0).count());
+      if (wall < 200'000'000 && cfg.rounds < 1'000'000) continue;
 
-    const ScenarioResult r = run.finalize();
-    std::uint64_t sum = 0;
-    for (std::size_t i = 0; i < sim::kNumStepPhases; ++i) {
-      EXPECT_GT(r.phase_ns[i], 0u) << to_string(static_cast<sim::StepPhase>(i));
-      sum += r.phase_ns[i];
+      const ScenarioResult r = run.finalize();
+      std::uint64_t sum = 0;
+      for (std::size_t i = 0; i < sim::kNumStepPhases; ++i) {
+        EXPECT_GT(r.phase_ns[i], 0u) << to_string(static_cast<sim::StepPhase>(i));
+        sum += r.phase_ns[i];
+      }
+      EXPECT_EQ(r.phase_ns, run.engine().phase_ns());
+      EXPECT_LE(sum, wall);
+      EXPECT_GE(static_cast<double>(sum), 0.95 * static_cast<double>(wall));
+      break;
     }
-    EXPECT_EQ(r.phase_ns, run.engine().phase_ns());
-    EXPECT_LE(sum, wall);
-    EXPECT_GE(static_cast<double>(sum), 0.95 * static_cast<double>(wall));
-    break;
   }
 }
 

@@ -4,10 +4,46 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <string>
 #include <thread>
 
 namespace congos {
 namespace {
+
+// Thread counts are parsed from strings only: no test here builds a pool
+// from a refused value.
+TEST(ThreadCount, AcceptsOnlyPlainCountsUpToTheCap) {
+  EXPECT_EQ(parse_thread_count("4"), 4u);
+  EXPECT_EQ(parse_thread_count("1"), 1u);
+  EXPECT_EQ(parse_thread_count(std::to_string(kMaxThreadCount)), kMaxThreadCount);
+  EXPECT_EQ(parse_thread_count(std::to_string(kMaxThreadCount + 1)), 0u);
+  EXPECT_EQ(parse_thread_count("100000"), 0u);
+  EXPECT_EQ(parse_thread_count("0"), 0u);
+  EXPECT_EQ(parse_thread_count("-3"), 0u);
+  EXPECT_EQ(parse_thread_count("abc"), 0u);
+  EXPECT_EQ(parse_thread_count("4abc"), 0u);
+  EXPECT_EQ(parse_thread_count(" 4"), 0u);
+  EXPECT_EQ(parse_thread_count(""), 0u);
+}
+
+TEST(ThreadCount, RefusedEnvValueIsReportedAndFallsBack) {
+  constexpr const char* kVar = "CONGOS_TEST_THREAD_COUNT";
+  ::unsetenv(kVar);
+  EXPECT_EQ(thread_count_from_env(kVar, 3), 3u);
+  ::setenv(kVar, "", 1);
+  EXPECT_EQ(thread_count_from_env(kVar, 3), 3u);
+  ::setenv(kVar, "6", 1);
+  EXPECT_EQ(thread_count_from_env(kVar, 3), 6u);
+  for (const char* bad : {"0", "-3", "abc", "4abc", "100000"}) {
+    ::setenv(kVar, bad, 1);
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(thread_count_from_env(kVar, 3), 3u) << bad;
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(std::string(kVar) + "=" + bad), std::string::npos) << err;
+  }
+  ::unsetenv(kVar);
+}
 
 TEST(ThreadPool, RunsEverySubmittedJob) {
   ThreadPool pool(4);

@@ -38,10 +38,10 @@ fi
 # and the bench scale, so trajectory lines are comparable across machines.
 THREADS="${CONGOS_BENCH_THREADS:-$(nproc 2>/dev/null || echo unknown)}"
 SCALE="${CONGOS_BENCH_SCALE:-default}"
-# Engine thread count: the headline number tracks the sharded round engine
+# Engine thread count: the headline number tracks the round engine
 # (DESIGN.md section 12) at 4 threads. Override with CONGOS_ENGINE_THREADS=1
-# for serial measurements; bench_diff.py refuses to compare records whose
-# engine_threads context differs.
+# to run each round's single shard on the calling thread; bench_diff.py
+# refuses to compare records whose engine_threads context differs.
 ENGINE_THREADS="${CONGOS_ENGINE_THREADS:-4}"
 export CONGOS_ENGINE_THREADS="$ENGINE_THREADS"
 # Wire codec version (src/wire/wire.h): byte-accounting work in the hot path
