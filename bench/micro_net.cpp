@@ -138,8 +138,7 @@ void BM_DatagramCodec(benchmark::State& state) {
   constexpr int kFramesPerLap = 64;
 
   net::DatagramPool pool;
-  net::DatagramBuilder builder;
-  builder.set_pool(&pool);
+  net::DatagramBuilder builder(pool);
   std::vector<net::DatagramHandle> shipped;
   shipped.reserve(16);
   std::vector<std::uint8_t> compress_scratch;

@@ -1,7 +1,7 @@
 #include "common/flags.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 
 namespace congos {
 
@@ -42,16 +42,38 @@ std::string Flags::get(const std::string& name, const std::string& fallback) con
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+/// True when the whole of `text` is one number of type T in range.
+template <class T>
+bool parse_number(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+}  // namespace
+
+void Flags::note_malformed(const std::string& name) const {
+  if (std::find(malformed_.begin(), malformed_.end(), name) == malformed_.end()) {
+    malformed_.push_back(name);
+  }
+}
+
 std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  std::int64_t v = 0;
+  if (parse_number(it->second, &v)) return v;
+  note_malformed(name);
+  return fallback;
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  double v = 0;
+  if (parse_number(it->second, &v)) return v;
+  note_malformed(name);
+  return fallback;
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {

@@ -1,25 +1,25 @@
-// Pooled datagram buffers: the zero-copy currency of the datagram fast
-// path (DESIGN.md section 13).
+// Pooled datagram buffers: the one currency of the datagram path
+// (DESIGN.md section 13).
 //
-// The PR 8 send path copied every outgoing datagram into a fresh
-// std::vector even when the very next line handed it to sendto() and threw
-// it away. A DatagramBuffer is instead acquired from a DatagramPool (the
-// common/pool.h recycling idiom that already keeps payload traffic off the
-// heap), encoded into in place by DatagramBuilder, and passed BY HANDLE
-// down through FaultShim into UdpTransport:
+// A DatagramBuffer is acquired from a DatagramPool (the common/pool.h
+// recycling idiom that already keeps payload traffic off the heap), encoded
+// into in place by DatagramBuilder, and passed BY HANDLE down through
+// FaultShim into the transport. Transport::send takes nothing else:
 //
-//   * fast path: the transport writes the wire directly from the pooled
-//     bytes and the handle dies on return - object and control block go
-//     back to the pool, so a steady-state send performs zero heap
-//     allocations (pinned by tests/test_net_alloc.cpp);
-//   * backpressure: the transport moves the handle into the per-peer queue
-//     - still no copy; the buffer is released once the kernel accepts it;
+//   * UdpTransport writes the wire directly from the pooled bytes and the
+//     handle dies on return - object and control block go back to the
+//     pool, so a steady-state send performs zero heap allocations (pinned
+//     by tests/test_net_alloc.cpp);
+//   * backpressure: UdpTransport moves the handle into the per-peer queue -
+//     still no copy; the buffer is released once the kernel accepts it;
 //   * fault shim: a delayed/duplicated datagram holds the handle until its
-//     due round - the pool simply does not get the buffer back until then.
+//     due round - the pool simply does not get the buffer back until then;
+//   * SimLink: the receiver's mailbox holds the handle and the receiver
+//     reads the sender's buffer in place when it polls.
 //
-// Handles are plain shared_ptr so any Transport that ignores pooling (the
-// sim adapter, test doubles) can fall back to the span view of the same
-// bytes via the default Transport::send(ProcessId, DatagramHandle) overload.
+// Handles are plain shared_ptr, so every holder above shares one buffer and
+// the pool reclaims it when the last handle dies. Nobody mutates a buffer
+// once it has been handed to send().
 #pragma once
 
 #include <cstdint>

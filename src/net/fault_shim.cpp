@@ -21,17 +21,6 @@ sim::LinkFault FaultShim::draw(ProcessId to) {
   return f;
 }
 
-bool FaultShim::send(ProcessId to, std::span<const std::uint8_t> datagram) {
-  if (!cfg_.enabled()) return inner_->send(to, datagram);
-  const sim::LinkFault f = draw(to);
-  if (f.lateness > 0) {
-    DatagramHandle d = pool_.acquire();
-    d->bytes.assign(datagram.begin(), datagram.end());
-    held_.push_back(Held{now_ + f.lateness, to, std::move(d)});
-  }
-  return f.on_time() ? inner_->send(to, datagram) : true;
-}
-
 bool FaultShim::send(ProcessId to, DatagramHandle datagram) {
   if (!cfg_.enabled()) return inner_->send(to, std::move(datagram));
   const sim::LinkFault f = draw(to);

@@ -48,7 +48,6 @@ class FaultShim final : public Transport {
 
   // -- Transport --------------------------------------------------------------
 
-  bool send(ProcessId to, std::span<const std::uint8_t> datagram) override;
   bool send(ProcessId to, DatagramHandle datagram) override;
   std::size_t poll(int timeout_ms, DatagramSink& sink) override;
   const TransportStats& stats() const override { return inner_->stats(); }
@@ -62,9 +61,9 @@ class FaultShim final : public Transport {
     DatagramHandle datagram;
   };
 
-  /// sim::draw_link_fault() for one outgoing datagram, counted. Both send()
-  /// overloads draw here, so the randomness stream - and therefore the
-  /// fault mix - is the same whether callers pass spans or pooled handles.
+  /// sim::draw_link_fault() for one outgoing datagram, counted: one draw per
+  /// send(), in send order, so the fault mix is a pure function of the seed,
+  /// the self id and the send sequence.
   sim::LinkFault draw(ProcessId to);
   void release_due();
 
@@ -74,8 +73,6 @@ class FaultShim final : public Transport {
   Rng rng_;
   Round now_ = 0;
   std::vector<Held> held_;
-  /// Materializes held copies of span sends (handle sends are held as-is).
-  DatagramPool pool_;
   std::uint64_t counters_[sim::kNumFaultKinds] = {};
 };
 

@@ -118,12 +118,12 @@ class FrameSplitter {
 /// pooled datagram buffer until the soft budget is hit, then the buffer's
 /// handle is passed to the flush callback (which may keep it — the
 /// transport queues handles, not copies) and a fresh buffer is acquired.
-/// With a pool attached and warm, a steady-state send phase allocates
-/// nothing (tests/test_net_alloc.cpp pins this); without a pool the
-/// builder falls back to make_shared per datagram.
+/// With the pool warm, a steady-state send phase allocates nothing
+/// (tests/test_net_alloc.cpp pins this).
 class DatagramBuilder {
  public:
-  void set_pool(DatagramPool* pool) { pool_ = pool; }
+  /// `pool` (not owned) supplies every buffer; it must outlive the builder.
+  explicit DatagramBuilder(DatagramPool& pool) : pool_(&pool) {}
 
   /// Appends a frame, flushing through `flush(DatagramHandle)` when the
   /// budget forces a new datagram. Returns false when the frame is
@@ -131,14 +131,14 @@ class DatagramBuilder {
   template <class Flush>
   bool add(const sim::Envelope& e, Round round, Flush&& flush,
            wire::BodyEncodeMemo* memo = nullptr) {
-    if (buf_ == nullptr) buf_ = acquire();
+    if (buf_ == nullptr) buf_ = pool_->acquire();
     std::vector<std::uint8_t>& bytes = buf_->bytes;
     const std::size_t before = bytes.size();
     if (!append_frame(e, round, &bytes, memo)) return false;
     if (before > 0 && bytes.size() > kDatagramBudget) {
       // The new frame tipped a non-empty datagram over the budget: ship the
       // old frames alone and carry the new frame into a fresh buffer.
-      DatagramHandle next = acquire();
+      DatagramHandle next = pool_->acquire();
       next->bytes.assign(bytes.begin() + static_cast<std::ptrdiff_t>(before),
                          bytes.end());
       bytes.resize(before);
@@ -160,12 +160,7 @@ class DatagramBuilder {
   bool empty() const { return buf_ == nullptr || buf_->bytes.empty(); }
 
  private:
-  DatagramHandle acquire() {
-    return pool_ != nullptr ? pool_->acquire()
-                            : std::make_shared<DatagramBuffer>();
-  }
-
-  DatagramPool* pool_ = nullptr;
+  DatagramPool* pool_;
   DatagramHandle buf_;
 };
 

@@ -264,8 +264,7 @@ void NodeRuntime::handle_datagram(ProcessId /*from_hint*/,
 
 void NodeRuntime::run_send_phase() {
   if (builders_.size() != cfg_.n) {
-    builders_.resize(cfg_.n);
-    for (DatagramBuilder& b : builders_) b.set_pool(&dgram_pool_);
+    builders_.assign(cfg_.n, DatagramBuilder(dgram_pool_));
   }
   PhaseSender sender(this, &builders_);
   process_->send_phase(now_, sender);

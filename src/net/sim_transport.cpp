@@ -1,65 +1,65 @@
 #include "net/sim_transport.h"
 
-#include <deque>
+#include <utility>
 
 #include "common/assert.h"
 
 namespace congos::net {
 
-/// One process's view of the link: a Transport whose poll() drains the
-/// datagrams advance_round() sorted into its queue.
+/// One process's mailbox: datagrams sent to it this round wait in `sent_`;
+/// advance_round() moves them to `ready_`, which poll() drains.
 class SimLink::Endpoint final : public Transport {
  public:
   Endpoint(SimLink* link, ProcessId id) : link_(link), id_(id) {}
 
-  bool send(ProcessId to, std::span<const std::uint8_t> datagram) override {
+  bool send(ProcessId to, DatagramHandle datagram) override {
     if (to >= link_->n()) {
       ++stats_.no_route;
       return false;
     }
-    sim::Envelope e;
-    e.from = id_;
-    e.to = to;
-    e.tag = {sim::ServiceKind::kOther, 0};
-    e.body = std::make_shared<DatagramPayload>(
-        std::vector<std::uint8_t>(datagram.begin(), datagram.end()));
-    link_->network_.submit(std::move(e));
     ++stats_.datagrams_sent;
-    stats_.bytes_sent += datagram.size();
+    stats_.bytes_sent += datagram->bytes.size();
+    link_->endpoints_[to]->sent_.push_back(Mail{id_, std::move(datagram)});
     return true;
   }
 
   std::size_t poll(int /*timeout_ms*/, DatagramSink& sink) override {
-    std::size_t delivered = 0;
-    while (!inbox_.empty()) {
-      const auto& [from, bytes] = inbox_.front();
+    const std::size_t delivered = ready_.size();
+    for (Mail& m : ready_) {
       ++stats_.datagrams_received;
-      stats_.bytes_received += bytes.size();
-      sink.on_datagram(from, bytes);
-      inbox_.pop_front();
-      ++delivered;
+      stats_.bytes_received += m.datagram->bytes.size();
+      sink.on_datagram(m.from, m.datagram->bytes);
+      m.datagram.reset();  // read in place; now the sender's pool may reuse it
     }
+    ready_.clear();
     return delivered;
   }
 
   const TransportStats& stats() const override { return stats_; }
 
-  void push(ProcessId from, std::vector<std::uint8_t> bytes) {
-    inbox_.emplace_back(from, std::move(bytes));
+  void end_round() {
+    if (ready_.empty()) {
+      std::swap(ready_, sent_);  // the common case keeps both capacities
+    } else {
+      for (Mail& m : sent_) ready_.push_back(std::move(m));
+    }
+    sent_.clear();
   }
 
  private:
+  struct Mail {
+    ProcessId from = kNoProcess;
+    DatagramHandle datagram;
+  };
+
   SimLink* link_;
   ProcessId id_;
   TransportStats stats_;
-  std::deque<std::pair<ProcessId, std::vector<std::uint8_t>>> inbox_;
+  std::vector<Mail> sent_;
+  std::vector<Mail> ready_;
 };
 
-SimLink::SimLink(std::size_t n, std::uint64_t seed)
-    : network_(n, &stats_),
-      rng_(seed),
-      all_deliver_(n, sim::PartialDelivery::kDeliverAll),
-      no_filter_(n) {
+SimLink::SimLink(std::size_t n) {
   endpoints_.reserve(n);
   for (ProcessId p = 0; p < n; ++p) {
     endpoints_.push_back(std::make_unique<Endpoint>(this, p));
@@ -74,15 +74,7 @@ Transport& SimLink::endpoint(ProcessId p) {
 }
 
 void SimLink::advance_round() {
-  network_.deliver(all_deliver_, no_filter_, all_deliver_, no_filter_, rng_,
-                   nullptr);
-  for (ProcessId p = 0; p < endpoints_.size(); ++p) {
-    for (const sim::Envelope& e : network_.inbox(p)) {
-      const auto* dg = static_cast<const DatagramPayload*>(e.body.get());
-      endpoints_[p]->push(e.from, dg->bytes);
-    }
-  }
-  network_.end_round();
+  for (auto& e : endpoints_) e->end_round();
   ++round_;
 }
 

@@ -2,22 +2,20 @@
 // (DESIGN.md section 13).
 //
 // The protocol stack above this interface is transport-blind: a node frames
-// its envelopes into datagrams (net/framing.h), hands them to a Transport,
-// and gets peer datagrams back from poll(). Two backends implement it:
+// its envelopes into pooled datagram buffers (net/framing.h), hands each
+// buffer's handle to a Transport, and gets peer datagrams back from poll().
+// Two backends implement it:
 //
-//   * SimTransport (net/sim_transport.h) carries datagrams through the
-//     existing deterministic sim::Network - same delivery order, same
-//     seeded link-fault layer, zero real I/O. It exists to prove the
-//     abstraction costs nothing: the lockstep simulator and its golden
-//     traces are untouched (the round engine keeps calling sim::Network
-//     directly), and NodeRuntime tests run byte-identically in-process.
+//   * SimLink (net/sim_transport.h) is a deterministic in-process mailbox
+//     with zero real I/O, for NodeRuntime clusters inside one test process.
 //   * UdpTransport (net/udp_transport.h) is a real nonblocking UDP socket
 //     with per-peer send queues, used by the congos_d daemon.
 //
-// The interface is byte-level on purpose. Keeping envelope framing out of
-// the transport means the codec (src/wire) stays the single source of truth
-// for bytes-on-wire, and the socket-level fault shim (net/fault_shim.h) can
-// drop/duplicate/delay whole datagrams without understanding them.
+// A datagram is opaque bytes to every transport. Keeping envelope framing
+// out of the transport means the codec (src/wire) stays the single source of
+// truth for bytes-on-wire, and the socket-level fault shim
+// (net/fault_shim.h) can drop/duplicate/delay whole datagrams without
+// understanding them.
 #pragma once
 
 #include <cstdint>
@@ -66,18 +64,12 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Queue one datagram for peer `to`. Returns false when the datagram can
-  /// never be delivered (unknown peer, oversized); transient backpressure
-  /// is absorbed by the per-peer queues and is not an error.
-  virtual bool send(ProcessId to, std::span<const std::uint8_t> datagram) = 0;
-
-  /// Pooled-ownership variant: backends that queue take the handle instead
-  /// of copying the bytes (the zero-copy send path, DESIGN.md section 13).
-  /// The default forwards the span view, so span-only backends (the sim
-  /// adapter, test doubles) need no changes.
-  virtual bool send(ProcessId to, DatagramHandle datagram) {
-    return send(to, std::span<const std::uint8_t>(datagram->bytes));
-  }
+  /// Queue one datagram for peer `to`, taking ownership of its pooled
+  /// buffer: a backend that has to hold the bytes holds the handle, never a
+  /// copy. Returns false when the datagram can never be delivered (unknown
+  /// peer, oversized); transient backpressure is absorbed by the per-peer
+  /// queues and is not an error.
+  virtual bool send(ProcessId to, DatagramHandle datagram) = 0;
 
   /// Flush pending sends and deliver every inbound datagram to `sink`.
   /// Blocks at most `timeout_ms` (0 = nonblocking probe); the sim backend

@@ -126,20 +126,6 @@ UdpTransport::WireResult UdpTransport::wire_send(std::uint16_t port,
   return WireResult::kFatal;
 }
 
-UdpTransport::Peer* UdpTransport::admit(ProcessId to, std::size_t len) {
-  if (fd_ < 0) return nullptr;
-  auto it = peers_.find(to);
-  if (it == peers_.end() || it->second.port == 0) {
-    ++stats_.no_route;
-    return nullptr;
-  }
-  if (len > kMaxDatagramBytes) {
-    ++stats_.send_errors;
-    return nullptr;
-  }
-  return &it->second;
-}
-
 void UdpTransport::enqueue(Peer& peer, DatagramHandle d) {
   if (queue_cap_ > 0 && peer.queue.size() >= queue_cap_) {
     peer.queue.pop_front();
@@ -156,38 +142,24 @@ void UdpTransport::pop_sent(Peer& peer) {
   --queued_;
 }
 
-bool UdpTransport::send(ProcessId to, std::span<const std::uint8_t> datagram) {
-  Peer* peer = admit(to, datagram.size());
-  if (peer == nullptr) return false;
-  if (!batching_ && peer->queue.empty()) {
-    // Fast path: write the wire straight from the caller's span - no copy,
-    // no buffer. Only a backpressured datagram is materialized for queueing.
-    ++stats_.send_syscalls;
-    const WireResult r = wire_send(peer->port, datagram.data(), datagram.size());
-    if (r == WireResult::kSent) {
-      ++stats_.datagrams_sent;
-      stats_.bytes_sent += datagram.size();
-      return true;
-    }
-    if (r == WireResult::kFatal) {
-      ++stats_.send_errors;
-      return true;  // counted, intentionally not retried
-    }
-  }
-  DatagramHandle d = pool_.acquire();
-  d->bytes.assign(datagram.begin(), datagram.end());
-  enqueue(*peer, std::move(d));
-  return true;
-}
-
 bool UdpTransport::send(ProcessId to, DatagramHandle datagram) {
-  if (datagram == nullptr) return false;
-  Peer* peer = admit(to, datagram->bytes.size());
-  if (peer == nullptr) return false;
-  if (!batching_ && peer->queue.empty()) {
+  if (fd_ < 0 || datagram == nullptr) return false;
+  const auto it = peers_.find(to);
+  if (it == peers_.end() || it->second.port == 0) {
+    ++stats_.no_route;
+    return false;
+  }
+  if (datagram->bytes.size() > kMaxDatagramBytes) {
+    ++stats_.send_errors;
+    return false;
+  }
+  Peer& peer = it->second;
+  if (!batching_ && peer.queue.empty()) {
+    // Single-syscall mode writes the wire straight from the pooled bytes;
+    // only a backpressured datagram waits in the queue.
     ++stats_.send_syscalls;
     const WireResult r =
-        wire_send(peer->port, datagram->bytes.data(), datagram->bytes.size());
+        wire_send(peer.port, datagram->bytes.data(), datagram->bytes.size());
     if (r == WireResult::kSent) {
       ++stats_.datagrams_sent;
       stats_.bytes_sent += datagram->bytes.size();
@@ -200,7 +172,7 @@ bool UdpTransport::send(ProcessId to, DatagramHandle datagram) {
   }
   // Batched mode defers every datagram to the next flush() so sendmmsg can
   // gather a full batch; the handle moves into the queue - still no copy.
-  enqueue(*peer, std::move(datagram));
+  enqueue(peer, std::move(datagram));
   return true;
 }
 

@@ -9,13 +9,13 @@
 // (e.g. ECONNREFUSED from a dead peer's port); queued datagrams are
 // retried on every poll()/flush() until they leave the socket.
 //
-// Datagram fast path (this PR's tentpole): by default the transport runs
-// BATCHED - send() enqueues pooled buffer handles (zero copy) and flush()
-// gathers up to kMaxBatch datagrams across all peers into one sendmmsg(2);
-// drain() likewise pulls up to kMaxBatch datagrams per recvmmsg(2). The
-// batched and single-syscall paths emit byte-identical per-peer streams
-// (test_net.cpp proves it); batching is dropped permanently when the
-// kernel lacks the calls (ENOSYS probe) or switched off per-transport with
+// Datagram fast path: by default the transport runs BATCHED - send()
+// enqueues pooled buffer handles (zero copy) and flush() gathers up to
+// kMaxBatch datagrams across all peers into one sendmmsg(2); drain()
+// likewise pulls up to kMaxBatch datagrams per recvmmsg(2). The batched and
+// single-syscall paths emit byte-identical per-peer streams (test_net.cpp
+// proves it); batching is dropped permanently when the kernel lacks the
+// calls (ENOSYS probe) or switched off per-transport with
 // set_batching(false) (congos_d --no-batch).
 #pragma once
 
@@ -78,7 +78,6 @@ class UdpTransport : public Transport {
 
   // -- Transport --------------------------------------------------------------
 
-  bool send(ProcessId to, std::span<const std::uint8_t> datagram) override;
   bool send(ProcessId to, DatagramHandle datagram) override;
   std::size_t poll(int timeout_ms, DatagramSink& sink) override;
   const TransportStats& stats() const override;
@@ -144,9 +143,6 @@ class UdpTransport : public Transport {
 
   struct BatchScratch;  // mmsghdr/iovec/sockaddr arrays (udp_transport.cpp)
 
-  /// Admission checks shared by both send() overloads; counts no_route /
-  /// oversize and returns nullptr when the datagram can never go out.
-  Peer* admit(ProcessId to, std::size_t len);
   void enqueue(Peer& peer, DatagramHandle d);
   void pop_sent(Peer& peer);
   bool flush_single();
@@ -164,8 +160,6 @@ class UdpTransport : public Transport {
   std::unordered_map<std::uint16_t, ProcessId> port_to_id_;
   std::size_t queued_ = 0;
   std::vector<std::uint8_t> recv_buf_;
-  /// Materializes span sends that have to queue (handle sends never copy).
-  DatagramPool pool_;
   std::unique_ptr<BatchScratch> scratch_;
 };
 

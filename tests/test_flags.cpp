@@ -77,6 +77,36 @@ TEST(Flags, NegativeNumbersAsValues) {
   EXPECT_EQ(f.get_int("offset", 0), -5);
 }
 
+TEST(Flags, MalformedNumbersAreRefused) {
+  auto f = parse({"--a=12abc", "--b=", "--c=abc", "--d=0.5x", "--e=0.5",
+                  "--f=99999999999999999999", "--g"});
+  EXPECT_EQ(f.get_int("a", 7), 7);
+  EXPECT_DOUBLE_EQ(f.get_double("a", 1.5), 1.5);
+  EXPECT_EQ(f.get_int("b", 7), 7);
+  EXPECT_DOUBLE_EQ(f.get_double("b", 1.5), 1.5);
+  EXPECT_EQ(f.get_int("c", 7), 7);
+  EXPECT_DOUBLE_EQ(f.get_double("c", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(f.get_double("d", 1.5), 1.5);
+  EXPECT_EQ(f.get_int("f", 7), 7);  // out of range for int64
+  EXPECT_EQ(f.get_int("g", 7), 7);  // a bare switch is not a number
+  EXPECT_EQ(f.malformed(),
+            (std::vector<std::string>{"a", "b", "c", "d", "f", "g"}));
+  // A well-formed double is still not an integer.
+  EXPECT_DOUBLE_EQ(f.get_double("e", 0), 0.5);
+  EXPECT_EQ(f.get_int("e", 7), 7);
+  EXPECT_EQ(f.malformed().back(), "e");
+}
+
+TEST(Flags, WellFormedNumbersRecordNothing) {
+  auto f = parse({"--n=64", "--offset=-5", "--rate=0.25", "--big=1e3"});
+  EXPECT_EQ(f.get_int("n", 0), 64);
+  EXPECT_EQ(f.get_int("offset", 0), -5);
+  EXPECT_DOUBLE_EQ(f.get_double("rate", 0), 0.25);
+  EXPECT_DOUBLE_EQ(f.get_double("big", 0), 1000.0);
+  EXPECT_EQ(f.get_int("absent", 3), 3);
+  EXPECT_TRUE(f.malformed().empty());
+}
+
 TEST(Flags, LastOccurrenceWins) {
   auto f = parse({"--n=1", "--n=2"});
   EXPECT_EQ(f.get_int("n", 0), 2);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <cstdio>
 #include <map>
@@ -15,9 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "audit/qod.h"
 #include "common/fnv.h"
 #include "common/rng.h"
 #include "congos/fragment.h"
+#include "harness/cluster.h"
 #include "net/clock.h"
 #include "net/control.h"
 #include "net/fault_shim.h"
@@ -46,6 +49,16 @@ sim::Envelope direct_envelope(ProcessId from, ProcessId to,
   e.tag.kind = sim::ServiceKind::kFallback;
   e.body = std::move(body);
   return e;
+}
+
+/// Wraps bytes in a pooled datagram handle, the only thing Transport::send
+/// takes. Handles may outlive the pool (common/pool.h), so one pool serves
+/// every test.
+net::DatagramHandle dgram(std::vector<std::uint8_t> bytes) {
+  static net::DatagramPool pool;
+  net::DatagramHandle d = pool.acquire();
+  d->bytes = std::move(bytes);
+  return d;
 }
 
 // -- framing ------------------------------------------------------------------
@@ -100,14 +113,15 @@ TEST(Framing, OpaquePayloadRejected) {
   sim::Envelope e;
   e.from = 0;
   e.to = 1;
-  e.body = std::make_shared<net::DatagramPayload>(std::vector<std::uint8_t>{1});
+  e.body = std::make_shared<sim::Payload>();  // kOpaque: the codec refuses it
   std::vector<std::uint8_t> datagram;
   EXPECT_FALSE(net::append_frame(e, 0, &datagram));
   EXPECT_TRUE(datagram.empty());
 }
 
 TEST(Framing, BuilderFlushesOnBudgetAndPreservesFrames) {
-  net::DatagramBuilder builder;
+  net::DatagramPool pool;
+  net::DatagramBuilder builder(pool);
   std::vector<std::vector<std::uint8_t>> sent;
   const auto flush = [&](net::DatagramHandle d) { sent.push_back(d->bytes); };
   const std::vector<std::uint8_t> blob(300, 0x5A);
@@ -459,8 +473,8 @@ struct RecordingTransport final : net::Transport {
   std::vector<std::pair<ProcessId, std::vector<std::uint8_t>>> sent;
   net::TransportStats stats_;
 
-  bool send(ProcessId to, std::span<const std::uint8_t> d) override {
-    sent.emplace_back(to, std::vector<std::uint8_t>(d.begin(), d.end()));
+  bool send(ProcessId to, net::DatagramHandle d) override {
+    sent.emplace_back(to, d->bytes);
     return true;
   }
   std::size_t poll(int, net::DatagramSink&) override { return 0; }
@@ -470,8 +484,7 @@ struct RecordingTransport final : net::Transport {
 TEST(FaultShim, DisabledConfigPassesThrough) {
   RecordingTransport inner;
   net::FaultShim shim(&inner, sim::FaultConfig{}, 0);
-  const std::vector<std::uint8_t> d{1, 2, 3};
-  EXPECT_TRUE(shim.send(1, d));
+  EXPECT_TRUE(shim.send(1, dgram({1, 2, 3})));
   ASSERT_EQ(inner.sent.size(), 1u);
   EXPECT_EQ(shim.fault_total(), 0u);
 }
@@ -481,7 +494,7 @@ TEST(FaultShim, DropEverything) {
   sim::FaultConfig cfg;
   cfg.drop_rate = 1.0;
   net::FaultShim shim(&inner, cfg, 0);
-  for (int i = 0; i < 50; ++i) shim.send(1, std::vector<std::uint8_t>{1});
+  for (int i = 0; i < 50; ++i) shim.send(1, dgram({1}));
   EXPECT_TRUE(inner.sent.empty());
   EXPECT_EQ(shim.faults(sim::FaultKind::kDropped), 50u);
 }
@@ -492,7 +505,7 @@ TEST(FaultShim, DelayReleasesAfterRounds) {
   cfg.delay_rate = 1.0;
   cfg.max_delay = 3;
   net::FaultShim shim(&inner, cfg, 2);
-  for (int i = 0; i < 20; ++i) shim.send(1, std::vector<std::uint8_t>{1});
+  for (int i = 0; i < 20; ++i) shim.send(1, dgram({1}));
   EXPECT_TRUE(inner.sent.empty());
   EXPECT_EQ(shim.faults(sim::FaultKind::kDelayed), 20u);
   for (Round r = 1; r <= 4; ++r) shim.set_round(r);
@@ -505,7 +518,7 @@ TEST(FaultShim, DuplicateSendsCopyLater) {
   cfg.dup_rate = 1.0;
   cfg.max_delay = 2;
   net::FaultShim shim(&inner, cfg, 1);
-  shim.send(3, std::vector<std::uint8_t>{9});
+  shim.send(3, dgram({9}));
   EXPECT_EQ(inner.sent.size(), 1u);  // original goes out immediately
   EXPECT_EQ(shim.faults(sim::FaultKind::kDuplicated), 1u);
   for (Round r = 1; r <= 3; ++r) shim.set_round(r);
@@ -525,7 +538,7 @@ TEST(FaultShim, PartitionMirrorsPureHash) {
   for (Round r = 0; r < 64; ++r) {
     shim.set_round(r);
     if (sim::partition_cuts(cfg, r, 2, 5)) ++expect_cut;
-    shim.send(5, std::vector<std::uint8_t>{1});
+    shim.send(5, dgram({1}));
   }
   EXPECT_EQ(shim.faults(sim::FaultKind::kPartitioned), expect_cut);
   EXPECT_GT(expect_cut, 0u);
@@ -542,7 +555,7 @@ TEST(FaultShim, DeterministicPerSeedAndSelf) {
     std::string pattern;
     for (int i = 0; i < 200; ++i) {
       const std::size_t before = inner.sent.size();
-      shim.send(1, std::vector<std::uint8_t>{1});
+      shim.send(1, dgram({1}));
       pattern.push_back(inner.sent.size() > before ? 's' : 'd');
     }
     return pattern;
@@ -553,9 +566,9 @@ TEST(FaultShim, DeterministicPerSeedAndSelf) {
 }
 
 // Pins the shim's whole decision stream: which datagrams go out, when, and in
-// what order, under every fault kind at once, through both send overloads.
-// The values were computed before the shim and sim::Network shared one fault
-// draw; they must not move.
+// what order, under every fault kind at once. The values were computed before
+// the shim and sim::Network shared one fault draw, when half of these sends
+// were still byte spans; they must not move.
 TEST(FaultShim, DecisionStreamIsPinned) {
   RecordingTransport inner;
   sim::FaultConfig cfg;
@@ -574,14 +587,9 @@ TEST(FaultShim, DecisionStreamIsPinned) {
     shim.set_round(r);
     for (std::uint8_t i = 0; i < 6; ++i) {
       const auto to = static_cast<ProcessId>((r + i) % 7);
-      const std::vector<std::uint8_t> bytes{static_cast<std::uint8_t>(r), i};
-      if (i % 2 == 0) {
-        shim.send(to, bytes);
-      } else {
-        net::DatagramHandle d = pool.acquire();
-        d->bytes = bytes;
-        shim.send(to, std::move(d));
-      }
+      net::DatagramHandle d = pool.acquire();
+      d->bytes = {static_cast<std::uint8_t>(r), i};
+      shim.send(to, std::move(d));
     }
     for (; seen < inner.sent.size(); ++seen) {
       h = fnv1a_u64(h, static_cast<std::uint64_t>(r));
@@ -609,7 +617,7 @@ struct CollectSink final : net::DatagramSink {
 TEST(SimLink, DeliversBytesAtNextRound) {
   net::SimLink link(4);
   const std::vector<std::uint8_t> payload{0xCA, 0xFE};
-  EXPECT_TRUE(link.endpoint(0).send(3, payload));
+  EXPECT_TRUE(link.endpoint(0).send(3, dgram(payload)));
 
   CollectSink sink;
   EXPECT_EQ(link.endpoint(3).poll(0, sink), 0u);  // not delivered yet
@@ -625,8 +633,79 @@ TEST(SimLink, DeliversBytesAtNextRound) {
 
 TEST(SimLink, OutOfRangeDestinationCountsNoRoute) {
   net::SimLink link(2);
-  EXPECT_FALSE(link.endpoint(0).send(9, std::vector<std::uint8_t>{1}));
+  EXPECT_FALSE(link.endpoint(0).send(9, dgram({1})));
   EXPECT_EQ(link.endpoint(0).stats().no_route, 1u);
+}
+
+// Several senders interleave over rounds: each receiver polls, one round
+// after the sends, exactly its datagrams in send order.
+TEST(SimLink, InterleavedSendersArriveInSendOrderOneRoundLater) {
+  const std::size_t n = 4;
+  net::SimLink link(n);
+  using Got = std::vector<std::pair<ProcessId, std::vector<std::uint8_t>>>;
+  std::vector<Got> expected(n);  // what each receiver should poll next
+  for (Round r = 0; r < 6; ++r) {
+    std::vector<Got> sent_now(n);
+    for (std::uint8_t k = 0; k < 9; ++k) {
+      const auto from = static_cast<ProcessId>((r + k) % n);
+      const auto to = static_cast<ProcessId>((3 * r + 5 * k + 1) % n);
+      const std::vector<std::uint8_t> bytes{static_cast<std::uint8_t>(r), k};
+      ASSERT_TRUE(link.endpoint(from).send(to, dgram(bytes)));
+      sent_now[to].emplace_back(from, bytes);
+    }
+    for (ProcessId p = 0; p < n; ++p) {
+      CollectSink sink;
+      link.endpoint(p).poll(0, sink);
+      EXPECT_EQ(sink.got, expected[p]) << "round " << r << " receiver " << p;
+    }
+    link.advance_round();
+    expected = std::move(sent_now);
+  }
+}
+
+TEST(SimLink, FaultShimDuplicateArrivesTwiceByteIdentical) {
+  net::SimLink link(2);
+  sim::FaultConfig cfg;
+  cfg.dup_rate = 1.0;
+  cfg.max_delay = 1;
+  net::FaultShim shim(&link.endpoint(0), cfg, 0);
+  const std::vector<std::uint8_t> payload{0xD0, 0x0B, 0x1E};
+  ASSERT_TRUE(shim.send(1, dgram(payload)));
+  EXPECT_EQ(shim.faults(sim::FaultKind::kDuplicated), 1u);
+
+  CollectSink sink;
+  link.advance_round();
+  EXPECT_EQ(link.endpoint(1).poll(0, sink), 1u);  // the original
+  shim.set_round(1);  // releases the held copy into the link
+  link.advance_round();
+  EXPECT_EQ(link.endpoint(1).poll(0, sink), 1u);  // the duplicate
+  ASSERT_EQ(sink.got.size(), 2u);
+  EXPECT_EQ(sink.got[0].second, payload);
+  EXPECT_EQ(sink.got[1], sink.got[0]);
+  EXPECT_EQ(link.endpoint(0).stats().datagrams_sent, 2u);
+}
+
+TEST(SimLink, ReceiverReadsSenderBufferAndPoolReclaimsItAfterPoll) {
+  struct AddressSink final : net::DatagramSink {
+    const std::uint8_t* data = nullptr;
+    void on_datagram(ProcessId, std::span<const std::uint8_t> d) override {
+      data = d.data();
+    }
+  };
+  net::SimLink link(2);
+  net::DatagramPool pool;
+  net::DatagramHandle d = pool.acquire();
+  d->bytes.assign(64, 0x42);
+  const std::uint8_t* sender_bytes = d->bytes.data();
+  ASSERT_TRUE(link.endpoint(0).send(1, std::move(d)));
+  EXPECT_EQ(pool.idle(), 0u);  // the receiver's mailbox holds the handle
+  link.advance_round();
+  EXPECT_EQ(pool.idle(), 0u);  // pollable, but not yet polled
+
+  AddressSink sink;
+  EXPECT_EQ(link.endpoint(1).poll(0, sink), 1u);
+  EXPECT_EQ(sink.data, sender_bytes);  // read in place: no copy was made
+  EXPECT_EQ(pool.idle(), 1u);          // polled: the buffer is back
 }
 
 // -- NodeRuntime over SimLink: a deterministic in-process cluster ------------
@@ -636,10 +715,13 @@ class SimCluster {
   /// `compress_mask` (optional) selects which nodes LZ4-compress their
   /// outbound datagrams - mixed clusters prove plain/compressed interop.
   /// `log_prefix` (optional) gives node p the event log
-  /// <log_prefix><p>.log.
+  /// <log_prefix><p>.log. An enabled `faults` wraps every endpoint in a
+  /// FaultShim, the stack congos_d builds over UDP, and budgets the
+  /// retransmission layer for the plan's delays.
   SimCluster(std::size_t n, std::uint64_t seed, Round max_rounds,
              DynamicBitset compress_mask = DynamicBitset(),
-             const std::string& log_prefix = "")
+             const std::string& log_prefix = "",
+             const sim::FaultConfig& faults = sim::FaultConfig{})
       : link_(n) {
     for (ProcessId p = 0; p < n; ++p) {
       net::NodeConfig cfg;
@@ -655,15 +737,28 @@ class SimCluster {
       // (tau >= n/log^2 n) would degenerate CONGOS to direct sending.
       cfg.congos.allow_degenerate = false;
       cfg.congos.retransmit.enabled = true;
-      cfg.congos.retransmit.max_link_delay = 1;
-      nodes_.push_back(
-          std::make_unique<net::NodeRuntime>(cfg, &link_.endpoint(p)));
+      cfg.congos.retransmit.max_link_delay = std::max<Round>(1, faults.max_delay);
+      net::Transport* transport = &link_.endpoint(p);
+      net::FaultShim* shim = nullptr;
+      if (faults.enabled()) {
+        shims_.push_back(std::make_unique<net::FaultShim>(transport, faults, p));
+        shim = shims_.back().get();
+        transport = shim;
+      }
+      nodes_.push_back(std::make_unique<net::NodeRuntime>(cfg, transport, shim));
       std::string err;
       EXPECT_TRUE(nodes_.back()->start(&err)) << err;
     }
   }
 
   net::NodeRuntime& node(ProcessId p) { return *nodes_[p]; }
+
+  /// Faults of kind `f` the shims injected, summed over the nodes.
+  std::uint64_t faults(sim::FaultKind f) const {
+    std::uint64_t total = 0;
+    for (const auto& shim : shims_) total += shim->faults(f);
+    return total;
+  }
 
   void run_rounds(Round count) {
     struct Feed final : net::DatagramSink {
@@ -687,6 +782,7 @@ class SimCluster {
 
  private:
   net::SimLink link_;
+  std::vector<std::unique_ptr<net::FaultShim>> shims_;
   std::vector<std::unique_ptr<net::NodeRuntime>> nodes_;
 };
 
@@ -732,6 +828,80 @@ TEST(NodeRuntime, TwoIdenticalClustersAgreeByteForByte) {
     return out;
   };
   EXPECT_EQ(run(), run());
+}
+
+// The in-process twin of a faulted congos_d cluster: every endpoint sits
+// behind a FaultShim, with a drop/dup/delay mix inside the envelope where
+// Definition 1 is still owed. The offline audit the cluster runner uses
+// (harness::audit_cluster_logs) then replays the event logs: every
+// destination of every rumor delivered on time, and nothing leaked.
+TEST(NodeRuntime, FaultShimStackDeliversEveryRumorDeterministically) {
+  const std::size_t n = 8;
+  const Round kRounds = 80;
+  for (const std::uint64_t seed : {11u, 22u, 33u}) {
+    SCOPED_TRACE(seed);
+    sim::FaultConfig faults;
+    faults.drop_rate = 0.05;
+    faults.dup_rate = 0.05;
+    faults.delay_rate = 0.1;
+    faults.max_delay = 2;
+    faults.seed = seed;
+    core::RetransmitConfig retransmit;
+    retransmit.enabled = true;
+    retransmit.max_link_delay = faults.max_delay;  // what SimCluster sets
+    ASSERT_TRUE(audit::delivery_guaranteed(faults, retransmit));
+
+    harness::ClusterConfig audit_cfg;
+    audit_cfg.workdir = ::testing::TempDir() + "faultstack_" +
+                        std::to_string(seed) + "_" + std::to_string(::getpid());
+    audit_cfg.n = n;
+    audit_cfg.rounds = kRounds;
+    std::filesystem::create_directories(audit_cfg.workdir);
+
+    const auto run = [&](const std::string& log_prefix) {
+      SimCluster cluster(n, seed, kRounds, DynamicBitset(), log_prefix, faults);
+      Rng rng(seed);
+      std::uint64_t pairs = 0;
+      for (std::uint64_t seq = 1; seq <= 6; ++seq) {
+        cluster.run_rounds(3);
+        const auto src = static_cast<ProcessId>(rng.next_below(n));
+        DynamicBitset dest(n);
+        while (dest.count() < 2) {
+          const auto d = static_cast<ProcessId>(rng.next_below(n));
+          if (d != src) dest.set(d);
+        }
+        pairs += dest.count();
+        EXPECT_TRUE(cluster.node(src).inject(seq, 40, dest, {std::uint8_t(seq)}));
+      }
+      cluster.run_rounds(kRounds - 18);
+      std::string stats;
+      for (ProcessId p = 0; p < n; ++p) {
+        EXPECT_TRUE(cluster.node(p).healthy()) << cluster.node(p).stats_json();
+        cluster.node(p).flush_log();
+        stats += cluster.node(p).stats_json();
+      }
+      // Every fault kind of the mix actually fired somewhere.
+      EXPECT_GT(cluster.faults(sim::FaultKind::kDropped), 0u);
+      EXPECT_GT(cluster.faults(sim::FaultKind::kDuplicated), 0u);
+      EXPECT_GT(cluster.faults(sim::FaultKind::kDelayed), 0u);
+      return std::make_pair(stats, pairs);
+    };
+
+    const std::string log_prefix = audit_cfg.workdir + "/node";
+    const auto [stats, pairs] = run(log_prefix);
+    harness::ClusterResult r;
+    harness::audit_cluster_logs(audit_cfg, &r);
+    EXPECT_EQ(r.log_parse_errors, 0u);
+    EXPECT_EQ(r.injected, 6u);
+    EXPECT_EQ(r.qod.admissible_pairs, pairs);
+    EXPECT_EQ(r.qod.delivered_on_time, pairs)
+        << "late=" << r.qod.late << " missing=" << r.qod.missing;
+    EXPECT_TRUE(r.qod.ok());
+    EXPECT_EQ(r.leaks, 0u);
+    EXPECT_EQ(r.unknown_payloads, 0u);
+    EXPECT_EQ(run(log_prefix).first, stats);  // an identical second run
+    std::filesystem::remove_all(audit_cfg.workdir);
+  }
 }
 
 // A dest narrower than n used to abort a peer (DynamicBitset index
@@ -867,8 +1037,7 @@ TEST(DatagramPool, GrowsPastIdleSupplyWithoutDisturbingLiveHandles) {
 
 TEST(Framing, BuilderUsesAttachedPool) {
   net::DatagramPool pool;
-  net::DatagramBuilder builder;
-  builder.set_pool(&pool);
+  net::DatagramBuilder builder(pool);
   std::vector<net::DatagramHandle> shipped;
   const auto flush = [&](net::DatagramHandle d) {
     shipped.push_back(std::move(d));
@@ -1065,7 +1234,7 @@ std::vector<std::vector<std::uint8_t>> udp_roundtrip(bool batched,
     for (std::size_t j = 0; j < d.size(); ++j) {
       d[j] = static_cast<std::uint8_t>(i * 131 + j);
     }
-    EXPECT_TRUE(tx.send(1, std::span<const std::uint8_t>(d)));
+    EXPECT_TRUE(tx.send(1, dgram(d)));
   }
   for (int tries = 0; !tx.flush() && tries < 2000; ++tries) {
   }
@@ -1100,7 +1269,7 @@ TEST(UdpPath, BatchingActuallyBatchesSyscalls) {
   const std::size_t kCount = net::UdpTransport::kMaxBatch * 3;
   const std::vector<std::uint8_t> d(200, 0x77);
   for (std::size_t i = 0; i < kCount; ++i) {
-    ASSERT_TRUE(tx.send(1, std::span<const std::uint8_t>(d)));
+    ASSERT_TRUE(tx.send(1, dgram(d)));
   }
   for (int tries = 0; !tx.flush() && tries < 2000; ++tries) {
   }
@@ -1158,7 +1327,7 @@ TEST(UdpPath, QueueCapDropsOldestAndCountsOverflow) {
 
   for (std::uint8_t i = 0; i < 10; ++i) {
     const std::vector<std::uint8_t> d{i};
-    ASSERT_TRUE(tx.send(1, std::span<const std::uint8_t>(d)));
+    ASSERT_TRUE(tx.send(1, dgram(d)));
   }
   EXPECT_EQ(tx.stats().queue_overflow, 6u);
   EXPECT_EQ(tx.stats().queue_hwm, 4u);
@@ -1200,8 +1369,8 @@ TEST(UdpPath, FlushSkipsBackpressuredPeerInsteadOfStalling) {
   tx.script[50002] = ScriptedUdp::WireResult::kAgain;
 
   const std::vector<std::uint8_t> d{0xEE};
-  ASSERT_TRUE(tx.send(1, std::span<const std::uint8_t>(d)));
-  ASSERT_TRUE(tx.send(2, std::span<const std::uint8_t>(d)));
+  ASSERT_TRUE(tx.send(1, dgram(d)));
+  ASSERT_TRUE(tx.send(2, dgram(d)));
   EXPECT_EQ(tx.stats().datagrams_sent, 0u);
   EXPECT_TRUE(tx.want_write());
 
@@ -1227,7 +1396,7 @@ TEST(UdpPath, FatalWireErrorDropsQueuedDatagramAndCounts) {
   tx.set_peer(1, 50001);
   tx.script[50001] = ScriptedUdp::WireResult::kAgain;
   const std::vector<std::uint8_t> d{0xEE};
-  ASSERT_TRUE(tx.send(1, std::span<const std::uint8_t>(d)));
+  ASSERT_TRUE(tx.send(1, dgram(d)));
   EXPECT_TRUE(tx.want_write());
   tx.script[50001] = ScriptedUdp::WireResult::kFatal;
   EXPECT_TRUE(tx.flush());  // queue drained (by dropping), nothing pending
@@ -1264,7 +1433,7 @@ std::vector<std::vector<std::uint8_t>> faulted_udp_run(bool batched) {
         d[j] = static_cast<std::uint8_t>(sent * 17 + j);
       }
       ++sent;
-      shim.send(1, std::span<const std::uint8_t>(d));
+      shim.send(1, dgram(std::move(d)));
     }
     for (int tries = 0; !tx.flush() && tries < 2000; ++tries) {
     }

@@ -120,8 +120,7 @@ void expect_steady_state_alloc_free(bool batched, bool memoized = false) {
   if (batched && !tx.batching()) GTEST_SKIP() << "no sendmmsg on this platform";
 
   net::DatagramPool pool;
-  net::DatagramBuilder builder;
-  builder.set_pool(&pool);
+  net::DatagramBuilder builder(pool);
   const sim::Envelope e = make_envelope();
   CountingSink sink;
   wire::BodyEncodeMemo memo;

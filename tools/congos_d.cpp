@@ -218,28 +218,6 @@ int main(int argc, char** argv) {
        "start-timeout-ms", "state", "checkpoint-every", "resume", "help"});
   if (!unknown.empty()) return fail_usage("unknown flag --" + unknown.front());
 
-  net::NodeConfig ncfg;
-  ncfg.n = static_cast<std::size_t>(flags.get_int("n", 0));
-  if (ncfg.n < 2) return fail_usage("--n must be at least 2");
-  const std::int64_t id = flags.get_int("id", -1);
-  if (id < 0 || static_cast<std::size_t>(id) >= ncfg.n) {
-    return fail_usage("--id must be in [0, n)");
-  }
-  ncfg.id = static_cast<ProcessId>(id);
-  ncfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  ncfg.max_rounds = flags.get_int("rounds", 256);
-  if (ncfg.max_rounds <= 0) return fail_usage("--rounds must be positive");
-  ncfg.log_path = flags.get("log", "");
-  ncfg.compress = flags.get_bool("compress", false);
-  ncfg.state_path = flags.get("state", "");
-  const Round checkpoint_every = flags.get_int("checkpoint-every", 8);
-  if (checkpoint_every <= 0) {
-    return fail_usage("--checkpoint-every must be positive");
-  }
-  const std::string resume_path = flags.get("resume", "");
-  ncfg.congos.tau = static_cast<std::uint32_t>(flags.get_int("tau", 1));
-  ncfg.congos.allow_degenerate = !flags.get_bool("no-degenerate", false);
-
   sim::FaultConfig faults;
   const std::string fault_spec = flags.get("faults", "");
   if (!fault_spec.empty()) {
@@ -248,17 +226,59 @@ int main(int argc, char** argv) {
       return fail_usage("bad --faults spec: " + err);
     }
   }
-  if (flags.get_bool("retransmit", false)) {
-    ncfg.congos.retransmit.enabled = true;
-    ncfg.congos.retransmit.budget =
-        static_cast<int>(flags.get_int("retransmit-budget", 3));
-    const Round default_mld =
-        (faults.delay_rate > 0.0 || faults.dup_rate > 0.0) ? faults.max_delay : 1;
-    ncfg.congos.retransmit.max_link_delay =
-        flags.get_int("max-link-delay", default_mld);
-  }
+
+  // Every numeric flag is read before any is checked or acted on, so a
+  // malformed value is refused first - and before any socket is bound.
+  const std::int64_t n = flags.get_int("n", 0);
+  const std::int64_t id = flags.get_int("id", -1);
+  const std::int64_t seed = flags.get_int("seed", 1);
+  const Round max_rounds = flags.get_int("rounds", 256);
+  const Round checkpoint_every = flags.get_int("checkpoint-every", 8);
+  const std::int64_t tau = flags.get_int("tau", 1);
+  const std::int64_t retransmit_budget = flags.get_int("retransmit-budget", 3);
+  const Round max_link_delay = flags.get_int(
+      "max-link-delay",
+      (faults.delay_rate > 0.0 || faults.dup_rate > 0.0) ? faults.max_delay : 1);
   const std::int64_t duration_s = flags.get_int("duration", 120);
   const std::int64_t start_timeout_ms = flags.get_int("start-timeout-ms", 30000);
+  const std::int64_t queue_cap = flags.get_int("queue-cap", -1);
+  const std::int64_t data_port = flags.get_int("port", 0);
+  const std::int64_t control_port_flag = flags.get_int("control-port", 0);
+  if (!flags.malformed().empty()) {
+    const std::string& key = flags.malformed().front();
+    return fail_usage("--" + key + " expects a number, got '" +
+                      flags.get(key, "") + "'");
+  }
+
+  if (n < 2) return fail_usage("--n must be at least 2");
+  if (id < 0 || id >= n) return fail_usage("--id must be in [0, n)");
+  if (max_rounds <= 0) return fail_usage("--rounds must be positive");
+  if (checkpoint_every <= 0) {
+    return fail_usage("--checkpoint-every must be positive");
+  }
+  if (data_port < 0 || data_port > 65535) {
+    return fail_usage("--port must be in [0, 65535]");
+  }
+  if (control_port_flag < 0 || control_port_flag > 65535) {
+    return fail_usage("--control-port must be in [0, 65535]");
+  }
+
+  net::NodeConfig ncfg;
+  ncfg.n = static_cast<std::size_t>(n);
+  ncfg.id = static_cast<ProcessId>(id);
+  ncfg.seed = static_cast<std::uint64_t>(seed);
+  ncfg.max_rounds = max_rounds;
+  ncfg.log_path = flags.get("log", "");
+  ncfg.compress = flags.get_bool("compress", false);
+  ncfg.state_path = flags.get("state", "");
+  const std::string resume_path = flags.get("resume", "");
+  ncfg.congos.tau = static_cast<std::uint32_t>(tau);
+  ncfg.congos.allow_degenerate = !flags.get_bool("no-degenerate", false);
+  if (flags.get_bool("retransmit", false)) {
+    ncfg.congos.retransmit.enabled = true;
+    ncfg.congos.retransmit.budget = static_cast<int>(retransmit_budget);
+    ncfg.congos.retransmit.max_link_delay = max_link_delay;
+  }
 
   // A corrupted, truncated or foreign state file must fail loudly before
   // the daemon joins the wire - never fall back to a fresh start, which
@@ -279,17 +299,15 @@ int main(int argc, char** argv) {
 
   net::UdpTransport udp;
   std::string err;
-  if (!udp.open(static_cast<std::uint16_t>(flags.get_int("port", 0)), &err)) {
+  if (!udp.open(static_cast<std::uint16_t>(data_port), &err)) {
     std::fprintf(stderr, "error: data socket: %s\n", err.c_str());
     return 2;
   }
   if (flags.get_bool("no-batch", false)) udp.set_batching(false);
-  const std::int64_t queue_cap = flags.get_int("queue-cap", -1);
   if (queue_cap >= 0) udp.set_queue_cap(static_cast<std::size_t>(queue_cap));
   std::uint16_t control_port = 0;
   const int control_fd = open_control(
-      static_cast<std::uint16_t>(flags.get_int("control-port", 0)),
-      &control_port, &err);
+      static_cast<std::uint16_t>(control_port_flag), &control_port, &err);
   if (control_fd < 0) {
     std::fprintf(stderr, "error: control socket: %s\n", err.c_str());
     return 2;

@@ -139,6 +139,10 @@ int main(int argc, char** argv) {
 
   harness::ReplayOptions opt;
   opt.until_round = flags.get_int("until-round", -1);
+  if (!flags.malformed().empty()) {
+    return fail_usage("--until-round expects a number, got '" +
+                      flags.get("until-round", "") + "'");
+  }
   const bool schedule = flags.get_bool("schedule", false);
   const bool show_trace = flags.get_bool("show-trace", false);
   // --show-trace wants the deliveries of the last rounds; the schedule wants

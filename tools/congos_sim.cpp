@@ -111,8 +111,9 @@ int main(int argc, char** argv) {
     return fail_usage("unknown protocol '" + proto + "'");
   }
 
-  cfg.n = static_cast<std::size_t>(flags.get_int("n", 64));
-  if (cfg.n < 2) return fail_usage("--n must be at least 2");
+  const std::int64_t n = flags.get_int("n", 64);
+  if (n < 2) return fail_usage("--n must be at least 2");
+  cfg.n = static_cast<std::size_t>(n);
   cfg.rounds = flags.get_int("rounds", 512);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const Round deadline = flags.get_int("deadline", 128);
@@ -162,6 +163,13 @@ int main(int argc, char** argv) {
   sim::TraceLog trace;
   const auto trace_n = flags.get_int("trace", 0);
   if (trace_n > 0) cfg.extra_observers.push_back(&trace);
+  // Every numeric flag has been read (a malformed one as its default);
+  // refuse the run before it starts.
+  if (!flags.malformed().empty()) {
+    const std::string& key = flags.malformed().front();
+    return fail_usage("--" + key + " expects a number, got '" +
+                      flags.get(key, "") + "'");
+  }
 
   harness::ScenarioResult r;
   const std::string repro_path = flags.get("record-repro", "");
